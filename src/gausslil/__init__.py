@@ -48,7 +48,6 @@ from .regularize import (
     derived_constants,
     regularized,
     shell_lower_bound,
-    shifted_tail_vs_shell,
     tail_lower_bound,
     tail_upper_bound,
 )
@@ -61,11 +60,9 @@ from .sequences import (
 )
 from .spectral import (
     CovarianceMatrix,
-    FluctuationProfile,
     Spectrum,
     delta_k,
     eigh,
-    fluctuation_profile,
     operator_norm,
     sqrt_psd,
 )

@@ -26,7 +26,7 @@ from .special import (
     gammainc_upper,
     log_chisq_norm_tail,
 )
-from .spectral import Spectrum
+from .spectral import Spectrum, group_descending, log_zolotarev
 
 __all__ = [
     "WeightedChiSquare",
@@ -119,19 +119,6 @@ class _CubicSpline:
         return self.y[j] + t * (self.b[j] + t * (self.c[j] + t * self.d[j]))
 
 
-def _group_blocks(wnorm: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Group equal normalized weights into (value, multiplicity) blocks."""
-    vals: list[float] = []
-    mults: list[int] = []
-    for w in wnorm:
-        if vals and vals[-1] - w <= _BLOCK_MERGE_RTOL:
-            mults[-1] += 1
-        else:
-            vals.append(w)
-            mults.append(1)
-    return np.array(vals), np.array(mults, dtype=int)
-
-
 class _DensityEngine:
     """Scaled density hhat(z) = h(z) e^{z/2} of sum w_i chi^2(m_i), w_1 = 1.
 
@@ -141,7 +128,10 @@ class _DensityEngine:
     """
 
     def __init__(self, wnorm: tuple[float, ...], zmax: float):
-        self.block_w, self.block_m = _group_blocks(wnorm)
+        # wnorm[0] = 1, so equal weights are grouped at absolute tolerance
+        blocks = group_descending(wnorm, _BLOCK_MERGE_RTOL)
+        self.block_w = np.array([v for v, _ in blocks])
+        self.block_m = np.array([m for _, m in blocks], dtype=int)
         self.wnorm = np.asarray(wnorm)
         self.zmax = zmax
         self.d1 = int(self.block_m[0])
@@ -275,10 +265,6 @@ class _DensityEngine:
         z = np.asarray(z, dtype=float)
         return self.hhat(z) * np.exp(-0.5 * z)
 
-    def zolotarev(self) -> float:
-        sub = self.wnorm[self.d1 :]
-        return float(np.prod((1.0 - sub) ** -0.5)) if sub.size else 1.0
-
     def tail(self, x: float) -> float:
         """P{sum w_i eta_i^2 >= x} on the normalized scale."""
         if x <= 0.0:
@@ -300,7 +286,9 @@ class _DensityEngine:
         )
         # analytic closure: h ~ K(G^2) f_{d1} beyond zstop (remainder itself
         # is below 1e-9 of the tail thanks to the 60-unit window)
-        closure = self.zolotarev() * gammainc_upper(self.d1 / 2.0, zstop / 2.0)
+        closure = math.exp(log_zolotarev(self.wnorm[self.d1 :])) * gammainc_upper(
+            self.d1 / 2.0, zstop / 2.0
+        )
         return body + closure
 
     def shell(self, x_lo: float, x_hi: float) -> float:
@@ -363,7 +351,7 @@ _UNDERFLOW_X = 2900.0  # normalized threshold where e^{-x/2} leaves float64
 
 def weighted_norm_tail(w: WeightedChiSquare, t: float) -> float:
     """P{|Y| >= t} where |Y|^2 has the weighted chi-square law."""
-    if t < 0:
+    if not t >= 0:
         raise ValidationError(f"threshold must be >= 0, got {t}")
     if t == 0.0:
         return 1.0
@@ -375,7 +363,7 @@ def weighted_norm_tail(w: WeightedChiSquare, t: float) -> float:
 
 def weighted_shell_probability(w: WeightedChiSquare, t_lo: float, t_hi: float) -> float:
     """P{t_lo <= |Y| <= t_hi}."""
-    if t_lo < 0 or t_hi < t_lo:
+    if not 0 <= t_lo <= t_hi:
         raise ValidationError(f"need 0 <= t_lo <= t_hi, got [{t_lo}, {t_hi}]")
     w1 = w.lambda1_sq
     x_lo, x_hi = t_lo * t_lo / w1, t_hi * t_hi / w1
@@ -394,8 +382,16 @@ def zolotarev_constant(s: Spectrum) -> float:
     """
     if s.lambda1 <= 0:
         raise ValidationError("largest eigenvalue must be positive")
-    rho2 = s.weights()[s.d1 :] / s.lambda1**2
-    return float(np.prod((1.0 - rho2) ** -0.5)) if rho2.size else 1.0
+    return math.exp(log_zolotarev(s.weights()[s.d1 :] / s.lambda1**2))
+
+
+def _zolotarev_term(s: Spectrum, z: float) -> float:
+    """K f_{d1}(z/l1^2)/l1^2, the leading term of the density of |Y|^2 at z > 0."""
+    if z <= 0:
+        raise ValidationError("bound requires z > 0")
+    k = zolotarev_constant(s)
+    w1 = s.lambda1**2
+    return k * chisq_density(s.d1, z / w1) / w1
 
 
 def density_upper_bound(s: Spectrum, z: float) -> float:
@@ -405,13 +401,7 @@ def density_upper_bound(s: Spectrum, z: float) -> float:
     and C3(d) times the d1 = 1 analogue otherwise. For d = 1 the bound is
     the exact density.
     """
-    if z <= 0:
-        raise ValidationError("bound requires z > 0")
-    if s.lambda1 <= 0:
-        raise ValidationError("largest eigenvalue must be positive")
-    w1 = s.lambda1**2
-    k = zolotarev_constant(s)
-    base = k * chisq_density(max(s.d1, 1), z / w1) / w1
+    base = _zolotarev_term(s, z)
     if s.d1 >= 2 or s.dim == 1:
         return base
     return constants(s.dim).C3 * base
@@ -423,16 +413,11 @@ def density_lower_bound(s: Spectrum, z: float) -> tuple[float, float]:
     Returns (bound value, threshold); callers must check z >= threshold.
     The threshold degenerates to +inf when every eigenvalue ties the top.
     """
-    if z <= 0:
-        raise ValidationError("bound requires z > 0")
-    if s.lambda1 <= 0:
-        raise ValidationError("largest eigenvalue must be positive")
-    w = s.weights()
-    w1 = s.lambda1**2
-    value = 0.25 * zolotarev_constant(s) * chisq_density(s.d1, z / w1) / w1
+    value = 0.25 * _zolotarev_term(s, z)
     if s.d1 >= s.dim:
         return value, math.inf
-    threshold = 2.0 * s.d1 * float(w.sum()) / (1.0 - w[s.d1] / w1)
+    w = s.weights()
+    threshold = 2.0 * s.d1 * float(w.sum()) / (1.0 - w[s.d1] / w[0])
     return value, threshold
 
 

@@ -32,7 +32,7 @@ from .montecarlo import (
     empirical_limsup,
     estimate_tail,
     per_rep_limsup_maxima,
-    simulate_paths_parallel,
+    simulate_paths,
 )
 from .regularize import (
     derived_constants,
@@ -45,15 +45,15 @@ from .sequences import limit_and_convergence_report
 from .serialize import (
     dump_json,
     parse_grid,
-    parse_matrix,
     parse_phi,
     parse_sequence,
+    parse_spectrum,
     parse_weights_or_matrix,
     spectrum_csv_rows,
+    spectrum_from_weights,
     write_csv,
     write_json,
 )
-from .spectral import eigh
 
 COMMANDS = (
     "density",
@@ -109,15 +109,6 @@ def _threads(args) -> int:
     return max(1, args.threads)
 
 
-def _spectrum_from_cfg(cfg: dict):
-    if "matrix" in cfg:
-        return eigh(parse_matrix(cfg["matrix"]))
-    if "weights" in cfg:
-        w = sorted((float(x) for x in cfg["weights"]), reverse=True)
-        return eigh(np.diag(w))
-    raise ValidationError("config needs either 'weights' or 'matrix'")
-
-
 def _emit_table(out: Path, name: str, header: list[str], rows, fmt: str, summary: dict):
     if fmt == "csv":
         path = out.parent / f"{out.name}_{name}.csv"
@@ -137,21 +128,21 @@ def _jsonable(v):
     return v
 
 
-def _cmd_density(cfg: dict, out: Path, fmt: str, seed: int, threads: int) -> dict:
+def _cmd_density(cfg: dict, out: Path, config: RunConfig) -> dict:
     w = parse_weights_or_matrix(cfg)
     zs = parse_grid(cfg.get("z", {"min": 0.05, "max": 50.0, "count": 200}), "z")
     vals = weighted_density(w, zs)
     rows = [(float(z), float(v)) for z, v in zip(np.atleast_1d(zs), np.atleast_1d(vals))]
     summary = {"weights": list(w.weights), "count": len(rows)}
-    _emit_table(out, "density", ["z", "density"], rows, fmt, summary)
+    _emit_table(out, "density", ["z", "density"], rows, config.format, summary)
     return summary
 
 
-def _cmd_tail(cfg: dict, out: Path, fmt: str, seed: int, threads: int) -> dict:
+def _cmd_tail(cfg: dict, out: Path, config: RunConfig) -> dict:
     w = parse_weights_or_matrix(cfg)
     ts = parse_grid(cfg.get("t", {"min": 0.5, "max": 8.0, "count": 40}), "t")
     mc = cfg.get("monte_carlo")
-    s = eigh(np.diag(np.asarray(w.weights))) if mc else None
+    s = spectrum_from_weights(w.weights) if mc else None
     header = ["t", "tail"]
     rows = []
     for i, t in enumerate(np.atleast_1d(ts)):
@@ -159,19 +150,19 @@ def _cmd_tail(cfg: dict, out: Path, fmt: str, seed: int, threads: int) -> dict:
         if mc:
             est = estimate_tail(
                 s, float(t), int(mc.get("samples", 100_000)),
-                SeededStream(seed, stream_id=i),
+                SeededStream(config.seed, stream_id=i),
             )
             row.extend([est.p_hat, est.stderr, est.low_count])
         rows.append(tuple(row))
     if mc:
         header.extend(["mc_p_hat", "mc_stderr", "mc_low_count"])
     summary = {"weights": list(w.weights), "count": len(rows)}
-    _emit_table(out, "tail", header, rows, fmt, summary)
+    _emit_table(out, "tail", header, rows, config.format, summary)
     return summary
 
 
-def _cmd_bounds_verify(cfg: dict, out: Path, fmt: str, seed: int, threads: int) -> dict:
-    s = _spectrum_from_cfg(cfg)
+def _cmd_bounds_verify(cfg: dict, out: Path, config: RunConfig) -> dict:
+    s = parse_spectrum(cfg)
     w = WeightedChiSquare.from_spectrum(s)
     lam1 = s.lambda1
     dc = derived_constants(s.dim)
@@ -191,14 +182,15 @@ def _cmd_bounds_verify(cfg: dict, out: Path, fmt: str, seed: int, threads: int) 
         density_viol += (not up_ok) + (not lo_ok)
         density_rows.append((z, h, ub, lb, thresh, up_ok, lo_ok))
 
-    t_default = {"min": dc.C1t * lam1, "max": 12.0 * lam1, "count": 8}
+    t_min = dc.C1t * lam1  # validity threshold of the product bounds
+    t_default = {"min": t_min, "max": 12.0 * lam1, "count": 8}
     tail_rows = []
     tail_viol = 0
     skipped = 0
-    if dc.C1t * lam1 <= 12.0 * lam1 or "t" in cfg:
+    if t_min <= 12.0 * lam1 or "t" in cfg:
         for t in np.atleast_1d(parse_grid(cfg.get("t", t_default), "t")):
             t = float(t)
-            if t < dc.C1t * lam1:
+            if t < t_min:
                 skipped += 1
                 continue
             tail = weighted_norm_tail(w, t)
@@ -226,7 +218,7 @@ def _cmd_bounds_verify(cfg: dict, out: Path, fmt: str, seed: int, threads: int) 
         "density_bounds",
         ["z", "density", "upper_bound", "lower_bound", "lower_threshold", "upper_ok", "lower_ok"],
         density_rows,
-        fmt,
+        config.format,
         summary,
     )
     _emit_table(
@@ -234,13 +226,13 @@ def _cmd_bounds_verify(cfg: dict, out: Path, fmt: str, seed: int, threads: int) 
         "tail_bounds",
         ["t", "tail", "lower_bound", "upper_bound", "shell", "shell_lower_bound", "sandwich_ok", "shell_ok"],
         tail_rows,
-        fmt,
+        config.format,
         summary,
     )
     return summary
 
 
-def _cmd_integral_test(cfg: dict, out: Path, fmt: str, seed: int, threads: int) -> dict:
+def _cmd_integral_test(cfg: dict, out: Path, config: RunConfig) -> dict:
     if "phi" not in cfg or "sequence" not in cfg:
         raise ValidationError("integral-test config needs 'phi' and 'sequence'")
     phi = parse_phi(cfg["phi"])
@@ -275,11 +267,11 @@ def _cmd_integral_test(cfg: dict, out: Path, fmt: str, seed: int, threads: int) 
             "subseq_verdict": rep.subseq_verdict,
             "verdicts_agree": rep.verdicts_agree,
         }
-    _emit_table(out, "terms", ["index", "term", "partial_sum"], rows, fmt, summary)
+    _emit_table(out, "terms", ["index", "term", "partial_sum"], rows, config.format, summary)
     return summary
 
 
-def _cmd_sequence_info(cfg: dict, out: Path, fmt: str, seed: int, threads: int) -> dict:
+def _cmd_sequence_info(cfg: dict, out: Path, config: RunConfig) -> dict:
     if "sequence" not in cfg:
         raise ValidationError("sequence-info config needs 'sequence'")
     seq = parse_sequence(cfg["sequence"])
@@ -322,13 +314,13 @@ def _cmd_sequence_info(cfg: dict, out: Path, fmt: str, seed: int, threads: int) 
         "limit_spectrum",
         ["index", "eigenvalue", "group_id"],
         spectrum_csv_rows(s),
-        fmt,
+        config.format,
         summary,
     )
     return summary
 
 
-def _cmd_simulate(cfg: dict, out: Path, fmt: str, seed: int, threads: int) -> dict:
+def _cmd_simulate(cfg: dict, out: Path, config: RunConfig) -> dict:
     if "sequence" not in cfg:
         raise ValidationError("simulate config needs 'sequence'")
     seq = parse_sequence(cfg["sequence"])
@@ -340,8 +332,8 @@ def _cmd_simulate(cfg: dict, out: Path, fmt: str, seed: int, threads: int) -> di
         raise ValidationError("simulate config needs 'phi' or 'boundaries'")
     n_max = int(cfg.get("n_max", 100_000))
     reps = int(cfg.get("reps", 16))
-    records = simulate_paths_parallel(
-        seq, phis[0], n_max, reps, SeededStream(seed), threads=threads
+    records = simulate_paths(
+        seq, phis[0], n_max, reps, SeededStream(config.seed), threads=config.threads
     )
     maxima = per_rep_limsup_maxima(records)
     summary = {
@@ -362,7 +354,7 @@ def _cmd_simulate(cfg: dict, out: Path, fmt: str, seed: int, threads: int) -> di
                 rows.append((rec.rep, n, ratio, exceeded))
         exceedance.append(int(count))
         _emit_table(
-            out, f"paths_b{b}", ["rep", "n", "ratio", "exceeded"], rows, fmt, summary
+            out, f"paths_b{b}", ["rep", "n", "ratio", "exceeded"], rows, config.format, summary
         )
     summary["exceedance_counts"] = exceedance
     return summary
@@ -398,9 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(config: RunConfig) -> int:
     cfg = _load_config(config.input)
     out = Path(config.output)
-    summary = _HANDLERS[config.command](
-        cfg, out, config.format, config.seed, config.threads
-    )
+    summary = _HANDLERS[config.command](cfg, out, config)
     payload = {
         "version": __version__,
         "command": config.command,
@@ -425,25 +415,18 @@ def main(argv=None) -> int:
         )
         return run(config)
     except ValidationError as e:
-        sys.stderr.write(
-            dump_json({"version": __version__, "error": {"type": "validation", "message": str(e)}})
-        )
-        return 2
+        return _error_record("validation", e, 2)
     except NumericError as e:
-        sys.stderr.write(
-            dump_json({"version": __version__, "error": {"type": "numeric", "message": str(e)}})
-        )
-        return 3
+        return _error_record("numeric", e, 3)
     except Exception as e:  # never a bare stack trace
-        sys.stderr.write(
-            dump_json(
-                {
-                    "version": __version__,
-                    "error": {"type": type(e).__name__, "message": str(e)},
-                }
-            )
-        )
-        return 1
+        return _error_record(type(e).__name__, e, 1)
+
+
+def _error_record(kind: str, e: Exception, code: int) -> int:
+    """Write the JSON error record to stderr; returns the exit code."""
+    error = {"type": kind, "message": str(e)}
+    sys.stderr.write(dump_json({"version": __version__, "error": error}))
+    return code
 
 
 if __name__ == "__main__":

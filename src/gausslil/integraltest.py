@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .iterlog import llt, lllt, lt, max_subsequence_k, subsequence_index
+from .iterlog import llt, lllt, max_subsequence_k, subsequence_index
 from .quadrature import adaptive_simpson
 from .sequences import CovarianceSequence
 from .spectral import Spectrum, delta_k
@@ -106,22 +106,15 @@ class PhiFamily:
 def gamma_n(s: Spectrum, phi_n: float, upto: int | None = None) -> float:
     """prod_{i=2}^{upto} min(l1/(l1^2 - l_i^2)^{1/2}, phi_n/l1).
 
-    Defaults to the full product i = 2..d; the empty product is 1 and
-    equal-eigenvalue factors take the phi branch (a/0 read as infinity).
+    The exponential of ``Spectrum.log_gap_product`` at x = phi_n: the full
+    product i = 2..d by default, 1 when empty, and equal-eigenvalue factors
+    take the phi branch (a/0 read as infinity).
     """
     if s.lambda1 <= 0:
         raise ValidationError("largest eigenvalue must be positive")
     if phi_n <= 0:
         raise ValidationError(f"phi must be positive, got {phi_n}")
-    lam1 = s.lambda1
-    w = s.weights()
-    stop = s.dim if upto is None else min(upto, s.dim)
-    prod = 1.0
-    for i in range(1, stop):
-        gap = w[0] - w[i]
-        phi_branch = phi_n / lam1
-        prod *= phi_branch if gap <= 0 else min(lam1 / math.sqrt(gap), phi_branch)
-    return prod
+    return math.exp(s.log_gap_product(phi_n, upto))
 
 
 def series_term(

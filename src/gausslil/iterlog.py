@@ -9,8 +9,6 @@ import math
 
 from .errors import ValidationError
 
-# exp() overflows float64 just above this exponent
-_MAX_EXPONENT = math.log(math.sqrt(float("inf")))  # ~ 354.9; keeps n_k**2 finite too
 _LOG_FLOAT_MAX = 709.0
 
 

@@ -10,6 +10,7 @@ platform-dependent trigonometry in golden tests.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -200,13 +201,15 @@ def simulate_paths(
     n_max: int,
     reps: int,
     stream: SeededStream,
+    threads: int = 1,
 ) -> list[PathRecord]:
     """Random-walk paths T_n with Gamma_n applied at geometric checkpoints.
 
     One Gaussian vector per step, summed online with O(d) state; the
     exceedance event |Gamma_n T_n| > sqrt(n) phi_n is evaluated at
-    checkpoints only. Replication r uses substream r, so parallel and
-    serial execution aggregate identically.
+    checkpoints only. Replication r uses substream r, so the records are
+    identical for every thread count. Replications run on
+    min(threads, reps, os.cpu_count()) threads.
     """
     if n_max < 1_000:
         raise ValidationError(f"n_max must be >= 10^3, got {n_max}")
@@ -219,8 +222,8 @@ def simulate_paths(
         )
     d = seq.dim
     ns = checkpoint_schedule(n_max)
-    records = []
-    for r in range(reps):
+
+    def one(r: int) -> PathRecord:
         src = _NormalSource(stream.substream(r))
         T = np.zeros(d)
         prev = 0
@@ -237,31 +240,13 @@ def simulate_paths(
             ratio = float(np.linalg.norm(g @ T)) / math.sqrt(n)
             phi_n = phi.value(n, lam1)
             rows.append((n, ratio, phi_n, ratio > phi_n))
-        records.append(PathRecord(rep=r, checkpoints=tuple(rows)))
-    return records
+        return PathRecord(rep=r, checkpoints=tuple(rows))
 
-
-def simulate_paths_parallel(
-    seq: CovarianceSequence,
-    phi: PhiFamily,
-    n_max: int,
-    reps: int,
-    stream: SeededStream,
-    threads: int = 1,
-) -> list[PathRecord]:
-    """Thread-parallel replications; identical output to the serial run."""
-    if threads <= 1 or reps == 1:
-        return simulate_paths(seq, phi, n_max, reps, stream)
-
-    def one(r: int) -> PathRecord:
-        return simulate_paths(seq, phi, n_max, 1, stream.substream(r))[0]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        out = list(pool.map(one, range(reps)))
-    return [
-        PathRecord(rep=r, checkpoints=rec.checkpoints)
-        for r, rec in enumerate(out)
-    ]
+    workers = min(threads, reps, os.cpu_count() or 1)
+    if workers <= 1:
+        return [one(r) for r in range(reps)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(one, range(reps)))
 
 
 def per_rep_limsup_maxima(

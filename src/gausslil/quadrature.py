@@ -7,6 +7,7 @@ Richardson's correction (err/15) is folded into every accepted panel.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,8 @@ def adaptive_simpson(
     max_depth: int = 48,
 ) -> float:
     """Integrate a scalar function over [a, b]."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise NumericError(f"adaptive Simpson needs finite limits, got [{a}, {b}]")
     if b <= a:
         return 0.0
 
@@ -73,6 +76,8 @@ def adaptive_simpson_batched(
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise NumericError("batched Simpson needs finite limits at every node")
     total = np.zeros(n_nodes)
     live = b > a
     if not np.any(live):

@@ -6,7 +6,8 @@ exactly degenerate. The merged law dominates the original one and admits
 two-sided tail bounds whose d-dependent constants are derived here by
 tracing the proofs; the inequalities are the contract, not the constants'
 tightness. Lower-bound constants contain e^{-16 d^3} factors that
-underflow float64 for d >= 3, so every bound also has a log-scale form.
+underflow float64 for d >= 3, so every bound is computed on the log scale
+and its linear form is the exponential of that (0.0 once it underflows).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .chidensity import (
     weighted_shell_probability,
 )
 from .errors import ValidationError
-from .spectral import Spectrum
+from .spectral import Spectrum, log_zolotarev
 
 __all__ = [
     "RegularizedSpectrum",
@@ -35,7 +36,6 @@ __all__ = [
     "tail_upper_bound",
     "tail_lower_bound",
     "shell_lower_bound",
-    "shifted_tail_vs_shell",
     "log_product_factor",
     "density_comparison_check",
 ]
@@ -80,11 +80,11 @@ class DerivedConstants:
 
     @property
     def C3t(self) -> float:
-        return math.exp(self.log_C3t) if self.log_C3t > -745.0 else 0.0
+        return math.exp(self.log_C3t)
 
     @property
     def C6t(self) -> float:
-        return math.exp(self.log_C6t) if self.log_C6t > -745.0 else 0.0
+        return math.exp(self.log_C6t)
 
 
 @lru_cache(maxsize=None)
@@ -134,8 +134,7 @@ def regularized(s: Spectrum, t: float) -> RegularizedSpectrum:
     dt = d_tilde(s, t)
     lam1 = s.lambda1
     merged = tuple([lam1] * dt) + tuple(float(x) for x in s.eigenvalues[dt:])
-    rho2 = (np.asarray(merged[dt:]) / lam1) ** 2
-    k_t = float(np.prod((1.0 - rho2) ** -0.5)) if rho2.size else 1.0
+    k_t = math.exp(log_zolotarev((np.asarray(merged[dt:]) / lam1) ** 2))
     return RegularizedSpectrum(t=t, d_tilde=dt, eigenvalues=merged, K_t=k_t)
 
 
@@ -147,19 +146,11 @@ def log_product_factor(s: Spectrum, t: float) -> float:
     read as +infinity).
     """
     lam1 = _require_top(s)
-    w = s.weights()
-    total = 0.0
-    for i in range(1, s.dim):
-        gap = w[0] - w[i]
-        branch_t = t / lam1
-        if gap <= 0:
-            total += math.log(branch_t)
-        else:
-            total += math.log(min(lam1 / math.sqrt(gap), branch_t))
-    return total + math.log(lam1 / t) - t * t / (2.0 * w[0])
+    return s.log_gap_product(t) + math.log(lam1 / t) - t * t / (2.0 * lam1 * lam1)
 
 
 def _check_valid_t(s: Spectrum, t: float) -> DerivedConstants:
+    """The validity gate t >= C1t lambda_1 (C1t = C5) of the bounds and lemmas."""
     dc = derived_constants(s.dim)
     lam1 = _require_top(s)
     if t < dc.C1t * lam1:
@@ -169,39 +160,47 @@ def _check_valid_t(s: Spectrum, t: float) -> DerivedConstants:
     return dc
 
 
-def tail_upper_bound(s: Spectrum, t: float) -> float:
-    """Upper bound on P{|Y| >= t} for t >= C1t * lambda_1."""
-    dc = _check_valid_t(s, t)
-    return math.exp(dc.log_C2t + log_product_factor(s, t))
+def _check_gamma(s: Spectrum, t: float, gamma: float) -> None:
+    top = t * t / (4.0 * s.lambda1**2)
+    if not 0 <= gamma < top:
+        raise ValidationError(
+            f"gamma must lie in [0, t^2/(4 lambda_1^2)) = [0, {top:.6g}), got {gamma}"
+        )
 
 
-def tail_lower_bound(s: Spectrum, t: float) -> float:
-    """Lower bound on P{|Y| >= t}; 0.0 when the constant underflows."""
-    dc = _check_valid_t(s, t)
-    v = dc.log_C3t + log_product_factor(s, t)
-    return math.exp(v) if v > -745.0 else 0.0
+def _check_delta(t: float, delta: float) -> None:
+    if not 0 < delta <= t / 4.0:
+        raise ValidationError(f"delta must lie in (0, t/4], got {delta}")
 
 
 def log_tail_upper_bound(s: Spectrum, t: float) -> float:
-    dc = _check_valid_t(s, t)
-    return dc.log_C2t + log_product_factor(s, t)
+    """log of the upper bound on P{|Y| >= t}, for t >= C1t * lambda_1."""
+    return _check_valid_t(s, t).log_C2t + log_product_factor(s, t)
 
 
 def log_tail_lower_bound(s: Spectrum, t: float) -> float:
-    dc = _check_valid_t(s, t)
-    return dc.log_C3t + log_product_factor(s, t)
-
-
-def shell_lower_bound(s: Spectrum, t: float) -> float:
-    """Lower bound on P{t <= |Y| <= t + C5t lambda_1^2/t}."""
-    dc = _check_valid_t(s, t)
-    v = dc.log_C6t + log_product_factor(s, t)
-    return math.exp(v) if v > -745.0 else 0.0
+    """log of the lower bound on P{|Y| >= t}, for t >= C1t * lambda_1."""
+    return _check_valid_t(s, t).log_C3t + log_product_factor(s, t)
 
 
 def log_shell_lower_bound(s: Spectrum, t: float) -> float:
-    dc = _check_valid_t(s, t)
-    return dc.log_C6t + log_product_factor(s, t)
+    """log of the lower bound on P{t <= |Y| <= t + C5t lambda_1^2/t}."""
+    return _check_valid_t(s, t).log_C6t + log_product_factor(s, t)
+
+
+def tail_upper_bound(s: Spectrum, t: float) -> float:
+    """Upper bound on P{|Y| >= t} for t >= C1t * lambda_1."""
+    return math.exp(log_tail_upper_bound(s, t))
+
+
+def tail_lower_bound(s: Spectrum, t: float) -> float:
+    """Lower bound on P{|Y| >= t}; 0.0 when it underflows."""
+    return math.exp(log_tail_lower_bound(s, t))
+
+
+def shell_lower_bound(s: Spectrum, t: float) -> float:
+    """Lower bound on P{t <= |Y| <= t + C5t lambda_1^2/t}; 0.0 when it underflows."""
+    return math.exp(log_shell_lower_bound(s, t))
 
 
 def shell_width(s: Spectrum, t: float) -> float:
@@ -210,31 +209,14 @@ def shell_width(s: Spectrum, t: float) -> float:
     return dc.C5t * s.lambda1**2 / t
 
 
-def shifted_tail_vs_shell(
-    s: Spectrum, t: float, gamma: float
-) -> tuple[float, float]:
-    """Both sides of P{|Y| >= t - g l1^2/t} <= C4t e^g P{t <= |Y| <= t + C5t l1^2/t}.
-
-    Returned for reporting; the right side overflows to +inf for d >= 3
-    (use the _log variant there).
-    """
-    log_lhs, log_rhs = shifted_tail_vs_shell_log(s, t, gamma)
-    rhs = math.exp(log_rhs) if log_rhs < 709.0 else math.inf
-    return math.exp(log_lhs), rhs
-
-
 def shifted_tail_vs_shell_log(
     s: Spectrum, t: float, gamma: float
 ) -> tuple[float, float]:
+    """(log lhs, log rhs) of P{|Y| >= t - g l1^2/t} <= C4t e^g P{t <= |Y| <= t + C5t l1^2/t}."""
     dc = _check_valid_t(s, t)
-    lam1 = s.lambda1
-    if not 0 <= gamma < t * t / (4.0 * lam1**2):
-        raise ValidationError(
-            f"gamma must lie in [0, t^2/(4 lambda_1^2)) = "
-            f"[0, {t * t / (4 * lam1**2):.6g}), got {gamma}"
-        )
+    _check_gamma(s, t, gamma)
     w = WeightedChiSquare.from_spectrum(s)
-    lhs = weighted_norm_tail(w, t - gamma * lam1**2 / t)
+    lhs = weighted_norm_tail(w, t - gamma * s.lambda1**2 / t)
     shell = weighted_shell_probability(w, t, t + shell_width(s, t))
     return math.log(lhs), dc.log_C4t + gamma + math.log(shell)
 
@@ -251,8 +233,7 @@ def merged_tail(s: Spectrum, t: float, at: float) -> float:
 
 def upper_shift_sides(s: Spectrum, t: float, delta: float) -> tuple[float, float]:
     """(log lhs, log rhs) of P{|Y_t| >= t+d} <= 4 C3 e^{d/4} e^{-td/l1^2} P{|Y_t| >= t}."""
-    if not 0 < delta <= t / 4.0:
-        raise ValidationError(f"delta must lie in (0, t/4], got {delta}")
+    _check_delta(t, delta)
     w = regularized(s, t).weights()
     c3 = constants(s.dim).C3
     lhs = weighted_norm_tail(w, t + delta)
@@ -267,8 +248,7 @@ def upper_shift_sides(s: Spectrum, t: float, delta: float) -> tuple[float, float
 
 def lower_shift_sides(s: Spectrum, t: float, delta: float) -> tuple[float, float]:
     """(log lhs, log rhs) of P{|Y_t| >= t-d} <= 6 C3 e^{td/l1^2} P{|Y_t| >= t}."""
-    if not 0 < delta <= t / 4.0:
-        raise ValidationError(f"delta must lie in (0, t/4], got {delta}")
+    _check_delta(t, delta)
     w = regularized(s, t).weights()
     c3 = constants(s.dim).C3
     lhs = weighted_norm_tail(w, t - delta)
@@ -282,48 +262,30 @@ def lower_shift_sides(s: Spectrum, t: float, delta: float) -> tuple[float, float
 
 def merged_shell_sides(s: Spectrum, t: float) -> tuple[float, float]:
     """(log lhs, log rhs) of P{|Y_t| >= t} <= 2 P{t <= |Y_t| <= t + beta/t}."""
-    c = constants(s.dim)
-    lam1 = s.lambda1
-    if t < c.C5 * lam1:
-        raise ValidationError(
-            f"shell comparison needs t >= C5*lambda_1 = {c.C5 * lam1:.6g}, got {t}"
-        )
+    _check_valid_t(s, t)
     w = regularized(s, t).weights()
-    beta = c.beta * lam1**2
     lhs = weighted_norm_tail(w, t)
-    rhs = weighted_shell_probability(w, t, t + beta / t)
+    rhs = weighted_shell_probability(w, t, t + shell_width(s, t))
     return math.log(lhs), math.log(2.0) + math.log(rhs)
 
 
 def orig_shift_sides(s: Spectrum, t: float, gamma: float) -> tuple[float, float]:
     """(log lhs, log rhs) of P{|Y| >= t - g l1^2/t} <= 6 C3 e^g P{|Y_t| >= t}."""
-    c = constants(s.dim)
-    lam1 = s.lambda1
-    if t < c.C5 * lam1:
-        raise ValidationError(
-            f"comparison needs t >= C5*lambda_1 = {c.C5 * lam1:.6g}, got {t}"
-        )
-    if not 0 <= gamma < t * t / (4.0 * lam1**2):
-        raise ValidationError(f"gamma out of range, got {gamma}")
+    _check_valid_t(s, t)
+    _check_gamma(s, t, gamma)
     lhs = weighted_norm_tail(
-        WeightedChiSquare.from_spectrum(s), t - gamma * lam1**2 / t
+        WeightedChiSquare.from_spectrum(s), t - gamma * s.lambda1**2 / t
     )
-    rhs = math.log(6.0 * c.C3) + gamma + math.log(merged_tail(s, t, t))
+    rhs = math.log(6.0 * constants(s.dim).C3) + gamma + math.log(merged_tail(s, t, t))
     return math.log(lhs), rhs
 
 
 def merged_vs_orig_shell_sides(s: Spectrum, t: float) -> tuple[float, float]:
     """(log lhs, log rhs) of P{|Y_t| >= t} <= 2 e^{16 d^3} P{t <= |Y| <= t + beta/t}."""
-    c = constants(s.dim)
-    lam1 = s.lambda1
-    if t < c.C5 * lam1:
-        raise ValidationError(
-            f"comparison needs t >= C5*lambda_1 = {c.C5 * lam1:.6g}, got {t}"
-        )
-    beta = c.beta * lam1**2
+    _check_valid_t(s, t)
     lhs = merged_tail(s, t, t)
     shell = weighted_shell_probability(
-        WeightedChiSquare.from_spectrum(s), t, t + beta / t
+        WeightedChiSquare.from_spectrum(s), t, t + shell_width(s, t)
     )
     rhs = math.log(2.0) + 16.0 * s.dim**3 + math.log(shell)
     return math.log(lhs), rhs
@@ -363,14 +325,10 @@ def density_comparison_check(s: Spectrum, t: float, zgrid) -> ComparisonReport:
     """Check h(z) >= h_t(z) e^{-8 d^3 z / t^2} and merged-tail domination.
 
     Violations are collected, not raised; tests treat a non-empty
-    violation list as failure.
+    violation list as failure. Needs t >= 3 d lambda_1, as the
+    regularization does.
     """
-    lam1 = _require_top(s)
     d = s.dim
-    if t < 3 * d * lam1:
-        raise ValidationError(
-            f"comparison assumes t >= 3 d lambda_1 = {3 * d * lam1:.6g}, got {t}"
-        )
     reg = regularized(s, t)
     w = WeightedChiSquare.from_spectrum(s)
     wt = reg.weights()

@@ -12,7 +12,7 @@ from .chidensity import WeightedChiSquare
 from .errors import ValidationError
 from .integraltest import PhiFamily
 from .sequences import CovarianceSequence, CutoffFamily, DiscreteDistribution
-from .spectral import Spectrum
+from .spectral import Spectrum, eigh
 
 
 def parse_matrix(obj) -> np.ndarray:
@@ -30,32 +30,67 @@ def parse_matrix(obj) -> np.ndarray:
     return m
 
 
+def _numbers(obj, what: str) -> np.ndarray:
+    """A flat JSON list of numbers as a float array."""
+    if isinstance(obj, list):
+        try:
+            a = np.asarray(obj, dtype=float)
+        except (TypeError, ValueError):
+            a = None
+        if a is not None and a.ndim == 1:
+            return a
+    raise ValidationError(f"{what} must be a flat list of numbers")
+
+
 def parse_weights_or_matrix(cfg: dict) -> WeightedChiSquare:
     if "weights" in cfg:
-        return WeightedChiSquare.from_weights(cfg["weights"])
-    if "matrix" in cfg:
-        from .spectral import eigh
+        return WeightedChiSquare.from_weights(_numbers(cfg["weights"], "'weights'"))
+    return WeightedChiSquare.from_spectrum(parse_spectrum(cfg))
 
-        return WeightedChiSquare.from_spectrum(eigh(parse_matrix(cfg["matrix"])))
+
+def spectrum_from_weights(weights) -> Spectrum:
+    """Spectrum of diag(weights): lambda_i^2 = weights, zeros kept in the dimension."""
+    return eigh(np.diag(np.asarray(weights, dtype=float)))
+
+
+def parse_spectrum(cfg: dict) -> Spectrum:
+    """Spectrum of a config's 'matrix' (Gamma^2), or else of its 'weights'."""
+    if "matrix" in cfg:
+        return eigh(parse_matrix(cfg["matrix"]))
+    if "weights" in cfg:
+        return spectrum_from_weights(_numbers(cfg["weights"], "'weights'"))
     raise ValidationError("config needs either 'weights' or 'matrix'")
 
 
 def parse_grid(obj, name: str) -> np.ndarray:
-    """Either an explicit list or {min, max, count, spacing: log|linear}."""
+    """Either an explicit list or {min, max, count, spacing: log|linear}.
+
+    Values must be finite, a range needs count >= 1, and log spacing needs
+    positive ends.
+    """
     if isinstance(obj, list):
-        g = np.asarray(obj, dtype=float)
+        g = _numbers(obj, f"grid '{name}'")
         if g.size == 0:
             raise ValidationError(f"grid '{name}' is empty")
+        if not np.all(np.isfinite(g)):
+            raise ValidationError(f"grid '{name}' values must be finite")
         return g
     if isinstance(obj, dict):
         missing = [k for k in ("min", "max", "count") if k not in obj]
         if missing:
             raise ValidationError(f"grid '{name}' missing fields: {missing}")
+        lo, hi, count = _numbers([obj["min"], obj["max"], obj["count"]], f"grid '{name}' range")
+        if not np.all(np.isfinite([lo, hi, count])):
+            raise ValidationError(f"grid '{name}' values must be finite")
+        if count < 1:
+            raise ValidationError(f"grid '{name}': count must be >= 1, got {obj['count']}")
         spacing = obj.get("spacing", "log")
         if spacing == "log":
-            return np.geomspace(float(obj["min"]), float(obj["max"]), int(obj["count"]))
+            if not (lo > 0 and hi > 0):
+                raise ValidationError(f"grid '{name}': log spacing needs min, max > 0")
+            return np.geomspace(lo, hi, int(count))
         if spacing == "linear":
-            return np.linspace(float(obj["min"]), float(obj["max"]), int(obj["count"]))
+            return np.linspace(lo, hi, int(count))
         raise ValidationError(f"grid '{name}': unknown spacing {spacing!r}")
     raise ValidationError(f"grid '{name}' must be a list or a range object")
 

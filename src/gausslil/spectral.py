@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Protocol
 
 import numpy as np
@@ -73,13 +74,38 @@ class Spectrum:
         """lambda_i^2, descending."""
         return self.eigenvalues**2
 
+    @cached_property
+    def _log_gap_factors(self) -> tuple[float, ...]:
+        """log(lambda_1/(lambda_1^2 - lambda_i^2)^{1/2}), i = 2..d; +inf on ties."""
+        w = self.weights()
+        lam1 = self.lambda1
+        return tuple(
+            math.log(lam1 / math.sqrt(w[0] - w[i])) if w[0] - w[i] > 0 else math.inf
+            for i in range(1, self.dim)
+        )
 
-@dataclass(frozen=True)
-class FluctuationProfile:
-    """Delta_k(alpha) for k = 1..K over a covariance sequence."""
+    def log_gap_product(self, x: float, upto: int | None = None) -> float:
+        """sum_{i=2}^{upto} log min(lambda_1/(lambda_1^2 - lambda_i^2)^{1/2}, x/lambda_1).
 
-    alpha: float
-    values: np.ndarray
+        The eigenvalue-gap product of the tail bounds (x = t) and of the
+        integral-test series (x = phi_n); i = 2..d by default. Equal
+        eigenvalues take the x/lambda_1 branch. Needs lambda_1 > 0.
+        """
+        stop = self.dim if upto is None else min(upto, self.dim)
+        total = 0.0
+        if stop > 1:
+            log_x = math.log(x / self.lambda1)
+            for g in self._log_gap_factors[: stop - 1]:
+                total += min(g, log_x)
+        return total
+
+
+def log_zolotarev(rho2) -> float:
+    """log K = -1/2 sum log(1 - rho_i^2), the log of Zolotarev's constant.
+
+    rho_i^2 = lambda_i^2/lambda_1^2 over the indices past the caller's top group.
+    """
+    return -0.5 * float(np.sum(np.log1p(-np.asarray(rho2, dtype=float))))
 
 
 class MatrixSequence(Protocol):
@@ -156,7 +182,8 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(m).copy(), v
 
 
-def _group(lams: np.ndarray, rtol: float) -> tuple[tuple[float, int], ...]:
+def group_descending(lams, rtol: float) -> tuple[tuple[float, int], ...]:
+    """(first value, count) runs: a value within rtol * lams[0] of a run's first joins it."""
     tol = rtol * max(float(lams[0]), 1e-300)
     groups: list[list[float]] = [[float(lams[0])]]
     for lam in lams[1:]:
@@ -197,7 +224,7 @@ def eigh(a: CovarianceMatrix | np.ndarray, group_rtol: float = GROUP_RTOL) -> Sp
     lams = np.sqrt(mu)
     lams.setflags(write=False)
     v.setflags(write=False)
-    groups = _group(lams, group_rtol)
+    groups = group_descending(lams, group_rtol)
     return Spectrum(eigenvalues=lams, basis=v, groups=groups, d1=groups[0][1])
 
 
@@ -217,12 +244,6 @@ def sqrt_psd(a: CovarianceMatrix | np.ndarray) -> CovarianceMatrix:
     return CovarianceMatrix(0.5 * (b + b.T))
 
 
-def _window(alpha: float, k: int) -> tuple[int, int]:
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    return subsequence_index(alpha, k), subsequence_index(alpha, k + 1)
-
-
 def delta_k(
     seq: MatrixSequence, alpha: float, k: int, force_scan: bool = False
 ) -> float:
@@ -233,7 +254,7 @@ def delta_k(
     pair scan collapses to one norm; ``force_scan`` disables the shortcut
     (used to validate it).
     """
-    lo, hi = _window(alpha, k)
+    lo, hi = subsequence_index(alpha, k), subsequence_index(alpha, k + 1)
     if seq.is_constant:
         return 0.0
     if seq.max_index is not None and hi > seq.max_index:
@@ -258,13 +279,3 @@ def delta_k(
         for j in range(i + 1, len(seen)):
             best = max(best, operator_norm(seen[i] - seen[j]))
     return best
-
-
-def fluctuation_profile(
-    seq: MatrixSequence, alpha: float, K: int
-) -> FluctuationProfile:
-    """Delta_k(alpha) for k = 1..K."""
-    if alpha <= 0:
-        raise ValidationError(f"alpha must be positive, got {alpha}")
-    vals = np.array([delta_k(seq, alpha, k) for k in range(1, K + 1)])
-    return FluctuationProfile(alpha=alpha, values=vals)

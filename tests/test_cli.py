@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gausslil
 from gausslil.cli import main
 from gausslil.special import chisq_density
 
@@ -206,3 +210,29 @@ def test_json_format_embeds_tables(tmp_path):
     summary = read_json(out)
     assert len(summary["density"]) == 2
     assert set(summary["density"][0]) == {"z", "density"}
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("tail", {"weights": [1.0, 0.25], "t": [float("nan")]}),
+        ("density", {"weights": [1.0], "z": {"min": 0.1, "max": 1.0, "count": -3}}),
+        ("density", {"weights": "abc"}),
+        ("bounds-verify", {"weights": "abc"}),
+    ],
+    ids=["nan-threshold", "negative-count", "weights-string", "bounds-weights-string"],
+)
+def test_malformed_config_exits_2(tmp_path, command, cfg):
+    # in a subprocess, so that a hang is cut by the timeout instead of the suite
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    src = str(Path(gausslil.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gausslil.cli", command, "--config", str(cfg_path),
+         "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"]["type"] == "validation"

@@ -16,8 +16,8 @@ from gausslil.montecarlo import (
     sample_norm_Y,
     sample_standard_normal,
     simulate_paths,
-    simulate_paths_parallel,
 )
+from gausslil import montecarlo
 from gausslil.sequences import CovarianceSequence
 from gausslil.integraltest import PhiFamily
 
@@ -163,8 +163,39 @@ def test_simulate_parallel_matches_serial():
     seq = CovarianceSequence.constant(np.eye(2))
     phi = PhiFamily(kind="parametric", a=2.0, b=0.0)
     serial = simulate_paths(seq, phi, 3000, 4, SeededStream(31, 0))
-    parallel = simulate_paths_parallel(seq, phi, 3000, 4, SeededStream(31, 0), threads=4)
+    parallel = simulate_paths(seq, phi, 3000, 4, SeededStream(31, 0), threads=4)
     assert serial == parallel
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("reps,expect", [(3, 3), (6, 4)])
+def test_simulate_threads_clamped(monkeypatch, reps, expect):
+    # a huge --threads value must not become that many OS threads
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+    _RecordingPool.sizes = []
+    seq = CovarianceSequence.constant(np.eye(2))
+    phi = PhiFamily(kind="parametric", a=2.0, b=0.0)
+    clamped = simulate_paths(seq, phi, 1000, reps, SeededStream(5, 0), threads=10**9)
+    assert _RecordingPool.sizes == [expect]
+    assert clamped == simulate_paths(seq, phi, 1000, reps, SeededStream(5, 0))
 
 
 def test_sigma_scaling_linearity():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gausslil.errors import NumericError
 from gausslil.quadrature import (
     adaptive_simpson,
     adaptive_simpson_batched,
@@ -21,6 +22,17 @@ def test_scalar_known_integrals():
         1.0, rel=1e-6
     )
     assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)])
+def test_non_finite_limits_raise(a, b):
+    # a NaN limit must fail at once, not split every panel down to the depth cap
+    with pytest.raises(NumericError, match="finite limits"):
+        adaptive_simpson(math.exp, a, b)
+    with pytest.raises(NumericError, match="finite limits"):
+        adaptive_simpson_batched(
+            lambda idx, x: np.exp(-x), np.array([0.0, a]), np.array([1.0, b]), 2
+        )
 
 
 def test_scalar_empty_interval():

@@ -27,7 +27,6 @@ from gausslil.regularize import (
     regularized,
     shell_lower_bound,
     shell_width,
-    shifted_tail_vs_shell,
     shifted_tail_vs_shell_log,
     tail_lower_bound,
     tail_upper_bound,
@@ -178,16 +177,16 @@ def test_shell_exact_d2_equal_eigenvalues():
 def test_shifted_tail_vs_shell(rng):
     s = spectrum_from_weights([1.0, 1.0])
     t = 7.0
-    lhs, rhs = shifted_tail_vs_shell(s, t, 1.0)
+    lhs, rhs = shifted_tail_vs_shell_log(s, t, 1.0)
     # d = 2 closed forms on both sides
-    assert lhs == pytest.approx(math.exp(-((t - 1.0 / t) ** 2) / 2), rel=1e-9)
+    assert math.exp(lhs) == pytest.approx(math.exp(-((t - 1.0 / t) ** 2) / 2), rel=1e-9)
     assert lhs <= rhs
     # gamma = 0 reduces to the plain tail-vs-shell comparison
-    lhs0, rhs0 = shifted_tail_vs_shell(s, t, 0.0)
-    assert lhs0 == pytest.approx(math.exp(-t * t / 2), rel=1e-9)
+    lhs0, rhs0 = shifted_tail_vs_shell_log(s, t, 0.0)
+    assert math.exp(lhs0) == pytest.approx(math.exp(-t * t / 2), rel=1e-9)
     assert lhs0 <= rhs0
     with pytest.raises(ValidationError, match="gamma"):
-        shifted_tail_vs_shell(s, t, t * t / 4 + 1.0)
+        shifted_tail_vs_shell_log(s, t, t * t / 4 + 1.0)
 
 
 def test_shifted_tail_vs_shell_property(rng):

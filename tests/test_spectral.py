@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gausslil.errors import ValidationError
+from gausslil.integraltest import fluctuation_diagnostic
 from gausslil.sequences import (
     CovarianceSequence,
     CutoffFamily,
@@ -13,7 +14,6 @@ from gausslil.spectral import (
     CovarianceMatrix,
     delta_k,
     eigh,
-    fluctuation_profile,
     operator_norm,
     sqrt_psd,
 )
@@ -163,8 +163,8 @@ def test_delta_k_constant_sequence_is_zero():
     seq = CovarianceSequence.constant(np.diag([2.0, 1.0]))
     for k in (1, 2, 5, 9):
         assert delta_k(seq, 1.0, k) == 0.0
-    prof = fluctuation_profile(seq, 0.5, 12)
-    assert np.all(prof.values == 0.0)
+    prof = fluctuation_diagnostic(seq, 0.5, [1.0], 12)
+    assert np.all(prof.delta_k_values == 0.0)
 
 
 def test_delta_k_monotone_endpoint_shortcut_matches_scan():
