@@ -6,9 +6,10 @@ Each case runs the CLI in-process and compares every artifact it writes
 relative tolerance, so a change of quadrature order may move the last
 digits; path simulation and sequence reports must match byte for byte.
 
-Re-record only for a deliberate change of outputs:
+Re-record only for a deliberate change of outputs, either every case or
+the named ones:
 
-    PYTHONPATH=src python tests/test_golden.py --record
+    PYTHONPATH=src python tests/test_golden.py --record [NAME ...]
 """
 from __future__ import annotations
 
@@ -52,6 +53,14 @@ CASES = {
         "tail",
         {"weights": [1.0, 0.25], "t": [1.0, 3.0], "monte_carlo": {"samples": 100_000}},
         7,
+        1e-9,
+    ),
+    # d = 6 with a near tie (lambda_2^2 / lambda_1^2 = 0.995), out to
+    # t = 35 lambda_1, where the tail is near 1e-266
+    "tail_d6_deep": (
+        "tail",
+        {"weights": [2.0, 1.99, 1.2, 0.7, 0.3, 0.1], "t": [1.5, 4.0, 10.0, 20.0, 30.0, 40.0, 49.49]},
+        0,
         1e-9,
     ),
     "bounds_verify": (
@@ -161,8 +170,8 @@ def test_golden_cli_output(tmp_path, monkeypatch, name, threads):
         _compare(tmp_path / name / fname, want_dir / fname, CASES[name][3])
 
 
-def _record() -> None:
-    for name in CASES:
+def _record(names) -> None:
+    for name in names or CASES:
         target = GOLDEN / name
         if target.exists():
             shutil.rmtree(target)
@@ -173,6 +182,6 @@ def _record() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:2] != ["--record"]:
         raise SystemExit(__doc__)
-    _record()
+    _record(sys.argv[2:])
