@@ -18,12 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .quadrature import adaptive_simpson, adaptive_simpson_batched, geometric_knots
+from .quadrature import adaptive_simpson_batched, geometric_knots
 from .special import (
     chisq_density,
     chisq_norm_const,
     chisq_norm_tail,
-    gammainc_upper,
     log_chisq_norm_tail,
 )
 from .spectral import Spectrum, group_descending, log_zolotarev
@@ -44,10 +43,11 @@ __all__ = [
 ]
 
 _BLOCK_MERGE_RTOL = 1e-12
-_TAIL_WINDOW = 60.0  # beyond z = t^2 + 60*lambda_1^2 the tail closes analytically
+_UNDERFLOW_X = 2900.0  # normalized threshold where e^{-x/2} leaves float64
+_TAIL_WINDOW = 60.0  # the grid runs this far past the deepest tail it serves
 _GRID_NODES = 900
 _GRID_LO = 1e-6
-_DEFAULT_ZMAX = 264.0
+_GRID_HI = _UNDERFLOW_X + _TAIL_WINDOW
 
 
 @dataclass(frozen=True)
@@ -91,22 +91,23 @@ class _CubicSpline:
     """Not-a-knot cubic spline with vectorized evaluation."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
-        n = x.size
         h = np.diff(x)
-        A = np.zeros((n, n))
-        r = np.zeros(n)
-        for i in range(1, n - 1):
-            A[i, i - 1] = h[i - 1]
-            A[i, i] = 2.0 * (h[i - 1] + h[i])
-            A[i, i + 1] = h[i]
-            r[i] = 3.0 * ((y[i + 1] - y[i]) / h[i] - (y[i] - y[i - 1]) / h[i - 1])
-        A[0, 0] = h[1]
-        A[0, 1] = -(h[0] + h[1])
-        A[0, 2] = h[0]
-        A[-1, -3] = h[-1]
-        A[-1, -2] = -(h[-2] + h[-1])
-        A[-1, -1] = h[-2]
-        c = np.linalg.solve(A, r)
+        r = 3.0 * np.diff(np.diff(y) / h)  # right-hand sides of rows 1..n-2
+        # Rows 1..n-2 are tridiagonal in the second-derivative coefficients
+        # c; the not-a-knot rows give c_0 and c_{n-1} in terms of their two
+        # neighbours, which folds them into the first and last of these rows.
+        sub = h[:-1].copy()
+        diag = 2.0 * (h[:-1] + h[1:])
+        sup = h[1:].copy()
+        diag[0] += h[0] * (h[0] + h[1]) / h[1]
+        sup[0] -= h[0] * h[0] / h[1]
+        diag[-1] += h[-1] * (h[-2] + h[-1]) / h[-2]
+        sub[-1] -= h[-1] * h[-1] / h[-2]
+        inner = _solve_tridiagonal(sub, diag, sup, r)
+        c = np.empty(x.size)
+        c[1:-1] = inner
+        c[0] = ((h[0] + h[1]) * inner[0] - h[0] * inner[1]) / h[1]
+        c[-1] = ((h[-2] + h[-1]) * inner[-1] - h[-1] * inner[-2]) / h[-2]
         self.x = x
         self.y = y
         self.b = np.diff(y) / h - h / 3.0 * (2.0 * c[:-1] + c[1:])
@@ -119,36 +120,84 @@ class _CubicSpline:
         return self.y[j] + t * (self.b[j] + t * (self.c[j] + t * self.d[j]))
 
 
+def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
+    """Thomas algorithm; row i reads sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1].
+
+    Stable without pivoting for the diagonally dominant spline rows.
+    """
+    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
+    n = len(diag)
+    for i in range(1, n):
+        m = sub[i] / diag[i - 1]
+        diag[i] -= m * sup[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    x = [0.0] * n
+    x[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = (rhs[i] - sup[i] * x[i + 1]) / diag[i]
+    return np.array(x)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1] (Golub-Welsch)."""
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return 0.5 * (nodes + 1.0), vecs[0] ** 2
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(10)
+
+
 class _DensityEngine:
     """Scaled density hhat(z) = h(z) e^{z/2} of sum w_i chi^2(m_i), w_1 = 1.
 
     hhat grows at most polynomially, so a cubic spline of log hhat against
     log z carries full relative accuracy from z ~ 0 into the far tail.
-    Below the grid the exact small-z power law takes over.
+    Below the grid the exact small-z power law takes over, and beyond it
+    the leading term K(G^2) f_{d1}. The grid reaches past the float64
+    underflow edge of every tail, so one engine serves every query.
+
+    Tails and shells come from a node table built once: the interval
+    integrals I_j = int_{z_j}^{z_{j+1}} hhat(z) e^{-(z - z_j)/2} dz and the
+    scaled suffix tails Qhat_j = Q(z_j) e^{z_j/2} on the nodes 0 = z_0 <
+    z_1 < ... A query adds one partial interval to the table.
     """
 
-    def __init__(self, wnorm: tuple[float, ...], zmax: float):
+    def __init__(self, wnorm: tuple[float, ...]):
         # wnorm[0] = 1, so equal weights are grouped at absolute tolerance
         blocks = group_descending(wnorm, _BLOCK_MERGE_RTOL)
         self.block_w = np.array([v for v, _ in blocks])
         self.block_m = np.array([m for _, m in blocks], dtype=int)
-        self.wnorm = np.asarray(wnorm)
-        self.zmax = zmax
         self.d1 = int(self.block_m[0])
         mcum = np.cumsum(self.block_m)
-        self.total_dof = int(mcum[-1])
-        if self.block_w.size == 1:
-            self.spline = None
-            return
         self.zs = np.concatenate(
             [
                 np.geomspace(_GRID_LO, 0.05, 90, endpoint=False),
-                np.geomspace(0.05, zmax, _GRID_NODES - 90),
+                np.geomspace(0.05, _GRID_HI, _GRID_NODES - 90),
             ]
         )
         self.log_zs = np.log(self.zs)
-        self._power_consts = self._small_z_constants(mcum)
-        self.spline = self._build(mcum)
+        log_k = log_zolotarev(np.asarray(wnorm[self.d1 :]))
+        self._lead_const = math.exp(log_k) * chisq_norm_const(self.d1)
+        if self.block_w.size == 1:
+            self._level = None
+        else:
+            self._power_consts = self._small_z_constants(mcum)
+            self._level = self._build(mcum)
+        self.nodes = np.concatenate([[0.0], self.zs])
+        self.pieces = self._integrals(self.nodes[:-1], self.nodes[1:])
+        # past the top node h ~ K f_{d1}; that closure enters any tail asked
+        # for at most e^{-30}-fold, since the top node is _TAIL_WINDOW past
+        # _UNDERFLOW_X
+        top = float(self.nodes[-1])
+        qhat = [0.0] * self.nodes.size
+        qhat[-1] = math.exp(log_k + log_chisq_norm_tail(self.d1, math.sqrt(top)) + 0.5 * top)
+        decay = np.exp(-0.5 * np.diff(self.nodes)).tolist()
+        pieces = self.pieces.tolist()
+        for j in range(len(pieces) - 1, -1, -1):
+            qhat[j] = pieces[j] + qhat[j + 1] * decay[j]
+        self.qhat = np.array(qhat)
 
     def _small_z_constants(self, mcum: np.ndarray) -> list[float]:
         """Coefficients c_k of hhat_k(z) ~ c_k z^{M_k/2 - 1} as z -> 0."""
@@ -183,7 +232,6 @@ class _DensityEngine:
         m1 = int(self.block_m[0])
         c1 = chisq_norm_const(m1)
         prev = lambda z: c1 * np.power(z, m1 / 2.0 - 1.0)  # noqa: E731
-        spline = None
         for k in range(1, self.block_w.size):
             mk = int(self.block_m[k])
             wk = float(self.block_w[k])
@@ -243,88 +291,78 @@ class _DensityEngine:
             prev = self._level_eval(
                 spline, self._power_consts[k], int(mcum[k]), float(self.zs[0])
             )
-        return spline
+        return prev
 
     # -- queries ------------------------------------------------------------
 
     def hhat(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        if self.block_w.size == 1:
-            m = int(self.block_m[0])
-            return chisq_norm_const(m) * np.power(z, m / 2.0 - 1.0)
-        ev = self._level_eval(
-            self.spline,
-            self._power_consts[-1],
-            self.total_dof,
-            float(self.zs[0]),
-        )
-        return ev(z)
+        if self._level is None:  # one block: the leading term is exact
+            return self._leading(z)
+        out = self._level(z)
+        top = z > self.zs[-1]
+        if np.any(top):
+            out[top] = self._leading(z[top])
+        return out
+
+    def _leading(self, z: np.ndarray) -> np.ndarray:
+        return self._lead_const * np.power(z, self.d1 / 2.0 - 1.0)
 
     def density(self, z: np.ndarray) -> np.ndarray:
         """Density of sum w_i eta_i^2 on the normalized scale."""
         z = np.asarray(z, dtype=float)
         return self.hhat(z) * np.exp(-0.5 * z)
 
+    def _integrals(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """int_a^b hhat(z) e^{-(z - a)/2} dz for each interval [a_i, b_i].
+
+        One fixed Gauss-Legendre rule in u = sqrt(z), which leaves a smooth
+        integrand at z = 0 for every power law z^{m/2 - 1}.
+        """
+        ua, ub = np.sqrt(a), np.sqrt(b)
+        u = ua[:, None] + (ub - ua)[:, None] * _GL_NODES
+        z = u * u
+        f = u * self.hhat(z) * np.exp(-0.5 * (z - a[:, None]))
+        return 2.0 * (ub - ua) * (f @ _GL_WEIGHTS)
+
     def tail(self, x: float) -> float:
-        """P{sum w_i eta_i^2 >= x} on the normalized scale."""
-        if x <= 0.0:
-            return 1.0
-        if self.block_w.size == 1:
-            return gammainc_upper(self.total_dof / 2.0, x / 2.0)
-        zstop = x + _TAIL_WINDOW
-        if zstop > self.zmax:
-            raise ValidationError(
-                f"tail threshold {x:.3f} outside engine range (zmax={self.zmax})"
-            )
-        scale_est = float(self.hhat(np.array([x]))[0]) * math.exp(-0.5 * x)
-        body = adaptive_simpson(
-            lambda z: float(self.hhat(np.array([z]))[0]) * math.exp(-0.5 * z),
-            x,
-            zstop,
-            atol=max(scale_est * 1e-13, 1e-320),
-            rtol=1e-10,
-        )
-        # analytic closure: h ~ K(G^2) f_{d1} beyond zstop (remainder itself
-        # is below 1e-9 of the tail thanks to the 60-unit window)
-        closure = math.exp(log_zolotarev(self.wnorm[self.d1 :])) * gammainc_upper(
-            self.d1 / 2.0, zstop / 2.0
-        )
-        return body + closure
+        """P{sum w_i eta_i^2 >= x} on the normalized scale, 0 <= x < top node."""
+        j = int(np.searchsorted(self.nodes, x, side="right"))
+        right = float(self.nodes[j])
+        part = float(self._integrals(np.array([x]), np.array([right]))[0])
+        return math.exp(-0.5 * x) * (part + float(self.qhat[j]) * math.exp(-0.5 * (right - x)))
 
     def shell(self, x_lo: float, x_hi: float) -> float:
-        """P{x_lo <= sum w_i eta_i^2 <= x_hi} on the normalized scale."""
+        """P{x_lo <= sum w_i eta_i^2 <= x_hi} on the normalized scale.
+
+        A sum of non-negative pieces, scaled by e^{-x_lo/2}: the partial
+        interval at each end and the stored interval integrals between.
+        """
         if x_hi <= x_lo:
             return 0.0
-        if self.block_w.size == 1:
-            a = self.total_dof / 2.0
-            return gammainc_upper(a, x_lo / 2.0) - gammainc_upper(a, x_hi / 2.0)
-        if x_hi > self.zmax:
-            raise ValidationError(
-                f"shell edge {x_hi:.3f} outside engine range (zmax={self.zmax})"
-            )
-        lo = max(x_lo, 0.0)
-        scale_est = float(self.hhat(np.array([max(lo, 1e-8)]))[0]) * math.exp(-0.5 * lo)
-        return adaptive_simpson(
-            lambda z: float(self.hhat(np.array([z]))[0]) * math.exp(-0.5 * z),
-            lo,
-            x_hi,
-            atol=max(scale_est * 1e-13, 1e-320),
-            rtol=1e-10,
-        )
+        i = int(np.searchsorted(self.nodes, x_lo, side="right"))
+        k = int(np.searchsorted(self.nodes, x_hi, side="right"))
+        if i == k:
+            inside = float(self._integrals(np.array([x_lo]), np.array([x_hi]))[0])
+            return math.exp(-0.5 * x_lo) * inside
+        left = self.nodes[k - 1]
+        ends = self._integrals(np.array([x_lo, left]), np.array([self.nodes[i], x_hi]))
+        mid = self.pieces[i : k - 1] @ np.exp(-0.5 * (self.nodes[i : k - 1] - x_lo))
+        total = ends[0] + mid + ends[1] * math.exp(-0.5 * (left - x_lo))
+        return math.exp(-0.5 * x_lo) * float(total)
 
 
 _ENGINES: dict[tuple, _DensityEngine] = {}
 _ENGINE_LOCK = threading.Lock()
 
 
-def _engine(w: WeightedChiSquare, need_z: float = 0.0) -> _DensityEngine:
-    """Per-weights engine cache; rebuilt when a larger z range is needed."""
+def _engine(w: WeightedChiSquare) -> _DensityEngine:
+    """Per-weights engine cache; each engine covers the whole float64 range."""
     key = w.normalized()
-    zmax = max(_DEFAULT_ZMAX, 1.25 * need_z)
     with _ENGINE_LOCK:
         eng = _ENGINES.get(key)
-        if eng is None or eng.zmax < need_z:
-            eng = _DensityEngine(key, zmax)
+        if eng is None:
+            eng = _DensityEngine(key)
             _ENGINES[key] = eng
         return eng
 
@@ -337,16 +375,13 @@ def _engine(w: WeightedChiSquare, need_z: float = 0.0) -> _DensityEngine:
 def weighted_density(w: WeightedChiSquare, z) -> float | np.ndarray:
     """Density h(z) of sum lambda_i^2 eta_i^2 at z > 0."""
     zarr = np.atleast_1d(np.asarray(z, dtype=float))
+    if not np.all(np.isfinite(zarr)):
+        raise ValidationError("weighted density requires finite z")
     if np.any(zarr <= 0):
         raise ValidationError("weighted density requires z > 0")
     w1 = w.lambda1_sq
-    zn = zarr / w1
-    eng = _engine(w, float(zn.max()))
-    out = eng.density(zn) / w1
+    out = _engine(w).density(zarr / w1) / w1
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
-
-
-_UNDERFLOW_X = 2900.0  # normalized threshold where e^{-x/2} leaves float64
 
 
 def weighted_norm_tail(w: WeightedChiSquare, t: float) -> float:
@@ -358,7 +393,7 @@ def weighted_norm_tail(w: WeightedChiSquare, t: float) -> float:
     x = t * t / w.lambda1_sq
     if x >= _UNDERFLOW_X:
         return 0.0
-    return _engine(w, x + _TAIL_WINDOW).tail(x)
+    return _engine(w).tail(x)
 
 
 def weighted_shell_probability(w: WeightedChiSquare, t_lo: float, t_hi: float) -> float:
@@ -371,7 +406,7 @@ def weighted_shell_probability(w: WeightedChiSquare, t_lo: float, t_hi: float) -
         return 0.0
     if x_hi >= _UNDERFLOW_X:
         return weighted_norm_tail(w, t_lo)  # upper edge is below float range
-    return _engine(w, x_hi).shell(x_lo, x_hi)
+    return _engine(w).shell(x_lo, x_hi)
 
 
 def zolotarev_constant(s: Spectrum) -> float:

@@ -45,6 +45,7 @@ from .sequences import limit_and_convergence_report
 from .serialize import (
     dump_json,
     parse_grid,
+    parse_monte_carlo,
     parse_phi,
     parse_sequence,
     parse_spectrum,
@@ -141,20 +142,17 @@ def _cmd_density(cfg: dict, out: Path, config: RunConfig) -> dict:
 def _cmd_tail(cfg: dict, out: Path, config: RunConfig) -> dict:
     w = parse_weights_or_matrix(cfg)
     ts = parse_grid(cfg.get("t", {"min": 0.5, "max": 8.0, "count": 40}), "t")
-    mc = cfg.get("monte_carlo")
-    s = spectrum_from_weights(w.weights) if mc else None
+    samples = parse_monte_carlo(cfg)
+    s = spectrum_from_weights(w.weights) if samples else None
     header = ["t", "tail"]
     rows = []
     for i, t in enumerate(np.atleast_1d(ts)):
         row = [float(t), weighted_norm_tail(w, float(t))]
-        if mc:
-            est = estimate_tail(
-                s, float(t), int(mc.get("samples", 100_000)),
-                SeededStream(config.seed, stream_id=i),
-            )
+        if samples:
+            est = estimate_tail(s, float(t), samples, SeededStream(config.seed, stream_id=i))
             row.extend([est.p_hat, est.stderr, est.low_count])
         rows.append(tuple(row))
-    if mc:
+    if samples:
         header.extend(["mc_p_hat", "mc_stderr", "mc_low_count"])
     summary = {"weights": list(w.weights), "count": len(rows)}
     _emit_table(out, "tail", header, rows, config.format, summary)

@@ -117,6 +117,16 @@ def gamma_n(s: Spectrum, phi_n: float, upto: int | None = None) -> float:
     return math.exp(s.log_gap_product(phi_n, upto))
 
 
+def _product_upto(s: Spectrum, mode: str, d1: int | None = None) -> int:
+    """Last index of the gap product: the top group ("top-group", d1 overriding
+    the spectrum's own) or every eigenvalue ("full-product")."""
+    if mode == "top-group":
+        return s.d1 if d1 is None else d1
+    if mode == "full-product":
+        return s.dim
+    raise ValidationError(f"unknown mode {mode!r}")
+
+
 def series_term(
     n: int | float,
     s_n: Spectrum,
@@ -132,13 +142,7 @@ def series_term(
     """
     lam1 = s_n.lambda1
     phi_n = phi.value(n, lam1)
-    if mode == "top-group":
-        upto = s_n.d1 if d1 is None else d1
-    elif mode == "full-product":
-        upto = s_n.dim
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
-    g = gamma_n(s_n, phi_n, upto=upto)
+    g = gamma_n(s_n, phi_n, upto=_product_upto(s_n, mode, d1))
     return phi_n / (n * lam1) * g * math.exp(-phi_n * phi_n / (2.0 * lam1 * lam1))
 
 
@@ -153,8 +157,7 @@ def subseq_series_term(
     n_k = subsequence_index(alpha, k)
     s = seq.spectrum_at(n_k)
     phi_k = phi.value(n_k, s.lambda1)
-    upto = s.dim if mode == "full-product" else s.d1
-    g = gamma_n(s, phi_k, upto=upto)
+    g = gamma_n(s, phi_k, upto=_product_upto(s, mode))
     return g / phi_k * math.exp(-phi_k * phi_k / (2.0 * s.lambda1**2))
 
 

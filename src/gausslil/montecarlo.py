@@ -156,7 +156,7 @@ def estimate_tail(
     """
     if N < 10_000:
         raise ValidationError(f"need N >= 10^4 samples, got {N}")
-    if t < 0:
+    if not t >= 0:
         raise ValidationError(f"threshold must be >= 0, got {t}")
     if t == 0.0:
         return TailEstimate(p_hat=1.0, stderr=0.0, samples=N, low_count=False)

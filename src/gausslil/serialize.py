@@ -42,8 +42,19 @@ def _numbers(obj, what: str) -> np.ndarray:
     raise ValidationError(f"{what} must be a flat list of numbers")
 
 
-def parse_weights_or_matrix(cfg: dict) -> WeightedChiSquare:
+def _law_source(cfg: dict) -> str:
+    """'weights' or 'matrix', whichever the config carries; exactly one is allowed."""
+    if "weights" in cfg and "matrix" in cfg:
+        raise ValidationError("config takes exactly one of 'weights' and 'matrix', got both")
     if "weights" in cfg:
+        return "weights"
+    if "matrix" in cfg:
+        return "matrix"
+    raise ValidationError("config needs either 'weights' or 'matrix'")
+
+
+def parse_weights_or_matrix(cfg: dict) -> WeightedChiSquare:
+    if _law_source(cfg) == "weights":
         return WeightedChiSquare.from_weights(_numbers(cfg["weights"], "'weights'"))
     return WeightedChiSquare.from_spectrum(parse_spectrum(cfg))
 
@@ -54,12 +65,25 @@ def spectrum_from_weights(weights) -> Spectrum:
 
 
 def parse_spectrum(cfg: dict) -> Spectrum:
-    """Spectrum of a config's 'matrix' (Gamma^2), or else of its 'weights'."""
-    if "matrix" in cfg:
+    """Spectrum of a config's 'matrix' (Gamma^2) or of its 'weights'."""
+    if _law_source(cfg) == "matrix":
         return eigh(parse_matrix(cfg["matrix"]))
-    if "weights" in cfg:
-        return spectrum_from_weights(_numbers(cfg["weights"], "'weights'"))
-    raise ValidationError("config needs either 'weights' or 'matrix'")
+    return spectrum_from_weights(_numbers(cfg["weights"], "'weights'"))
+
+
+def parse_monte_carlo(cfg: dict) -> int | None:
+    """Sample count of the optional 'monte_carlo' object; None when it is absent."""
+    mc = cfg.get("monte_carlo")
+    if mc is None:
+        return None
+    if not isinstance(mc, dict):
+        raise ValidationError("'monte_carlo' must be an object")
+    samples = mc.get("samples", 100_000)
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
+        raise ValidationError(
+            f"'monte_carlo.samples' must be a positive integer, got {samples!r}"
+        )
+    return samples
 
 
 def parse_grid(obj, name: str) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 
 from conftest import random_weights, spectrum_from_weights
 
+from gausslil import chidensity
 from gausslil.chidensity import (
     WeightedChiSquare,
+    _CubicSpline,
     constants,
     density_lower_bound,
     density_upper_bound,
@@ -17,6 +20,7 @@ from gausslil.chidensity import (
     zolotarev_constant,
 )
 from gausslil.errors import ValidationError
+from gausslil.quadrature import adaptive_simpson
 from gausslil.special import chisq_density, chisq_norm_tail
 
 mp.mp.dps = 40
@@ -130,6 +134,13 @@ def test_density_rejects_nonpositive_z():
         weighted_density(w, -1.0)
 
 
+def test_density_rejects_non_finite_z():
+    w = WeightedChiSquare.from_weights([1.0, 0.5])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            weighted_density(w, [bad, 1.0])
+
+
 # ---- tails -----------------------------------------------------------------
 
 
@@ -201,6 +212,88 @@ def test_tail_monte_carlo_agreement(rng):
         p_hat = float(np.count_nonzero(s >= t * t)) / n
         se = math.sqrt(p * (1 - p) / n)
         assert abs(p_hat - p) <= 4 * se
+
+
+# ---- node table ----------------------------------------------------------------
+
+# d = 2..8, each with an exact tie or a near tie (lambda_i^2/lambda_1^2 >= 0.995)
+TABLE_WEIGHTS = [
+    [1.0, 0.995],
+    [1.0, 1.0, 0.4],
+    [2.0, 1.998, 0.9, 0.2],
+    [1.0, 1.0, 0.997, 0.3, 0.1],
+    [2.0, 1.99, 1.2, 0.7, 0.3, 0.1],
+    [1.0, 0.8, 0.6, 0.6, 0.3, 0.2, 0.05],
+    [0.5, 0.4995, 0.499, 0.35, 0.25, 0.25, 0.1, 0.05],
+]
+TABLE_T = (0.3, 2.0, 8.0, 20.0, 35.0, 37.6)  # in units of lambda_1
+
+
+def direct_mass(w, z_lo, z_hi):
+    """Scalar adaptive Simpson of the density over [z_lo, z_hi]."""
+    return adaptive_simpson(
+        lambda z: float(weighted_density(w, z)), z_lo, z_hi, atol=1e-320, rtol=1e-11
+    )
+
+
+@pytest.mark.parametrize("weights", TABLE_WEIGHTS, ids=lambda v: f"d{len(v)}")
+def test_table_tail_and_shell_match_direct_quadrature(weights):
+    # the table against quadrature of the same density; the tail beyond
+    # z = t^2 + 80 lambda_1^2 is below e^{-40} of the tail and left out
+    w = WeightedChiSquare.from_weights(weights)
+    w1 = w.lambda1_sq
+    lam1 = math.sqrt(w1)
+    checked = 0
+    for r in TABLE_T:
+        t = r * lam1
+        ref = direct_mass(w, t * t, t * t + 80.0 * w1)
+        if ref >= sys.float_info.min:
+            assert weighted_norm_tail(w, t) == pytest.approx(ref, rel=1e-9)
+            checked += 1
+        t_hi = t * (1.0 + 1e-6)
+        ref = direct_mass(w, t * t, t_hi * t_hi)
+        if ref >= sys.float_info.min:
+            assert weighted_shell_probability(w, t, t_hi) == pytest.approx(ref, rel=1e-9)
+    assert checked >= len(TABLE_T) - 1
+
+
+def test_one_engine_serves_every_threshold(monkeypatch):
+    builds = []
+
+    class Counting(chidensity._DensityEngine):
+        def __init__(self, wnorm):
+            builds.append(wnorm)
+            super().__init__(wnorm)
+
+    monkeypatch.setattr(chidensity, "_ENGINES", {})
+    monkeypatch.setattr(chidensity, "_DensityEngine", Counting)
+    w = WeightedChiSquare.from_weights([2.0, 1.2, 0.5])
+    lam1 = math.sqrt(2.0)
+    assert 0.0 < weighted_norm_tail(w, lam1) < 1.0
+    assert 0.0 < weighted_norm_tail(w, 35.0 * lam1) < 1e-250
+    assert 0.0 < weighted_shell_probability(w, 30.0 * lam1, 36.0 * lam1)
+    assert weighted_density(w, 4000.0 * 2.0) == 0.0  # past the grid, underflowed
+    assert len(builds) == 1
+
+
+def test_banded_spline_matches_dense_solve():
+    x = np.log(np.concatenate([np.geomspace(1e-6, 0.05, 90, endpoint=False),
+                               np.geomspace(0.05, 2960.0, 810)]))
+    y = np.exp(0.3 * x) + x * x
+    spline = _CubicSpline(x, y)
+    # not-a-knot system for the coefficients c, solved densely
+    n, h = x.size, np.diff(x)
+    A = np.zeros((n, n))
+    rhs = np.zeros(n)
+    for i in range(1, n - 1):
+        A[i, i - 1 : i + 2] = h[i - 1], 2.0 * (h[i - 1] + h[i]), h[i]
+        rhs[i] = 3.0 * ((y[i + 1] - y[i]) / h[i] - (y[i] - y[i - 1]) / h[i - 1])
+    A[0, :3] = h[1], -(h[0] + h[1]), h[0]
+    A[-1, -3:] = h[-1], -(h[-2] + h[-1]), h[-2]
+    c = np.linalg.solve(A, rhs)
+    # b and d are fixed formulas of c; the last c is read back from d
+    c_last = spline.c[-1] + 3.0 * h[-1] * spline.d[-1]
+    np.testing.assert_allclose(np.append(spline.c, c_last), c, rtol=1e-12, atol=0)
 
 
 # ---- Zolotarev constant and asymptotics ------------------------------------

@@ -219,8 +219,18 @@ def test_json_format_embeds_tables(tmp_path):
         ("density", {"weights": [1.0], "z": {"min": 0.1, "max": 1.0, "count": -3}}),
         ("density", {"weights": "abc"}),
         ("bounds-verify", {"weights": "abc"}),
+        ("tail", {"weights": [1.0], "t": [1.0], "monte_carlo": True}),
+        ("tail", {"weights": [1.0], "t": [1.0], "monte_carlo": {"samples": "many"}}),
+        ("tail", {"weights": [1.0], "t": [1.0], "monte_carlo": {"samples": 2.5}}),
+        ("density", {"weights": [1.0, 0.25], "matrix": [[4.0, 0.0], [0.0, 1.0]]}),
+        ("tail", {"weights": [1.0, 0.25], "matrix": [[4.0, 0.0], [0.0, 1.0]], "t": [1.0]}),
+        ("bounds-verify", {"weights": [1.0, 0.25], "matrix": [[4.0, 0.0], [0.0, 1.0]]}),
     ],
-    ids=["nan-threshold", "negative-count", "weights-string", "bounds-weights-string"],
+    ids=[
+        "nan-threshold", "negative-count", "weights-string", "bounds-weights-string",
+        "mc-true", "mc-samples-string", "mc-samples-fraction",
+        "density-weights-and-matrix", "tail-weights-and-matrix", "bounds-weights-and-matrix",
+    ],
 )
 def test_malformed_config_exits_2(tmp_path, command, cfg):
     # in a subprocess, so that a hang is cut by the timeout instead of the suite

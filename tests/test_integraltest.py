@@ -134,6 +134,23 @@ def test_series_term_modes_differ_only_by_extra_factors():
     assert t_full > 0 and t_top > 0
 
 
+def test_series_terms_share_one_mode_mapping():
+    seq = const_seq([1.0, 0.5, 0.25])
+    s = seq.spectrum_at(1)
+    phi = PhiFamily(kind="parametric", a=2.0, b=0.0)
+    k = 5
+    n_k = subsequence_index(1.0, k)
+    phin = phi.value(n_k, s.lambda1)
+    for mode, upto in (("top-group", s.d1), ("full-product", s.dim)):
+        expect = gamma_n(s, phin, upto=upto) / phin * math.exp(-phin**2 / 2)
+        assert subseq_series_term(k, seq, phi, mode=mode) == pytest.approx(expect, rel=1e-14)
+    for bad in ("top_group", "full"):
+        with pytest.raises(ValidationError, match="unknown mode"):
+            series_term(100, s, phi, mode=bad)
+        with pytest.raises(ValidationError, match="unknown mode"):
+            subseq_series_term(k, seq, phi, mode=bad)
+
+
 def test_series_terms_nonnegative_partial_sums_monotone():
     s = spectrum_from_weights([1.0, 0.7])
     phi = PhiFamily(kind="parametric", a=2.0, b=0.0)

@@ -119,6 +119,12 @@ def test_estimate_tail_low_count_flag():
         estimate_tail(s, 1.0, 5_000, SeededStream(2, 1))
 
 
+def test_estimate_tail_rejects_nan_threshold():
+    s = spectrum_from_weights([1.0, 0.5])
+    with pytest.raises(ValidationError, match="threshold"):
+        estimate_tail(s, float("nan"), 10_000, SeededStream(3, 0))
+
+
 def test_estimate_tail_vs_quadrature(rng):
     for _ in range(4):
         d = int(rng.integers(2, 6))
