@@ -325,14 +325,14 @@ class _DensityEngine:
         f = u * self.hhat(z) * np.exp(-0.5 * (z - a[:, None]))
         return 2.0 * (ub - ua) * (f @ _GL_WEIGHTS)
 
-    def tail(self, x: float) -> float:
+    def table_tail(self, x: float) -> float:
         """P{sum w_i eta_i^2 >= x} on the normalized scale, 0 <= x < top node."""
         j = int(np.searchsorted(self.nodes, x, side="right"))
         right = float(self.nodes[j])
         part = float(self._integrals(np.array([x]), np.array([right]))[0])
         return math.exp(-0.5 * x) * (part + float(self.qhat[j]) * math.exp(-0.5 * (right - x)))
 
-    def shell(self, x_lo: float, x_hi: float) -> float:
+    def table_shell(self, x_lo: float, x_hi: float) -> float:
         """P{x_lo <= sum w_i eta_i^2 <= x_hi} on the normalized scale.
 
         A sum of non-negative pieces, scaled by e^{-x_lo/2}: the partial
@@ -393,7 +393,7 @@ def weighted_norm_tail(w: WeightedChiSquare, t: float) -> float:
     x = t * t / w.lambda1_sq
     if x >= _UNDERFLOW_X:
         return 0.0
-    return _engine(w).tail(x)
+    return _engine(w).table_tail(x)
 
 
 def weighted_shell_probability(w: WeightedChiSquare, t_lo: float, t_hi: float) -> float:
@@ -406,7 +406,7 @@ def weighted_shell_probability(w: WeightedChiSquare, t_lo: float, t_hi: float) -
         return 0.0
     if x_hi >= _UNDERFLOW_X:
         return weighted_norm_tail(w, t_lo)  # upper edge is below float range
-    return _engine(w).shell(x_lo, x_hi)
+    return _engine(w).table_shell(x_lo, x_hi)
 
 
 def zolotarev_constant(s: Spectrum) -> float:
