@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
-from .quadrature import adaptive_simpson_batched, geometric_knots
+from .errors import NumericError, ValidationError
+from .quadrature import gauss_kronrod, gauss_legendre, geometric_knots
 from .special import (
     chisq_density,
     chisq_norm_const,
@@ -43,11 +43,18 @@ __all__ = [
 ]
 
 _BLOCK_MERGE_RTOL = 1e-12
-_UNDERFLOW_X = 2900.0  # normalized threshold where e^{-x/2} leaves float64
+# e^{-x/2} rounds to 0.0 in float64 for every normalized x past this edge,
+# where it falls below half the smallest subnormal, math.ulp(0.0)
+_UNDERFLOW_X = -2.0 * (math.log(math.ulp(0.0)) - math.log(2.0))
 _TAIL_WINDOW = 60.0  # the grid runs this far past the deepest tail it serves
-_GRID_NODES = 900
+# The grid starts at _GRID_LO, or, for a smallest weight w below 1e-3, at
+# 1e-3 w (not below 1e-30), so that the small-z expansion holds below it.
 _GRID_LO = 1e-6
-_GRID_HI = _UNDERFLOW_X + _TAIL_WINDOW
+_GRID_MID = 0.05  # 90 nodes in [_GRID_LO, _GRID_MID), as dense per decade below
+_GRID_LOG_STEP = 0.013583036861  # log z spacing of the nodes from _GRID_MID up
+_GRID_HI = _UNDERFLOW_X + _TAIL_WINDOW  # the top node is the first at or past this
+_KRONROD_RTOL = 1e-6  # largest accepted error estimate of a convolution level
+_ENGINE_CACHE_SIZE = 32  # engines kept, least recently used dropped first
 
 
 @dataclass(frozen=True)
@@ -138,15 +145,7 @@ def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     return np.array(x)
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1] (Golub-Welsch)."""
-    k = np.arange(1.0, n)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
-    return 0.5 * (nodes + 1.0), vecs[0] ** 2
-
-
-_GL_NODES, _GL_WEIGHTS = _gauss_legendre(10)
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(10)
 
 
 class _DensityEngine:
@@ -154,9 +153,9 @@ class _DensityEngine:
 
     hhat grows at most polynomially, so a cubic spline of log hhat against
     log z carries full relative accuracy from z ~ 0 into the far tail.
-    Below the grid the exact small-z power law takes over, and beyond it
-    the leading term K(G^2) f_{d1}. The grid reaches past the float64
-    underflow edge of every tail, so one engine serves every query.
+    Below the grid the small-z expansion, exact to first order, takes over, and
+    beyond it the leading term K(G^2) f_{d1}. The grid reaches past the
+    float64 underflow edge of every tail, so one engine serves every query.
 
     Tails and shells come from a node table built once: the interval
     integrals I_j = int_{z_j}^{z_{j+1}} hhat(z) e^{-(z - z_j)/2} dz and the
@@ -171,10 +170,13 @@ class _DensityEngine:
         self.block_m = np.array([m for _, m in blocks], dtype=int)
         self.d1 = int(self.block_m[0])
         mcum = np.cumsum(self.block_m)
+        z_lo = max(min(_GRID_LO, 1e-3 * min(wnorm)), 1e-30)
+        n_lo = math.ceil(90 * math.log(_GRID_MID / z_lo) / math.log(_GRID_MID / _GRID_LO))
+        steps = math.ceil(math.log(_GRID_HI / _GRID_MID) / _GRID_LOG_STEP)
         self.zs = np.concatenate(
             [
-                np.geomspace(_GRID_LO, 0.05, 90, endpoint=False),
-                np.geomspace(0.05, _GRID_HI, _GRID_NODES - 90),
+                np.geomspace(z_lo, _GRID_MID, n_lo, endpoint=False),
+                _GRID_MID * np.exp(_GRID_LOG_STEP * np.arange(steps + 1)),
             ]
         )
         self.log_zs = np.log(self.zs)
@@ -183,7 +185,7 @@ class _DensityEngine:
         if self.block_w.size == 1:
             self._level = None
         else:
-            self._power_consts = self._small_z_constants(mcum)
+            self._small_z = self._small_z_terms(mcum)
             self._level = self._build(mcum)
         self.nodes = np.concatenate([[0.0], self.zs])
         self.pieces = self._integrals(self.nodes[:-1], self.nodes[1:])
@@ -199,9 +201,15 @@ class _DensityEngine:
             qhat[j] = pieces[j] + qhat[j + 1] * decay[j]
         self.qhat = np.array(qhat)
 
-    def _small_z_constants(self, mcum: np.ndarray) -> list[float]:
-        """Coefficients c_k of hhat_k(z) ~ c_k z^{M_k/2 - 1} as z -> 0."""
-        consts = []
+    def _small_z_terms(self, mcum: np.ndarray) -> list[tuple[float, float]]:
+        """(c_k, s_k) with hhat_k(z) = c_k z^{M_k/2 - 1} (1 - s_k z + O(z^2)) as z -> 0.
+
+        s_k = sum_{i <= k} m_i delta_i / M_k with delta_i = (1/w_i - 1)/2.
+        Below the grid a level is c_k z^{M_k/2 - 1} e^{-s_k z}, which agrees
+        to first order and stays positive.
+        """
+        slopes = np.cumsum(self.block_m * 0.5 * (1.0 / self.block_w - 1.0)) / mcum
+        terms = []
         c = 1.0
         for k in range(self.block_w.size):
             m = int(self.block_m[k])
@@ -212,16 +220,19 @@ class _DensityEngine:
                     * math.gamma(m / 2.0)
                     / math.gamma(mcum[k] / 2.0)
                 )
-            consts.append(c)
-        return consts
+            terms.append((c, float(slopes[k])))
+        return terms
 
-    def _level_eval(self, spline, power_const, mtot, zlo):
+    def _level_eval(self, spline, small_z, mtot, zlo):
+        c, slope = small_z
+
         def ev(z):
             z = np.asarray(z, dtype=float)
             out = np.empty_like(z)
             small = z < zlo
             if np.any(small):
-                out[small] = power_const * np.power(z[small], mtot / 2.0 - 1.0)
+                zsm = z[small]
+                out[small] = c * np.power(zsm, mtot / 2.0 - 1.0) * np.exp(-slope * zsm)
             if np.any(~small):
                 out[~small] = np.exp(spline(np.log(z[~small])))
             return out
@@ -229,67 +240,52 @@ class _DensityEngine:
         return ev
 
     def _build(self, mcum: np.ndarray):
+        """Convolve the blocks in turn; each level is a spline of log hhat_k.
+
+        hhat_k(z) = int_0^z g_k y^{m_k/2 - 1} e^{-delta_k y} hhat_{k-1}(z - y) dy
+        is split at y = z/2. The left half takes y = u^2 and the right half
+        v = z - y = u^2, which turns every power law z^{m/2 - 1} into a
+        polynomial factor, and both run the fixed Gauss-Kronrod rule over
+        geometric panels in u.
+        """
         m1 = int(self.block_m[0])
         c1 = chisq_norm_const(m1)
         prev = lambda z: c1 * np.power(z, m1 / 2.0 - 1.0)  # noqa: E731
+        zs = self.zs
+        zero = np.zeros(zs.size)
+        u_hi = np.sqrt(0.5 * zs)
+        u_max = float(u_hi[-1])
+        right_panels = geometric_knots(zero, u_hi, 0.25 * u_max, growth=2.0)
         for k in range(1, self.block_w.size):
             mk = int(self.block_m[k])
             wk = float(self.block_w[k])
             delta = 0.5 * (1.0 / wk - 1.0)
             gk = chisq_norm_const(mk) * wk ** (-mk / 2.0)
-            mprev = int(mcum[k - 1])
-            zs = self.zs
-            n = zs.size
-            half = 0.5 * zs
-            vals = np.zeros(n)
 
-            # left part: y in [0, z/2], singular block factor handled by y = u^2
-            if mk == 1:
+            def left(i, u):
+                y = u * u
+                return 2.0 * gk * u ** (mk - 1) * np.exp(-delta * y) * prev(zs[i, None] - y)
 
-                def f_left(ii, u, _p=prev, _g=gk, _d=delta):
-                    return 2.0 * _g * np.exp(-_d * u * u) * _p(zs[ii] - u * u)
+            def right(i, u):
+                y = zs[i, None] - u * u
+                return 2.0 * gk * u * prev(u * u) * np.power(y, mk / 2.0 - 1.0) * np.exp(-delta * y)
 
-                u_hi = np.sqrt(half)
-                scale = min(1.0 / math.sqrt(delta), float(u_hi[-1])) if delta > 0 else None
-                panels = (
-                    geometric_knots(np.zeros(n), u_hi, scale)
-                    if scale
-                    else [(np.zeros(n), u_hi)]
+            # the first left panel resolves the block's decay e^{-delta u^2}
+            width = 0.25 * min(1.0 / math.sqrt(delta), u_max)
+            vals, err = gauss_kronrod(left, geometric_knots(zero, u_hi, width, growth=2.0))
+            v_right, e_right = gauss_kronrod(right, right_panels)
+            vals += v_right
+            err += e_right
+            bad = ~(err <= _KRONROD_RTOL * vals)  # also catches NaN
+            if np.any(bad):
+                j = int(np.nonzero(bad)[0][0])
+                raise NumericError(
+                    f"convolution level {k} unresolved at normalized z = {zs[j]:.6g}: "
+                    f"Kronrod error {err[j]:.3e} on {vals[j]:.3e}"
                 )
-            else:
-
-                def f_left(ii, y, _p=prev, _g=gk, _d=delta, _m=mk):
-                    return _g * np.power(y, _m / 2.0 - 1.0) * np.exp(-_d * y) * _p(zs[ii] - y)
-
-                scale = min(1.0 / delta, float(half[-1])) if delta > 0 else None
-                panels = (
-                    geometric_knots(np.zeros(n), half, scale)
-                    if scale
-                    else [(np.zeros(n), half)]
-                )
-            for lo, hi in panels:
-                vals += adaptive_simpson_batched(f_left, lo, hi, n)
-
-            # right part: v = z - y in [0, z/2]; previous level singular only
-            # when it is a single chi^2(1) block, handled by v = u^2
-            if mprev == 1:
-
-                def f_right(ii, u, _g=gk, _d=delta, _m=mk, _c=c1):
-                    y = zs[ii] - u * u
-                    return 2.0 * _c * _g * np.power(y, _m / 2.0 - 1.0) * np.exp(-_d * y)
-
-                vals += adaptive_simpson_batched(f_right, np.zeros(n), np.sqrt(half), n)
-            else:
-
-                def f_right(ii, v, _p=prev, _g=gk, _d=delta, _m=mk):
-                    y = zs[ii] - v
-                    return _p(v) * _g * np.power(y, _m / 2.0 - 1.0) * np.exp(-_d * y)
-
-                vals += adaptive_simpson_batched(f_right, np.zeros(n), half, n)
-
             spline = _CubicSpline(self.log_zs, np.log(vals))
             prev = self._level_eval(
-                spline, self._power_consts[k], int(mcum[k]), float(self.zs[0])
+                spline, self._small_z[k], int(mcum[k]), float(zs[0])
             )
         return prev
 
@@ -352,18 +348,23 @@ class _DensityEngine:
         return math.exp(-0.5 * x_lo) * float(total)
 
 
-_ENGINES: dict[tuple, _DensityEngine] = {}
+_ENGINES: dict[tuple, _DensityEngine] = {}  # least recently used first
 _ENGINE_LOCK = threading.Lock()
 
 
 def _engine(w: WeightedChiSquare) -> _DensityEngine:
-    """Per-weights engine cache; each engine covers the whole float64 range."""
+    """Per-weights LRU engine cache; each engine covers the whole float64 range.
+
+    Builds run under the lock, so concurrent callers build each vector once.
+    """
     key = w.normalized()
     with _ENGINE_LOCK:
-        eng = _ENGINES.get(key)
+        eng = _ENGINES.pop(key, None)
         if eng is None:
             eng = _DensityEngine(key)
-            _ENGINES[key] = eng
+            while len(_ENGINES) >= _ENGINE_CACHE_SIZE:
+                del _ENGINES[next(iter(_ENGINES))]
+        _ENGINES[key] = eng
         return eng
 
 
@@ -391,7 +392,7 @@ def weighted_norm_tail(w: WeightedChiSquare, t: float) -> float:
     if t == 0.0:
         return 1.0
     x = t * t / w.lambda1_sq
-    if x >= _UNDERFLOW_X:
+    if x > _UNDERFLOW_X:
         return 0.0
     return _engine(w).table_tail(x)
 
@@ -402,9 +403,9 @@ def weighted_shell_probability(w: WeightedChiSquare, t_lo: float, t_hi: float) -
         raise ValidationError(f"need 0 <= t_lo <= t_hi, got [{t_lo}, {t_hi}]")
     w1 = w.lambda1_sq
     x_lo, x_hi = t_lo * t_lo / w1, t_hi * t_hi / w1
-    if x_lo >= _UNDERFLOW_X:
+    if x_lo > _UNDERFLOW_X:
         return 0.0
-    if x_hi >= _UNDERFLOW_X:
+    if x_hi > _UNDERFLOW_X:
         return weighted_norm_tail(w, t_lo)  # upper edge is below float range
     return _engine(w).table_shell(x_lo, x_hi)
 

@@ -77,7 +77,7 @@ def test_criterion_1_exact_case_recovery():
                 t = float(t_over_l1) * math.sqrt(lam2)
                 got = weighted_norm_tail(w, t)
                 want = math.exp(-t * t / (2 * lam2))
-                assert got == pytest.approx(want, rel=1e-10)
+                assert got == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_criterion_2_density_bound_suite():

@@ -1,5 +1,6 @@
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -19,7 +20,7 @@ from gausslil.chidensity import (
     weighted_shell_probability,
     zolotarev_constant,
 )
-from gausslil.errors import ValidationError
+from gausslil.errors import NumericError, ValidationError
 from gausslil.quadrature import adaptive_simpson
 from gausslil.special import chisq_density, chisq_norm_tail
 
@@ -126,6 +127,35 @@ def test_density_normalizes(rng):
         assert float(np.trapezoid(vals, zs)) == pytest.approx(1.0, abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0, 0.999, 0.998, 0.7, 0.5, 0.5, 0.2, 0.01], [2.0, 1.99, 1.2, 0.7, 0.3, 0.1]],
+    ids=["d8", "d6"],
+)
+def test_density_small_z_expansion(weights):
+    # normalized scale: hhat(z) = h(z) e^{z/2} = c z^{M/2-1} (1 - z sum delta_i / M + O(z^2))
+    # with c = 1 / (2^{M/2} Gamma(M/2) prod sqrt(w_i)) and delta_i = (1/w_i - 1)/2
+    w = WeightedChiSquare.from_weights(weights)
+    wn = np.array(w.normalized())
+    m = wn.size
+    c = 1.0 / (2.0 ** (m / 2.0) * math.gamma(m / 2.0) * math.prod(np.sqrt(wn)))
+    slope = float(np.sum(0.5 * (1.0 / wn - 1.0))) / m
+    for z in (1e-5, 2e-5):
+        want = c * z ** (m / 2.0 - 1.0) * (1.0 - slope * z) * math.exp(-0.5 * z)
+        got = weighted_density(w, z * w.lambda1_sq) * w.lambda1_sq
+        assert got == pytest.approx(want, rel=1e-7, abs=0)
+
+
+@pytest.mark.parametrize("weights", [[1.0, 1e-8], [1.0, 0.5, 1e-7, 1e-8]])
+def test_density_normalizes_with_tiny_weights(weights):
+    # a block far below 1e-6 lambda_1^2 moves the grid start below it, so the
+    # mass near z = 0 is not read from a small-z expansion past its range
+    w = WeightedChiSquare.from_weights(weights)
+    t_split = math.sqrt(40.0 * w.lambda1_sq)
+    total = weighted_shell_probability(w, 0.0, t_split) + weighted_norm_tail(w, t_split)
+    assert total == pytest.approx(1.0, abs=1e-9)
+
+
 def test_density_rejects_nonpositive_z():
     w = WeightedChiSquare.from_weights([1.0, 0.5])
     with pytest.raises(ValidationError):
@@ -149,12 +179,12 @@ def test_tail_trivial_and_chisq_cases():
     assert weighted_norm_tail(w, 0.0) == 1.0
     for t in (0.5, 2.0, 6.0, 12.0):
         assert weighted_norm_tail(w, t) == pytest.approx(
-            math.exp(-t * t / 2.0), rel=1e-10
+            math.exp(-t * t / 2.0), rel=1e-10, abs=0
         )
     w5 = WeightedChiSquare.from_weights([2.0] * 5)
     for t in (1.0, 3.0, 8.0):
         assert weighted_norm_tail(w5, t) == pytest.approx(
-            chisq_norm_tail(5, t / math.sqrt(2.0)), rel=1e-12
+            chisq_norm_tail(5, t / math.sqrt(2.0)), rel=1e-12, abs=0
         )
 
 
@@ -162,7 +192,7 @@ def test_tail_two_weights_against_quadrature_oracle():
     w = WeightedChiSquare.from_weights([1.0, 0.25])
     for t in (0.5, 1.0, 3.0, 6.0, 10.0):
         assert weighted_norm_tail(w, t) == pytest.approx(
-            two_weight_tail_exact(1.0, 0.25, t), rel=1e-8
+            two_weight_tail_exact(1.0, 0.25, t), rel=1e-8, abs=0
         )
 
 
@@ -185,7 +215,7 @@ def test_tail_scale_equivariance(rng):
         for t in (1.0, 2.5, 6.0):
             a = weighted_norm_tail(wa, t)
             b = weighted_norm_tail(wb, math.sqrt(c2) * t)
-            assert b == pytest.approx(a, rel=1e-10)
+            assert b == pytest.approx(a, rel=1e-10, abs=0)
 
 
 def test_shell_probability_matches_tail_difference():
@@ -193,7 +223,7 @@ def test_shell_probability_matches_tail_difference():
     for t, width in [(2.0, 0.5), (5.0, 0.3)]:
         shell = weighted_shell_probability(w, t, t + width)
         diff = weighted_norm_tail(w, t) - weighted_norm_tail(w, t + width)
-        assert shell == pytest.approx(diff, rel=1e-7)
+        assert shell == pytest.approx(diff, rel=1e-7, abs=0)
 
 
 def test_tail_monte_carlo_agreement(rng):
@@ -248,16 +278,16 @@ def test_table_tail_and_shell_match_direct_quadrature(weights):
         t = r * lam1
         ref = direct_mass(w, t * t, t * t + 80.0 * w1)
         if ref >= sys.float_info.min:
-            assert weighted_norm_tail(w, t) == pytest.approx(ref, rel=1e-9)
+            assert weighted_norm_tail(w, t) == pytest.approx(ref, rel=1e-9, abs=0)
             checked += 1
         t_hi = t * (1.0 + 1e-6)
         ref = direct_mass(w, t * t, t_hi * t_hi)
         if ref >= sys.float_info.min:
-            assert weighted_shell_probability(w, t, t_hi) == pytest.approx(ref, rel=1e-9)
+            assert weighted_shell_probability(w, t, t_hi) == pytest.approx(ref, rel=1e-9, abs=0)
     assert checked >= len(TABLE_T) - 1
 
 
-def test_one_engine_serves_every_threshold(monkeypatch):
+def _count_builds(monkeypatch, size):
     builds = []
 
     class Counting(chidensity._DensityEngine):
@@ -266,7 +296,13 @@ def test_one_engine_serves_every_threshold(monkeypatch):
             super().__init__(wnorm)
 
     monkeypatch.setattr(chidensity, "_ENGINES", {})
+    monkeypatch.setattr(chidensity, "_ENGINE_CACHE_SIZE", size)
     monkeypatch.setattr(chidensity, "_DensityEngine", Counting)
+    return builds
+
+
+def test_one_engine_serves_every_threshold(monkeypatch):
+    builds = _count_builds(monkeypatch, chidensity._ENGINE_CACHE_SIZE)
     w = WeightedChiSquare.from_weights([2.0, 1.2, 0.5])
     lam1 = math.sqrt(2.0)
     assert 0.0 < weighted_norm_tail(w, lam1) < 1.0
@@ -274,6 +310,62 @@ def test_one_engine_serves_every_threshold(monkeypatch):
     assert 0.0 < weighted_shell_probability(w, 30.0 * lam1, 36.0 * lam1)
     assert weighted_density(w, 4000.0 * 2.0) == 0.0  # past the grid, underflowed
     assert len(builds) == 1
+
+
+def test_underflow_edge_is_where_exp_vanishes():
+    edge = chidensity._UNDERFLOW_X
+    assert math.exp(-0.5 * edge) > 0.0
+    assert math.exp(-0.5 * math.nextafter(edge, math.inf)) == 0.0
+    w = WeightedChiSquare.from_weights([1.0, 1.0, 1.0, 1.0])
+    t = math.sqrt(math.nextafter(edge, math.inf))
+    assert weighted_norm_tail(w, t) == 0.0
+    assert weighted_shell_probability(w, t, 2.0 * t) == 0.0
+    assert weighted_shell_probability(w, 38.0, 2.0 * t) == weighted_norm_tail(w, 38.0) > 0.0
+
+
+def test_engine_cache_is_bounded_lru(monkeypatch):
+    builds = _count_builds(monkeypatch, 3)
+    vectors = [WeightedChiSquare.from_weights([1.0, 0.1 * (k + 1)]) for k in range(5)]
+    first = weighted_norm_tail(vectors[0], 2.0)
+    for w in vectors[1:3]:
+        weighted_norm_tail(w, 2.0)
+    weighted_norm_tail(vectors[0], 3.0)  # most recent again, so vectors[1] goes first
+    for w in vectors[3:]:
+        weighted_norm_tail(w, 2.0)
+        assert len(chidensity._ENGINES) <= 3
+    assert list(chidensity._ENGINES) == [v.normalized() for v in (vectors[0], vectors[3], vectors[4])]
+    assert len(builds) == 5
+    weighted_norm_tail(vectors[1], 2.0)  # evicted: built again
+    assert len(builds) == 6
+    for w in vectors[2:4]:
+        weighted_norm_tail(w, 2.0)
+    assert vectors[0].normalized() not in chidensity._ENGINES
+    assert weighted_norm_tail(vectors[0], 2.0) == first
+    assert len(builds) == 9
+
+
+def test_engine_built_once_under_threads(monkeypatch):
+    builds = _count_builds(monkeypatch, 64)
+    vectors = [WeightedChiSquare.from_weights([1.0, 0.5, 0.2 + 0.1 * k]) for k in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(weighted_norm_tail, vectors[k % 3], 2.0) for k in range(24)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(builds) == sorted(v.normalized() for v in vectors)
+    for k, r in enumerate(results):
+        assert r == results[k % 3]
+
+
+def test_unresolved_level_raises(monkeypatch):
+    # one panel per node cannot resolve the block decay e^{-delta u^2}, delta ~ 5000;
+    # the Kronrod estimate must stop the build rather than return a wrong density
+    monkeypatch.setattr(chidensity, "geometric_knots", lambda a, b, scale, growth: [(a, b)])
+    with pytest.raises(NumericError, match="unresolved"):
+        chidensity._DensityEngine((1.0, 1e-4))
 
 
 def test_banded_spline_matches_dense_solve():

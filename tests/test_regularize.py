@@ -169,7 +169,7 @@ def test_shell_exact_d2_equal_eigenvalues():
     width = shell_width(s, t)
     exact = math.exp(-t * t / 2) - math.exp(-((t + width) ** 2) / 2)
     assert weighted_shell_probability(w, t, t + width) == pytest.approx(
-        exact, rel=1e-9
+        exact, rel=1e-9, abs=0
     )
     assert shell_lower_bound(s, t) <= exact
 
@@ -179,11 +179,11 @@ def test_shifted_tail_vs_shell(rng):
     t = 7.0
     lhs, rhs = shifted_tail_vs_shell_log(s, t, 1.0)
     # d = 2 closed forms on both sides
-    assert math.exp(lhs) == pytest.approx(math.exp(-((t - 1.0 / t) ** 2) / 2), rel=1e-9)
+    assert math.exp(lhs) == pytest.approx(math.exp(-((t - 1.0 / t) ** 2) / 2), rel=1e-9, abs=0)
     assert lhs <= rhs
     # gamma = 0 reduces to the plain tail-vs-shell comparison
     lhs0, rhs0 = shifted_tail_vs_shell_log(s, t, 0.0)
-    assert math.exp(lhs0) == pytest.approx(math.exp(-t * t / 2), rel=1e-9)
+    assert math.exp(lhs0) == pytest.approx(math.exp(-t * t / 2), rel=1e-9, abs=0)
     assert lhs0 <= rhs0
     with pytest.raises(ValidationError, match="gamma"):
         shifted_tail_vs_shell_log(s, t, t * t / 4 + 1.0)
