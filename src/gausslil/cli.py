@@ -50,6 +50,7 @@ from .serialize import (
     parse_sequence,
     parse_spectrum,
     parse_weights_or_matrix,
+    positive_int,
     spectrum_csv_rows,
     spectrum_from_weights,
     write_csv,
@@ -235,8 +236,8 @@ def _cmd_integral_test(cfg: dict, out: Path, config: RunConfig) -> dict:
         raise ValidationError("integral-test config needs 'phi' and 'sequence'")
     phi = parse_phi(cfg["phi"])
     seq = parse_sequence(cfg["sequence"])
-    d1 = int(cfg.get("d1", seq.limit_spectrum().d1))
-    diag = classify(phi, seq, d1, n_terms=int(cfg.get("n_terms", 5000)))
+    d1 = positive_int(cfg.get("d1", seq.limit_spectrum().d1), "d1")
+    diag = classify(phi, seq, d1, n_terms=positive_int(cfg.get("n_terms", 5000), "n_terms"))
     rows = [
         (int(n), float(t), float(p))
         for n, t, p in zip(diag.ns, diag.terms, diag.partial_sums)
@@ -250,12 +251,14 @@ def _cmd_integral_test(cfg: dict, out: Path, config: RunConfig) -> dict:
     }
     if cfg.get("equivalence"):
         eq_cfg = cfg["equivalence"]
+        if not isinstance(eq_cfg, dict):
+            raise ValidationError("'equivalence' must be an object")
         rep = equivalence_report(
             phi,
             seq,
             alpha=float(eq_cfg.get("alpha", 1.0)),
-            K=int(eq_cfg.get("K", 200)),
-            k_min=int(eq_cfg.get("k_min", 1)),
+            K=positive_int(eq_cfg.get("K", 200), "equivalence.K"),
+            k_min=positive_int(eq_cfg.get("k_min", 1), "equivalence.k_min"),
             d1=d1,
         )
         summary["equivalence"] = {
@@ -273,7 +276,8 @@ def _cmd_sequence_info(cfg: dict, out: Path, config: RunConfig) -> dict:
     if "sequence" not in cfg:
         raise ValidationError("sequence-info config needs 'sequence'")
     seq = parse_sequence(cfg["sequence"])
-    conv = limit_and_convergence_report(seq, int(cfg.get("N", 10_000)))
+    N = positive_int(cfg.get("N", 10_000), "N")
+    conv = limit_and_convergence_report(seq, N)
     summary = {
         "kind": seq.kind,
         "dim": seq.dim,
@@ -288,14 +292,14 @@ def _cmd_sequence_info(cfg: dict, out: Path, config: RunConfig) -> dict:
         ],
     }
     if seq.kind == "truncated":
-        ns = [int(x) for x in np.geomspace(1, int(cfg.get("N", 10_000)), 20)]
+        ns = [int(x) for x in np.geomspace(1, N, 20)]
         summary["cutoff_window"] = seq.cutoff.window_report(sorted(set(ns)))
     if "alpha" in cfg:
         rep = fluctuation_diagnostic(
             seq,
             float(cfg["alpha"]),
             cfg.get("deltas", [0.1, 0.5, 1.0]),
-            int(cfg.get("K", 50)),
+            positive_int(cfg.get("K", 50), "K"),
         )
         summary["fluctuation"] = {
             "alpha": rep.alpha,
@@ -328,8 +332,8 @@ def _cmd_simulate(cfg: dict, out: Path, config: RunConfig) -> dict:
         phis = [parse_phi(cfg["phi"])]
     else:
         raise ValidationError("simulate config needs 'phi' or 'boundaries'")
-    n_max = int(cfg.get("n_max", 100_000))
-    reps = int(cfg.get("reps", 16))
+    n_max = positive_int(cfg.get("n_max", 100_000), "n_max")
+    reps = positive_int(cfg.get("reps", 16), "reps")
     records = simulate_paths(
         seq, phis[0], n_max, reps, SeededStream(config.seed), threads=config.threads
     )

@@ -174,7 +174,12 @@ class SeriesDiagnostics:
 
 
 def _exponent_verdict(a: float, d1: int) -> tuple[str, str]:
-    """Verdict for terms ~ n^{-1} (Ln)^{-1} (LLn)^{(d1-a)/2}."""
+    """Verdict for terms ~ n^{-1} (Ln)^{-1} (LLn)^{(d1-a)/2}.
+
+    The subsequence series obeys the same rule: with Ln_k = alpha k / Lk its
+    terms behave like k^{-1} (Lk)^{-p}, p = (a - d1)/2, so it converges iff
+    p > 1, and at p = 1 it is comparable to the divergent sum 1/(k Lk).
+    """
     critical = d1 + 2.0
     if a > critical:
         return "Converges", (
@@ -191,19 +196,6 @@ def _exponent_verdict(a: float, d1: int) -> tuple[str, str]:
         "series sum 1/(n Ln LLn); critical-line handling extends beyond the "
         "source criterion and is labeled as such"
     )
-
-
-def _subseq_exponent_verdict(a: float, d1: int) -> str:
-    """Verdict for the subsequence series, analyzed in k-space.
-
-    With Ln_k = alpha k / Lk the terms behave like k^{-1} (Lk)^{-p} with
-    p = (a - d1)/2, so the series converges iff p > 1; at p = 1 it is
-    comparable to the divergent sum 1/(k Lk).
-    """
-    p = (a - d1) / 2.0
-    if p > 1.0:
-        return "Converges"
-    return "Diverges"
 
 
 def classify(
@@ -230,25 +222,15 @@ def classify(
     psums = np.cumsum(terms)
     params = phi.classification_params()
     if params is None:
-        return SeriesDiagnostics(
-            verdict="Inconclusive",
-            method="none",
-            note=(
-                "tabulated family without a declared asymptotic envelope; "
-                "finite partial sums cannot decide convergence"
-            ),
-            ns=ns,
-            terms=terms,
-            partial_sums=psums,
+        verdict, method, note = "Inconclusive", "none", (
+            "tabulated family without a declared asymptotic envelope; "
+            "finite partial sums cannot decide convergence"
         )
-    verdict, note = _exponent_verdict(params[0], d1)
+    else:
+        verdict, note = _exponent_verdict(params[0], d1)
+        method = "asymptotic"
     return SeriesDiagnostics(
-        verdict=verdict,
-        method="asymptotic",
-        note=note,
-        ns=ns,
-        terms=terms,
-        partial_sums=psums,
+        verdict=verdict, method=method, note=note, ns=ns, terms=terms, partial_sums=psums
     )
 
 
@@ -397,11 +379,8 @@ def equivalence_report(
     low = float(np.min(block_sums[nonempty] / subseq[1:][nonempty])) if np.any(nonempty) else math.nan
     high = float(np.max(block_sums[nonempty] / subseq[:-1][nonempty])) if np.any(nonempty) else math.nan
     params = phi.classification_params()
-    if params is None:
-        full_v = sub_v = "Inconclusive"
-    else:
-        full_v = _exponent_verdict(params[0], d1)[0]
-        sub_v = _subseq_exponent_verdict(params[0], d1)
+    # the subsequence series obeys the same exponent rule (see _exponent_verdict)
+    full_v = sub_v = "Inconclusive" if params is None else _exponent_verdict(params[0], d1)[0]
     return EquivalenceReport(
         alpha=alpha,
         ks=ks,

@@ -74,18 +74,6 @@ class DerivedConstants:
     C5t: float
     log_C6t: float
 
-    @property
-    def C2t(self) -> float:
-        return math.exp(self.log_C2t)
-
-    @property
-    def C3t(self) -> float:
-        return math.exp(self.log_C3t)
-
-    @property
-    def C6t(self) -> float:
-        return math.exp(self.log_C6t)
-
 
 @lru_cache(maxsize=None)
 def derived_constants(d: int) -> DerivedConstants:

@@ -8,8 +8,9 @@ and fluctuation-summability checks downstream are exact up to rounding.
 """
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +90,8 @@ class CutoffFamily:
     """Non-decreasing cutoff sequence c_n.
 
     kind "sqrt_n": c_n = scale * sqrt(n), optionally modulated by a
-    tabulated multiplier g(n). kind "constant": c_n = value.
+    tabulated multiplier g(n), held at its last entry past the table; a
+    table that makes c_n decrease is rejected. kind "constant": c_n = value.
     """
 
     kind: str
@@ -109,6 +111,10 @@ class CutoffFamily:
             if any(x <= 0 for x in g):
                 raise ValidationError("cutoff multipliers must be positive")
             object.__setattr__(self, "g_table", g)
+            # g is constant past the table, where c_n grows like sqrt(n)
+            c = [self.evaluate(n) for n in range(1, len(g) + 2)]
+            if any(y < x for x, y in zip(c, c[1:])):
+                raise ValidationError("cutoff scale * sqrt(n) * g_n must be non-decreasing")
 
     def evaluate(self, n: int) -> float:
         if n < 1:
@@ -148,7 +154,14 @@ class CutoffFamily:
 
 @dataclass
 class CovarianceSequence:
-    """Generator of Gamma_n^2 matrices (constant, tabulated, or truncated)."""
+    """Generator of Gamma_n^2 matrices (constant, tabulated, or truncated).
+
+    Gamma_n^2 depends on n only through ``state(n)``: 0 for a constant
+    sequence, n - 1 for a tabulated one, and the number of atoms with
+    |x| <= c_n for a truncated one, which never decreases because c_n does
+    not. States run up to the final one, the state as n -> infinity, and
+    each state's matrix, spectrum and root are built once.
+    """
 
     kind: str
     dim: int
@@ -156,7 +169,15 @@ class CovarianceSequence:
     table: tuple[np.ndarray, ...] | None = None
     distribution: DiscreteDistribution | None = None
     cutoff: CutoffFamily | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if self.kind == "truncated":
+            self._norms = np.sort(self.distribution.norms()).tolist()
+            c_sup = self.cutoff.value if self.cutoff.kind == "constant" else math.inf
+            self._matrices = [None] * (bisect.bisect_right(self._norms, c_sup) + 1)
+        else:
+            self._matrices = list(self.table or (self.matrix,))
+        self._spectra = [None] * len(self._matrices)
 
     @classmethod
     def constant(cls, matrix: np.ndarray) -> "CovarianceSequence":
@@ -177,81 +198,67 @@ class CovarianceSequence:
         return cls(kind="tabulated", dim=d, table=mats)
 
     @classmethod
-    def truncated(
-        cls, dist: DiscreteDistribution, cutoff: CutoffFamily
-    ) -> "CovarianceSequence":
-        return cls(
-            kind="truncated", dim=dist.dim, distribution=dist, cutoff=cutoff
-        )
+    def truncated(cls, dist: DiscreteDistribution, cutoff: CutoffFamily) -> "CovarianceSequence":
+        return cls(kind="truncated", dim=dist.dim, distribution=dist, cutoff=cutoff)
+
+    def state(self, n: int) -> int:
+        """Which of the sequence's matrices Gamma_n^2 is."""
+        if n < 1:
+            raise ValidationError(f"index must be >= 1, got {n}")
+        if self.kind == "truncated":
+            return bisect.bisect_right(self._norms, self.cutoff.evaluate(n))
+        if self.kind == "constant":
+            return 0
+        if n > len(self.table):
+            raise ValidationError(
+                f"index {n} out of range for tabulated sequence of "
+                f"length {len(self.table)}"
+            )
+        return n - 1
 
     @property
     def is_constant(self) -> bool:
-        if self.kind == "constant":
-            return True
-        if self.kind == "truncated":
-            return self.cutoff.kind == "constant"
-        return False
+        return self.state(1) == len(self._matrices) - 1
 
     @property
     def is_monotone(self) -> bool:
-        """PSD-monotone: Gamma_n^2 - Gamma_m^2 >= 0 for m <= n."""
-        return self.kind == "constant" or self.kind == "truncated"
+        """PSD-monotone: Gamma_n^2 - Gamma_m^2 >= 0 for m <= n (tables are not checked)."""
+        return self.kind != "tabulated"
 
     @property
     def max_index(self) -> int | None:
         return len(self.table) if self.kind == "tabulated" else None
 
+    def _matrix(self, state: int) -> np.ndarray:
+        if self._matrices[state] is None:
+            # the atoms with |x| <= c_n are those no longer than the
+            # state-th shortest; in state 0 no atom has norm 0
+            c = self._norms[state - 1] if state else 0.0
+            self._matrices[state] = truncated_covariance(self.distribution, c)
+        return self._matrices[state]
+
+    def _spectrum_and_root(self, state: int) -> tuple[spectral.Spectrum, np.ndarray]:
+        if self._spectra[state] is None:
+            s = spectral.eigh(self._matrix(state))
+            self._spectra[state] = (s, (s.basis * s.eigenvalues) @ s.basis.T)
+        return self._spectra[state]
+
     def emit(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValidationError(f"index must be >= 1, got {n}")
-        if self.kind == "constant":
-            return self.matrix
-        if self.kind == "tabulated":
-            if n > len(self.table):
-                raise ValidationError(
-                    f"index {n} out of range for tabulated sequence of "
-                    f"length {len(self.table)}"
-                )
-            return self.table[n - 1]
-        # truncated: the matrix only depends on which atoms pass the cutoff,
-        # i.e. on the count of included atoms; cache per count
-        c = self.cutoff.evaluate(n)
-        norms = np.sort(self.distribution.norms())
-        count = int(np.searchsorted(norms, c, side="right"))
-        key = ("trunc", count)
-        if key not in self._cache:
-            self._cache[key] = truncated_covariance(self.distribution, c)
-        return self._cache[key]
+        return self._matrix(self.state(n))
 
     def spectrum_at(self, n: int) -> spectral.Spectrum:
-        m = self.emit(n)
-        key = ("spec", m.tobytes())
-        if key not in self._cache:
-            self._cache[key] = spectral.eigh(m)
-        return self._cache[key]
+        return self._spectrum_and_root(self.state(n))[0]
 
     def root_at(self, n: int) -> np.ndarray:
         """Gamma_n, the symmetric PSD square root of the emitted Gamma_n^2."""
-        m = self.emit(n)
-        key = ("root", m.tobytes())
-        if key not in self._cache:
-            s = self.spectrum_at(n)
-            self._cache[key] = (s.basis * s.eigenvalues) @ s.basis.T
-        return self._cache[key]
+        return self._spectrum_and_root(self.state(n))[1]
 
     def limit(self) -> np.ndarray:
-        """Exact limit matrix: full covariance for the truncated kind."""
-        if self.kind == "constant":
-            return self.matrix
-        if self.kind == "tabulated":
-            return self.table[-1]
-        return self.distribution.covariance()
+        """Exact limit matrix: the matrix of the final state."""
+        return self._matrix(len(self._matrices) - 1)
 
     def limit_spectrum(self) -> spectral.Spectrum:
-        key = ("limspec",)
-        if key not in self._cache:
-            self._cache[key] = spectral.eigh(self.limit())
-        return self._cache[key]
+        return self._spectrum_and_root(len(self._matrices) - 1)[0]
 
 
 def limit_and_convergence_report(seq: CovarianceSequence, N: int) -> dict:
@@ -265,15 +272,12 @@ def limit_and_convergence_report(seq: CovarianceSequence, N: int) -> dict:
     )
     lim = seq.limit()
     lim_eigs = seq.limit_spectrum().eigenvalues
-    rows = []
-    for n in ns:
-        m = seq.emit(n)
-        eigs = seq.spectrum_at(n).eigenvalues
-        rows.append(
-            {
-                "n": n,
-                "matrix_gap": spectral.operator_norm(m - lim),
-                "eigenvalue_gaps": np.abs(eigs - lim_eigs).tolist(),
-            }
-        )
+    rows = [
+        {
+            "n": n,
+            "matrix_gap": spectral.operator_norm(seq.emit(n) - lim),
+            "eigenvalue_gaps": np.abs(seq.spectrum_at(n).eigenvalues - lim_eigs).tolist(),
+        }
+        for n in ns
+    ]
     return {"limit": lim.tolist(), "checkpoints": rows}

@@ -71,6 +71,13 @@ def parse_spectrum(cfg: dict) -> Spectrum:
     return spectrum_from_weights(_numbers(cfg["weights"], "'weights'"))
 
 
+def positive_int(value, name: str) -> int:
+    """A count field of a config: a JSON integer >= 1; true, 2.0 and "2" are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValidationError(f"'{name}' must be a positive integer, got {value!r}")
+    return value
+
+
 def parse_monte_carlo(cfg: dict) -> int | None:
     """Sample count of the optional 'monte_carlo' object; None when it is absent."""
     mc = cfg.get("monte_carlo")
@@ -78,12 +85,7 @@ def parse_monte_carlo(cfg: dict) -> int | None:
         return None
     if not isinstance(mc, dict):
         raise ValidationError("'monte_carlo' must be an object")
-    samples = mc.get("samples", 100_000)
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        raise ValidationError(
-            f"'monte_carlo.samples' must be a positive integer, got {samples!r}"
-        )
-    return samples
+    return positive_int(mc.get("samples", 100_000), "monte_carlo.samples")
 
 
 def parse_grid(obj, name: str) -> np.ndarray:

@@ -7,6 +7,7 @@ give bit-identical results.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -111,12 +112,9 @@ def log_zolotarev(rho2) -> float:
 class MatrixSequence(Protocol):
     """What delta_k needs from a covariance sequence."""
 
-    dim: int
+    def state(self, n: int) -> int: ...
 
     def emit(self, n: int) -> np.ndarray: ...
-
-    @property
-    def is_constant(self) -> bool: ...
 
     @property
     def is_monotone(self) -> bool: ...
@@ -249,14 +247,12 @@ def delta_k(
 ) -> float:
     """Delta_k(alpha) = max ||Gamma_n^2 - Gamma_m^2|| over the k-th block.
 
-    The maximum runs over all index pairs n_k <= m <= n <= n_{k+1}. For
-    PSD-monotone sequences the endpoint pair is extremal, so the O(w^2)
-    pair scan collapses to one norm; ``force_scan`` disables the shortcut
-    (used to validate it).
+    The maximum runs over all index pairs n_k <= m <= n <= n_{k+1}, that
+    is over pairs of the distinct states in the window. For PSD-monotone
+    sequences the endpoint pair is extremal, so the pair scan collapses to
+    one norm; ``force_scan`` disables the shortcut (used to validate it).
     """
     lo, hi = subsequence_index(alpha, k), subsequence_index(alpha, k + 1)
-    if seq.is_constant:
-        return 0.0
     if seq.max_index is not None and hi > seq.max_index:
         raise ValidationError(
             f"delta_k window [{lo}, {hi}] exceeds tabulated range "
@@ -269,13 +265,6 @@ def delta_k(
             f"delta_k pair scan over window [{lo}, {hi}] is too large "
             f"({hi - lo} indices; limit {_SCAN_LIMIT})"
         )
-    seen: list[np.ndarray] = []
-    for n in range(lo, hi + 1):
-        m = seq.emit(n)
-        if not any(np.array_equal(m, x) for x in seen):
-            seen.append(m)
-    best = 0.0
-    for i in range(len(seen)):
-        for j in range(i + 1, len(seen)):
-            best = max(best, operator_norm(seen[i] - seen[j]))
-    return best
+    # one index per state: indices that share a state share their matrix
+    mats = [seq.emit(n) for n in {seq.state(n): n for n in range(lo, hi + 1)}.values()]
+    return max((operator_norm(a - b) for a, b in itertools.combinations(mats, 2)), default=0.0)

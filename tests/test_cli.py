@@ -212,6 +212,25 @@ def test_json_format_embeds_tables(tmp_path):
     assert set(summary["density"][0]) == {"z", "density"}
 
 
+_SERIES = {
+    "phi": {"kind": "parametric", "a": 4.0},
+    "sequence": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 0.5]]},
+}
+# c_n = sqrt(n) g_n with g_10 = 0.05 falls at n = 10
+_DIPPING_CUTOFF = {
+    "kind": "truncated",
+    "distribution": {
+        "atoms": [
+            {"point": [1.0, 0.0], "prob": 0.25},
+            {"point": [-1.0, 0.0], "prob": 0.25},
+            {"point": [0.0, 2.0], "prob": 0.25},
+            {"point": [0.0, -2.0], "prob": 0.25},
+        ]
+    },
+    "cutoff": {"kind": "sqrt_n", "g_table": [1.0] * 9 + [0.05] + [1.0] * 2},
+}
+
+
 @pytest.mark.parametrize(
     "command,cfg",
     [
@@ -225,11 +244,25 @@ def test_json_format_embeds_tables(tmp_path):
         ("density", {"weights": [1.0, 0.25], "matrix": [[4.0, 0.0], [0.0, 1.0]]}),
         ("tail", {"weights": [1.0, 0.25], "matrix": [[4.0, 0.0], [0.0, 1.0]], "t": [1.0]}),
         ("bounds-verify", {"weights": [1.0, 0.25], "matrix": [[4.0, 0.0], [0.0, 1.0]]}),
+        ("integral-test", {**_SERIES, "n_terms": "abc"}),
+        ("integral-test", {**_SERIES, "n_terms": 0}),
+        ("integral-test", {**_SERIES, "d1": 1.5}),
+        ("integral-test", {**_SERIES, "equivalence": {"K": "x"}}),
+        ("integral-test", {**_SERIES, "equivalence": {"k_min": -1}}),
+        ("integral-test", {**_SERIES, "equivalence": True}),
+        ("sequence-info", {"sequence": _SERIES["sequence"], "N": 2.5}),
+        ("sequence-info", {"sequence": _SERIES["sequence"], "alpha": 1.0, "K": "many"}),
+        ("simulate", {**_SERIES, "reps": "two"}),
+        ("simulate", {**_SERIES, "n_max": True}),
+        ("sequence-info", {"sequence": _DIPPING_CUTOFF}),
     ],
     ids=[
         "nan-threshold", "negative-count", "weights-string", "bounds-weights-string",
         "mc-true", "mc-samples-string", "mc-samples-fraction",
         "density-weights-and-matrix", "tail-weights-and-matrix", "bounds-weights-and-matrix",
+        "n-terms-string", "n-terms-zero", "d1-fraction", "equivalence-K-string",
+        "equivalence-k-min-negative", "equivalence-true", "N-fraction", "K-string",
+        "reps-string", "n-max-true", "decreasing-cutoff",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, command, cfg):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_weights, spectrum_from_weights
 
+from gausslil import spectral
 from gausslil.errors import ValidationError
 from gausslil.integraltest import (
     PhiFamily,
@@ -356,3 +357,20 @@ def test_equivalence_exact_vs_integral_methods_agree():
     assert r_approx.block_methods == ("integral",) * 6
     for a, b in zip(r_exact.block_sums, r_approx.block_sums):
         assert b == pytest.approx(a, rel=2e-3)
+
+
+@pytest.mark.parametrize("kind", ["truncated", "constant"])
+def test_classify_decomposes_once_per_state(monkeypatch, kind):
+    if kind == "truncated":
+        # atoms at norms 1, 2 and 3: three states over n <= 5000 under sqrt(n)
+        half = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
+        dist = DiscreteDistribution(points=np.concatenate([half, -half]), probs=np.full(6, 1 / 6))
+        seq = CovarianceSequence.truncated(dist, CutoffFamily(kind="sqrt_n"))
+    else:
+        seq = const_seq([2.0, 1.0])
+    calls = []
+    eigh = spectral.eigh
+    monkeypatch.setattr(spectral, "eigh", lambda a: calls.append(1) or eigh(a))
+    diag = classify(PhiFamily(kind="parametric", a=4.0), seq, 1, n_terms=5000)
+    assert diag.ns.size == 5000
+    assert len(calls) == len({seq.state(n) for n in range(1, 5001)}) == (3 if kind == "truncated" else 1)

@@ -110,6 +110,30 @@ def test_limit_and_convergence_report(cross_dist):
     assert gaps[1] == pytest.approx(2.0)
     assert all(g == 0.0 for n, g in gaps.items() if n >= 4)
     assert rep["limit"] == [[0.5, 0.0], [0.0, 2.0]]
+    assert np.array_equal(seq.limit(), cross_dist.covariance())
+
+
+def test_constant_cutoff_limit_is_the_emitted_matrix(cross_dist):
+    # c_n = 1.5 admits only the atoms +-(1, 0) at every n, so the limit is
+    # diag(0.5, 0), not the full covariance diag(0.5, 2)
+    seq = CovarianceSequence.truncated(cross_dist, CutoffFamily(kind="constant", value=1.5))
+    assert np.array_equal(seq.limit(), seq.emit(1))
+    assert np.array_equal(seq.limit(), seq.emit(10**9))
+    assert seq.is_constant
+    rep = limit_and_convergence_report(seq, 1000)
+    assert all(r["matrix_gap"] == 0.0 for r in rep["checkpoints"])
+    assert rep["limit"] == [[0.5, 0.0], [0.0, 0.0]]
+
+
+def test_state_counts_atoms_under_the_cutoff(cross_dist):
+    seq = CovarianceSequence.truncated(cross_dist, CutoffFamily(kind="sqrt_n"))
+    assert [seq.state(n) for n in (1, 3, 4, 10**6)] == [2, 2, 4, 4]
+    assert not seq.is_constant
+    tab = CovarianceSequence.tabulated([np.eye(2)] * 3)
+    assert [tab.state(n) for n in (1, 2, 3)] == [0, 1, 2]
+    with pytest.raises(ValidationError, match="out of range"):
+        tab.state(4)
+    assert CovarianceSequence.constant(np.eye(2)).state(10**9) == 0
 
 
 def test_cutoff_window_report(cross_dist):
@@ -128,3 +152,15 @@ def test_cutoff_validation():
         CutoffFamily(kind="sqrt_n", scale=-1.0)
     fam = CutoffFamily(kind="constant", value=2.0)
     assert fam.evaluate(7) == 2.0
+
+
+def test_decreasing_cutoff_rejected(cross_dist):
+    # g_10 = 0.05 makes c_10 < c_9: the truncated state would fall, and the
+    # monotone endpoint shortcut of delta_k would miss the dip
+    g = [1.0] * 12
+    g[9] = 0.05
+    with pytest.raises(ValidationError, match="non-decreasing"):
+        CutoffFamily(kind="sqrt_n", g_table=tuple(g))
+    # a multiplier may fall, as long as c_n does not
+    fam = CutoffFamily(kind="sqrt_n", g_table=(1.0, 1.0, 0.9))
+    assert fam.evaluate(2) < fam.evaluate(3) < fam.evaluate(4)
