@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -61,6 +62,43 @@ def test_streams_are_pure_and_distinct():
     # prefix consistency: a longer draw starts with the shorter one
     long = sample_standard_normal(SeededStream(5, 1), 2000)
     assert np.array_equal(long[:1000], a)
+
+
+# Pinned at the chunked sampler, before the block rewrite: a sampler change
+# must leave every normal, every |Y| draw and every tail hit count as is.
+PINNED_NORMALS_SHA256 = "f32247912826d29105af61cf4d1280afa78ce1ee4c4fa2f7fc2f5f9841c3dcdc"
+PINNED_TAIL_HITS = {2: 320325, 5: 395344, 8: 416885}
+PINNED_NORM_Y_SHA256 = {2: "da675984916e46ab", 5: "0ff9f4053fd4d782", 8: "20e77f6d1893d6d1"}
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_pinned_normal_stream():
+    z = sample_standard_normal(SeededStream(77, 0), 1_000_003)
+    assert _sha256(z) == PINNED_NORMALS_SHA256
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_pinned_tail_hits_and_norm_draws(d):
+    s = spectrum_from_weights(np.linspace(1.0, 0.1, d))
+    t = math.sqrt(float(np.sum(s.weights())))
+    est = estimate_tail(s, t, 1_000_000, SeededStream(77, d))
+    assert est.p_hat == PINNED_TAIL_HITS[d] / 1_000_000
+    y = sample_norm_Y(s, SeededStream(78, d), 300_001)
+    assert _sha256(y)[:16] == PINNED_NORM_Y_SHA256[d]
+
+
+def test_take_split_across_block_edges():
+    # B is the sampler's block size in pairs; the split leaves leftovers
+    # on both sides of several block edges
+    B = 2**15
+    sizes = [1, B - 1, 2 * B + 3]
+    src = montecarlo._NormalSource(SeededStream(6, 3))
+    parts = np.concatenate([src.take(m) for m in sizes])
+    whole = montecarlo._NormalSource(SeededStream(6, 3)).take(sum(sizes))
+    assert np.array_equal(parts, whole)
 
 
 def test_normal_moments():
