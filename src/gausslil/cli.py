@@ -44,6 +44,8 @@ from .regularize import (
 from .sequences import limit_and_convergence_report
 from .serialize import (
     dump_json,
+    finite_number,
+    finite_numbers,
     parse_grid,
     parse_monte_carlo,
     parse_phi,
@@ -256,7 +258,7 @@ def _cmd_integral_test(cfg: dict, out: Path, config: RunConfig) -> dict:
         rep = equivalence_report(
             phi,
             seq,
-            alpha=float(eq_cfg.get("alpha", 1.0)),
+            alpha=finite_number(eq_cfg.get("alpha", 1.0), "equivalence.alpha"),
             K=positive_int(eq_cfg.get("K", 200), "equivalence.K"),
             k_min=positive_int(eq_cfg.get("k_min", 1), "equivalence.k_min"),
             d1=d1,
@@ -297,8 +299,8 @@ def _cmd_sequence_info(cfg: dict, out: Path, config: RunConfig) -> dict:
     if "alpha" in cfg:
         rep = fluctuation_diagnostic(
             seq,
-            float(cfg["alpha"]),
-            cfg.get("deltas", [0.1, 0.5, 1.0]),
+            finite_number(cfg["alpha"], "alpha"),
+            finite_numbers(cfg.get("deltas", [0.1, 0.5, 1.0]), "deltas"),
             positive_int(cfg.get("K", 50), "K"),
         )
         summary["fluctuation"] = {

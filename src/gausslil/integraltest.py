@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -78,24 +79,28 @@ class PhiFamily:
         else:
             raise ValidationError(f"unknown phi family kind {self.kind!r}")
 
-    def value(self, n: int | float, lam1: float) -> float:
-        """phi_n; lam1 is the top eigenvalue of Gamma_n (ignored if tabulated)."""
-        if n < 1:
-            raise ValidationError(f"index must be >= 1, got {n}")
+    def value(self, n, lam1: float):
+        """phi_n, elementwise when n is an array of indices; lam1 is the top
+        eigenvalue of Gamma_n (ignored if tabulated)."""
+        ns = np.asarray(n)
+        lo, hi = (ns.min(), ns.max()) if ns.ndim else (n, n)
+        if lo < 1:
+            raise ValidationError(f"index must be >= 1, got {lo}")
         if self.kind == "tabulated":
-            idx = int(n)
-            if idx > len(self.values):
+            if int(hi) > len(self.values):
                 raise ValidationError(
-                    f"index {idx} beyond tabulated phi range ({len(self.values)})"
+                    f"index {int(hi)} beyond tabulated phi range ({len(self.values)})"
                 )
-            phi2 = self.values[idx - 1] ** 2
+            phi2 = np.square(self._table[ns.astype(int) - 1])
         else:
             phi2 = lam1 * lam1 * (2.0 * llt(n) + self.a * lllt(n) + self.b)
         if self.clamp:
-            lo = lam1 * lam1 * llt(n)
-            hi = 3.0 * lam1 * lam1 * llt(n)
-            phi2 = min(max(phi2, lo), hi)
-        return math.sqrt(phi2)
+            phi2 = np.clip(phi2, lam1 * lam1 * llt(n), 3.0 * lam1 * lam1 * llt(n))
+        return np.sqrt(phi2) if ns.ndim else math.sqrt(phi2)
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        return np.array(self.values)
 
     def classification_params(self) -> tuple[float, float] | None:
         if self.kind == "parametric":
@@ -103,18 +108,19 @@ class PhiFamily:
         return self.envelope
 
 
-def gamma_n(s: Spectrum, phi_n: float, upto: int | None = None) -> float:
+def gamma_n(s: Spectrum, phi_n, upto: int | None = None):
     """prod_{i=2}^{upto} min(l1/(l1^2 - l_i^2)^{1/2}, phi_n/l1).
 
     The exponential of ``Spectrum.log_gap_product`` at x = phi_n: the full
     product i = 2..d by default, 1 when empty, and equal-eigenvalue factors
-    take the phi branch (a/0 read as infinity).
+    take the phi branch (a/0 read as infinity). Elementwise over an array
+    of phi_n.
     """
     if s.lambda1 <= 0:
         raise ValidationError("largest eigenvalue must be positive")
-    if phi_n <= 0:
-        raise ValidationError(f"phi must be positive, got {phi_n}")
-    return math.exp(s.log_gap_product(phi_n, upto))
+    if np.min(phi_n) <= 0:
+        raise ValidationError(f"phi must be positive, got {np.min(phi_n)}")
+    return np.exp(s.log_gap_product(phi_n, upto))
 
 
 def _product_upto(s: Spectrum, mode: str, d1: int | None = None) -> int:
@@ -128,22 +134,34 @@ def _product_upto(s: Spectrum, mode: str, d1: int | None = None) -> int:
 
 
 def series_term(
-    n: int | float,
+    n,
     s_n: Spectrum,
     phi: PhiFamily,
     d1: int | None = None,
     mode: str = "top-group",
-) -> float:
+):
     """n-th series term phi_n/(n l_{n,1}) * product * exp(-phi_n^2/2 l_{n,1}^2).
 
     The product runs over i = 2..d1 (d1 of the limit matrix) in the
     default mode; mode "full-product" extends it to i = 2..d, which the
-    reduction argument shows is equivalent up to a constant.
+    reduction argument shows is equivalent up to a constant. Elementwise
+    over an array of indices n that share the spectrum s_n.
     """
     lam1 = s_n.lambda1
     phi_n = phi.value(n, lam1)
     g = gamma_n(s_n, phi_n, upto=_product_upto(s_n, mode, d1))
-    return phi_n / (n * lam1) * g * math.exp(-phi_n * phi_n / (2.0 * lam1 * lam1))
+    return phi_n / (n * lam1) * g * np.exp(-phi_n * phi_n / (2.0 * lam1 * lam1))
+
+
+def _run_terms(seq: CovarianceSequence, phi: PhiFamily, d1, mode: str, lo: int, hi: int):
+    """Series terms for n = lo..hi, one array expression per run of equal Gamma_n."""
+    return np.concatenate(
+        [np.empty(0)]
+        + [
+            series_term(np.arange(first, last + 1), seq.spectrum_at(first), phi, d1=d1, mode=mode)
+            for first, last in seq.runs(lo, hi)
+        ]
+    )
 
 
 def subseq_series_term(
@@ -198,6 +216,11 @@ def _exponent_verdict(a: float, d1: int) -> tuple[str, str]:
     )
 
 
+def _check_d1(d1: int, seq: CovarianceSequence) -> None:
+    if not 1 <= d1 <= seq.dim:
+        raise ValidationError(f"d1 must be between 1 and the dimension {seq.dim}, got {d1}")
+
+
 def classify(
     phi: PhiFamily,
     seq: CovarianceSequence,
@@ -210,15 +233,12 @@ def classify(
     envelope; otherwise Inconclusive. Partial sums over the first
     ``n_terms`` indices are attached for inspection.
     """
-    if d1 < 1:
-        raise ValidationError(f"d1 must be >= 1, got {d1}")
+    _check_d1(d1, seq)
     n_max = n_terms if seq.max_index is None else min(n_terms, seq.max_index)
     if phi.kind == "tabulated":
         n_max = min(n_max, len(phi.values))
     ns = np.arange(1, n_max + 1)
-    terms = np.array(
-        [series_term(int(n), seq.spectrum_at(int(n)), phi, d1=d1) for n in ns]
-    )
+    terms = _run_terms(seq, phi, d1, "top-group", 1, n_max)
     psums = np.cumsum(terms)
     params = phi.classification_params()
     if params is None:
@@ -307,10 +327,7 @@ class EquivalenceReport:
 
 
 def _block_sum_exact(seq, phi, d1, mode, lo, hi):
-    total = 0.0
-    for n in range(lo + 1, hi + 1):
-        total += series_term(n, seq.spectrum_at(n), phi, d1=d1, mode=mode)
-    return total
+    return float(np.sum(_run_terms(seq, phi, d1, mode, lo + 1, hi)))
 
 
 def _block_sum_integral(seq, phi, d1, mode, lo, hi):
@@ -356,6 +373,7 @@ def equivalence_report(
         raise ValidationError(f"need 1 <= k_min <= K, got [{k_min}, {K}]")
     if d1 is None:
         d1 = seq.limit_spectrum().d1
+    _check_d1(d1, seq)
     ks = np.arange(k_min, K + 1)
     n_ks = np.array([subsequence_index(alpha, int(k)) for k in range(k_min, K + 2)])
     block_sums = []

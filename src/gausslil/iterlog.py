@@ -7,21 +7,25 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ValidationError
 
 _LOG_FLOAT_MAX = 709.0
 
 
-def lt(x: float) -> float:
-    """L(x) = log(x v e)."""
+def lt(x):
+    """L(x) = log(x v e), elementwise on an array."""
+    if isinstance(x, np.ndarray):
+        return np.log(np.maximum(x, math.e))
     return math.log(max(x, math.e))
 
 
-def llt(x: float) -> float:
+def llt(x):
     return lt(lt(x))
 
 
-def lllt(x: float) -> float:
+def lllt(x):
     return lt(llt(x))
 
 

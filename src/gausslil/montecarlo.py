@@ -10,6 +10,7 @@ platform-dependent trigonometry in golden tests.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,14 +40,36 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
+_M64 = 0xFFFFFFFFFFFFFFFF
 CHECKPOINT_RATIO = 1.05
 LOW_COUNT_P = 1e-6
+# Uniform pairs per polar block. The block's buffers (about 2.6 MB) stay
+# cache-resident; any size gives the same normals in the same order.
+_BLOCK_PAIRS = 1 << 15
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64 finalizer, in place on the uint64 array z; tmp is scratch."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, mult, out=z)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+
+
+def _mix_int(v: int) -> int:
+    """SplitMix64 finalizer of a Python integer taken modulo 2^64."""
+    z = np.array([v & _M64], dtype=np.uint64)
+    _mix(z, np.empty_like(z))
+    return int(z[0])
+
+
+def _check_count(value, name: str, least: int = 0) -> int:
+    """A sample count: an integer >= least; booleans, floats and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -56,20 +79,20 @@ class SeededStream:
     seed: int
     stream_id: int = 0
 
-    def _key(self) -> np.uint64:
-        with np.errstate(over="ignore"):
-            s = _mix(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF) + _GOLDEN)
-            t = np.uint64(self.stream_id & 0xFFFFFFFFFFFFFFFF) * _MIX1 + _GOLDEN
-            return np.uint64(_mix(s ^ t))
+    def _key(self) -> int:
+        s = _mix_int(self.seed + int(_GOLDEN))
+        t = (self.stream_id & _M64) * int(_MIX1) + int(_GOLDEN)
+        return _mix_int(s ^ t)
 
     def substream(self, offset: int) -> "SeededStream":
         return SeededStream(self.seed, self.stream_id + offset)
 
     def raw(self, start: int, count: int) -> np.ndarray:
         """Raw 64-bit outputs for counters start..start+count-1."""
-        ctr = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            return _mix(self._key() + ctr * _GOLDEN)
+        z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * _GOLDEN
+        z += np.uint64(self._key())
+        _mix(z, np.empty_like(z))
+        return z
 
     def uniforms(self, start: int, count: int) -> np.ndarray:
         """Uniforms in [0, 1) from the top 53 bits."""
@@ -77,64 +100,122 @@ class SeededStream:
 
 
 class _NormalSource:
-    """Sequential polar-method normals over a stream's uniform pairs."""
+    """Sequential polar-method normals over a stream's uniform pairs.
+
+    Pairs are drawn in blocks of _BLOCK_PAIRS into buffers this source
+    owns, so sources on different threads share nothing. Each step of the
+    polar method runs in place over the block, with the float operations
+    of the textbook form x = 2u - 1, s = x^2 + y^2, f = sqrt(-2 log(s) / s)
+    in that order; the accepted pairs' normals (x f, y f) are then handed
+    out in order.
+    """
 
     def __init__(self, stream: SeededStream):
-        self.stream = stream
+        pairs = _BLOCK_PAIRS
+        self._key = stream._key()
         self.counter = 0
-        self._leftover = np.array([])
+        # counter step (i + 1) * golden for every output of a block
+        self._steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * _GOLDEN
+        self._bits = np.empty(2 * pairs, dtype=np.uint64)
+        self._scratch = np.empty(2 * pairs, dtype=np.uint64)
+        self._x, self._y, self._s, self._t = np.empty((4, pairs))
+        self._ok = np.empty(pairs, dtype=bool)
+        self._in = np.empty(pairs, dtype=bool)
+        # the block's normals, in the mixing scratch once that is spent
+        self._z = self._scratch.view(np.float64)
+        self._pos = self._end = 0
+
+    def _next_block(self) -> None:
+        pairs = self._x.size
+        bits, x, y, s, t, ok = self._bits, self._x, self._y, self._s, self._t, self._ok
+        offset = (self._key + self.counter * int(_GOLDEN)) & _M64
+        np.add(self._steps, np.uint64(offset), out=bits)
+        self.counter += 2 * pairs
+        _mix(bits, self._scratch)
+        np.right_shift(bits, np.uint64(11), out=bits)
+        # the top 53 bits fit an int64, which converts to float faster
+        ints = bits.view(np.int64)
+        for u, half in ((x, ints[0::2]), (y, ints[1::2])):
+            np.multiply(half, _U53, out=u)
+            np.multiply(u, 2.0, out=u)
+            np.subtract(u, 1.0, out=u)
+        np.multiply(x, x, out=s)
+        np.multiply(y, y, out=t)
+        np.add(s, t, out=s)
+        np.greater(s, 0.0, out=ok)
+        np.less(s, 1.0, out=self._in)
+        np.logical_and(ok, self._in, out=ok)
+        idx = np.flatnonzero(ok)
+        k = idx.size
+        # the accepted x and y go to the spent bit buffer, their s to t
+        spent = bits.view(np.float64)
+        xs, ys, ss, f = spent[:k], spent[pairs : pairs + k], t[:k], s[:k]
+        np.take(x, idx, out=xs, mode="clip")
+        np.take(y, idx, out=ys, mode="clip")
+        np.take(s, idx, out=ss, mode="clip")
+        np.log(ss, out=f)
+        np.multiply(f, -2.0, out=f)
+        np.divide(f, ss, out=f)
+        np.sqrt(f, out=f)
+        np.multiply(xs, f, out=self._z[0 : 2 * k : 2])
+        np.multiply(ys, f, out=self._z[1 : 2 * k : 2])
+        self._pos, self._end = 0, 2 * k
+
+    def fill(self, out: np.ndarray) -> None:
+        """Writes the next out.size normals into the 1-D array out."""
+        filled = 0
+        while filled < out.size:
+            if self._pos == self._end:
+                self._next_block()
+            m = min(self._end - self._pos, out.size - filled)
+            out[filled : filled + m] = self._z[self._pos : self._pos + m]
+            self._pos += m
+            filled += m
 
     def take(self, count: int) -> np.ndarray:
         out = np.empty(count)
-        filled = 0
-        if self._leftover.size:
-            take = min(self._leftover.size, count)
-            out[:take] = self._leftover[:take]
-            self._leftover = self._leftover[take:]
-            filled = take
-        while filled < count:
-            need = count - filled
-            m = max(int(need * 0.7) + 16, 1024)
-            u = self.stream.uniforms(self.counter, 2 * m)
-            self.counter += 2 * m
-            x = 2.0 * u[0::2] - 1.0
-            y = 2.0 * u[1::2] - 1.0
-            s = x * x + y * y
-            ok = (s > 0.0) & (s < 1.0)
-            x, y, s = x[ok], y[ok], s[ok]
-            f = np.sqrt(-2.0 * np.log(s) / s)
-            z = np.empty(2 * x.size)
-            z[0::2] = x * f
-            z[1::2] = y * f
-            take = min(z.size, need)
-            out[filled : filled + take] = z[:take]
-            self._leftover = z[take:]
-            filled += take
+        self.fill(out)
         return out
 
 
 def sample_standard_normal(stream: SeededStream, count: int) -> np.ndarray:
     """First ``count`` standard normals of the stream (pure in the key)."""
-    if count < 0:
-        raise ValidationError(f"count must be >= 0, got {count}")
-    return _NormalSource(stream).take(count)
+    return _NormalSource(stream).take(_check_count(count, "count"))
 
 
-def sample_norm_Y(s: Spectrum, stream: SeededStream, count: int) -> np.ndarray:
-    """|Y| draws computed in the eigenbasis: sqrt(sum lambda_i^2 eta_i^2)."""
+def _norm_blocks(s: Spectrum, stream: SeededStream, count: int):
+    """Consecutive blocks of the first ``count`` |Y| draws, in order.
+
+    Each block is a view of one reused buffer, valid until the next one
+    is requested; memory does not grow with count.
+    """
     if s.lambda1 <= 0:
         raise ValidationError("largest eigenvalue must be positive")
     w = s.weights()
     d = s.dim
     src = _NormalSource(stream)
-    out = np.empty(count)
+    rows = max(1, min(count, 2 * _BLOCK_PAIRS // d))
+    eta = np.empty((rows, d))
+    norms = np.empty(rows)
+    done = 0
+    while done < count:
+        m = min(rows, count - done)
+        e, q = eta[:m], norms[:m]
+        src.fill(e.reshape(-1))
+        np.multiply(e, e, out=e)
+        np.matmul(e, w, out=q)
+        np.sqrt(q, out=q)
+        yield q
+        done += m
+
+
+def sample_norm_Y(s: Spectrum, stream: SeededStream, count: int) -> np.ndarray:
+    """|Y| draws computed in the eigenbasis: sqrt(sum lambda_i^2 eta_i^2)."""
+    out = np.empty(_check_count(count, "count"))
     filled = 0
-    chunk = max(1, min(count, 2_000_000 // max(d, 1)))
-    while filled < count:
-        m = min(chunk, count - filled)
-        eta = src.take(m * d).reshape(m, d)
-        out[filled : filled + m] = np.sqrt((eta * eta) @ w)
-        filled += m
+    for q in _norm_blocks(s, stream, count):
+        out[filled : filled + q.size] = q
+        filled += q.size
     return out
 
 
@@ -151,16 +232,16 @@ def estimate_tail(
 ) -> TailEstimate:
     """Binomial estimate of P{|Y| >= t} with its standard error.
 
+    Hits are counted block by block, so memory does not grow with N.
     Estimates below LOW_COUNT_P are flagged: the normal-approximation CI
     is useless there and the value should only be read as "small".
     """
-    if N < 10_000:
-        raise ValidationError(f"need N >= 10^4 samples, got {N}")
+    N = _check_count(N, "N", 10_000)
     if not t >= 0:
         raise ValidationError(f"threshold must be >= 0, got {t}")
     if t == 0.0:
         return TailEstimate(p_hat=1.0, stderr=0.0, samples=N, low_count=False)
-    hits = int(np.count_nonzero(sample_norm_Y(s, stream, N) >= t))
+    hits = sum(int(np.count_nonzero(q >= t)) for q in _norm_blocks(s, stream, N))
     p = hits / N
     return TailEstimate(
         p_hat=p,

@@ -216,6 +216,24 @@ class CovarianceSequence:
             )
         return n - 1
 
+    def runs(self, lo: int, hi: int):
+        """The maximal runs (first, last) of lo..hi on which Gamma_n is one matrix.
+
+        The state never decreases in n, so each run ends where a bisection
+        finds the state change.
+        """
+        first = lo
+        while first <= hi:
+            state, a, b = self.state(first), first, hi
+            while a < b:
+                mid = (a + b + 1) // 2
+                if self.state(mid) == state:
+                    a = mid
+                else:
+                    b = mid - 1
+            yield first, a
+            first = a + 1
+
     @property
     def is_constant(self) -> bool:
         return self.state(1) == len(self._matrices) - 1

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -30,16 +31,23 @@ def parse_matrix(obj) -> np.ndarray:
     return m
 
 
-def _numbers(obj, what: str) -> np.ndarray:
-    """A flat JSON list of numbers as a float array."""
-    if isinstance(obj, list):
+def finite_number(value, name: str) -> float:
+    """A number field of a config: a finite JSON number; true, "2" and NaN are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            a = np.asarray(obj, dtype=float)
-        except (TypeError, ValueError):
-            a = None
-        if a is not None and a.ndim == 1:
-            return a
-    raise ValidationError(f"{what} must be a flat list of numbers")
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValidationError(f"'{name}' must be a finite number, got {value!r}")
+
+
+def finite_numbers(obj, name: str) -> tuple[float, ...]:
+    """A list field of a config whose entries are finite numbers."""
+    if not isinstance(obj, list):
+        raise ValidationError(f"'{name}' must be a list of numbers, got {obj!r}")
+    return tuple(finite_number(x, f"{name}[{i}]") for i, x in enumerate(obj))
 
 
 def _law_source(cfg: dict) -> str:
@@ -55,7 +63,7 @@ def _law_source(cfg: dict) -> str:
 
 def parse_weights_or_matrix(cfg: dict) -> WeightedChiSquare:
     if _law_source(cfg) == "weights":
-        return WeightedChiSquare.from_weights(_numbers(cfg["weights"], "'weights'"))
+        return WeightedChiSquare.from_weights(np.asarray(finite_numbers(cfg["weights"], "weights")))
     return WeightedChiSquare.from_spectrum(parse_spectrum(cfg))
 
 
@@ -68,7 +76,7 @@ def parse_spectrum(cfg: dict) -> Spectrum:
     """Spectrum of a config's 'matrix' (Gamma^2) or of its 'weights'."""
     if _law_source(cfg) == "matrix":
         return eigh(parse_matrix(cfg["matrix"]))
-    return spectrum_from_weights(_numbers(cfg["weights"], "'weights'"))
+    return spectrum_from_weights(finite_numbers(cfg["weights"], "weights"))
 
 
 def positive_int(value, name: str) -> int:
@@ -95,19 +103,15 @@ def parse_grid(obj, name: str) -> np.ndarray:
     positive ends.
     """
     if isinstance(obj, list):
-        g = _numbers(obj, f"grid '{name}'")
+        g = np.asarray(finite_numbers(obj, name))
         if g.size == 0:
             raise ValidationError(f"grid '{name}' is empty")
-        if not np.all(np.isfinite(g)):
-            raise ValidationError(f"grid '{name}' values must be finite")
         return g
     if isinstance(obj, dict):
         missing = [k for k in ("min", "max", "count") if k not in obj]
         if missing:
             raise ValidationError(f"grid '{name}' missing fields: {missing}")
-        lo, hi, count = _numbers([obj["min"], obj["max"], obj["count"]], f"grid '{name}' range")
-        if not np.all(np.isfinite([lo, hi, count])):
-            raise ValidationError(f"grid '{name}' values must be finite")
+        lo, hi, count = (finite_number(obj[k], f"{name}.{k}") for k in ("min", "max", "count"))
         if count < 1:
             raise ValidationError(f"grid '{name}': count must be >= 1, got {obj['count']}")
         spacing = obj.get("spacing", "log")
@@ -128,8 +132,8 @@ def parse_phi(obj: dict) -> PhiFamily:
     if kind == "parametric":
         return PhiFamily(
             kind="parametric",
-            a=float(obj.get("a", 0.0)),
-            b=float(obj.get("b", 0.0)),
+            a=finite_number(obj.get("a", 0.0), "phi.a"),
+            b=finite_number(obj.get("b", 0.0), "phi.b"),
             clamp=bool(obj.get("clamp", False)),
         )
     if kind == "tabulated":
@@ -138,9 +142,9 @@ def parse_phi(obj: dict) -> PhiFamily:
         env = obj.get("envelope")
         return PhiFamily(
             kind="tabulated",
-            values=tuple(float(x) for x in obj["values"]),
+            values=finite_numbers(obj["values"], "phi.values"),
             clamp=bool(obj.get("clamp", False)),
-            envelope=tuple(float(x) for x in env) if env else None,
+            envelope=finite_numbers(env, "phi.envelope") if env else None,
         )
     raise ValidationError(f"unknown phi family kind {kind!r}")
 
@@ -152,8 +156,8 @@ def parse_distribution(obj: dict) -> DiscreteDistribution:
     for i, atom in enumerate(obj["atoms"]):
         if "point" not in atom or "prob" not in atom:
             raise ValidationError(f"atom {i} needs 'point' and 'prob'")
-        pts.append([float(x) for x in atom["point"]])
-        probs.append(float(atom["prob"]))
+        pts.append(finite_numbers(atom["point"], f"atoms[{i}].point"))
+        probs.append(finite_number(atom["prob"], f"atoms[{i}].prob"))
     return DiscreteDistribution(points=np.asarray(pts), probs=np.asarray(probs))
 
 
@@ -165,13 +169,13 @@ def parse_cutoff(obj: dict) -> CutoffFamily:
         g = obj.get("g_table")
         return CutoffFamily(
             kind="sqrt_n",
-            scale=float(obj.get("scale", 1.0)),
-            g_table=tuple(float(x) for x in g) if g else None,
+            scale=finite_number(obj.get("scale", 1.0), "cutoff.scale"),
+            g_table=finite_numbers(g, "cutoff.g_table") if g else None,
         )
     if kind == "constant":
         if "value" not in obj:
             raise ValidationError("constant cutoff needs 'value'")
-        return CutoffFamily(kind="constant", value=float(obj["value"]))
+        return CutoffFamily(kind="constant", value=finite_number(obj["value"], "cutoff.value"))
     raise ValidationError(f"unknown cutoff kind {kind!r}")
 
 

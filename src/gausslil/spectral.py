@@ -85,18 +85,23 @@ class Spectrum:
             for i in range(1, self.dim)
         )
 
-    def log_gap_product(self, x: float, upto: int | None = None) -> float:
+    def log_gap_product(self, x, upto: int | None = None):
         """sum_{i=2}^{upto} log min(lambda_1/(lambda_1^2 - lambda_i^2)^{1/2}, x/lambda_1).
 
         The eigenvalue-gap product of the tail bounds (x = t) and of the
-        integral-test series (x = phi_n); i = 2..d by default. Equal
-        eigenvalues take the x/lambda_1 branch. Needs lambda_1 > 0.
+        integral-test series (x = phi_n); i = 2..d by default, elementwise
+        when x is an array. Equal eigenvalues take the x/lambda_1 branch.
+        Needs lambda_1 > 0.
         """
         stop = self.dim if upto is None else min(upto, self.dim)
+        factors = self._log_gap_factors[: max(stop - 1, 0)]
+        if isinstance(x, np.ndarray):
+            log_x = np.log(x / self.lambda1)
+            return sum((np.minimum(g, log_x) for g in factors), np.zeros_like(log_x))
         total = 0.0
-        if stop > 1:
+        if factors:
             log_x = math.log(x / self.lambda1)
-            for g in self._log_gap_factors[: stop - 1]:
+            for g in factors:
                 total += min(g, log_x)
         return total
 

@@ -255,6 +255,19 @@ _DIPPING_CUTOFF = {
         ("simulate", {**_SERIES, "reps": "two"}),
         ("simulate", {**_SERIES, "n_max": True}),
         ("sequence-info", {"sequence": _DIPPING_CUTOFF}),
+        ("integral-test", {**_SERIES, "d1": 7}),
+        ("integral-test", {**_SERIES, "equivalence": {"alpha": "x"}}),
+        ("integral-test", {**_SERIES, "phi": {"kind": "parametric", "a": "x"}}),
+        ("integral-test", {**_SERIES, "phi": {"kind": "parametric", "b": True}}),
+        ("integral-test", {**_SERIES, "phi": {"kind": "tabulated", "values": [1.0, "x"]}}),
+        ("integral-test", {**_SERIES, "phi": {"kind": "tabulated", "values": [1.0], "envelope": [4.0, float("inf")]}}),
+        ("sequence-info", {"sequence": _SERIES["sequence"], "alpha": "x"}),
+        ("sequence-info", {"sequence": _SERIES["sequence"], "alpha": 1.0, "deltas": [0.5, "x"]}),
+        ("sequence-info", {"sequence": _SERIES["sequence"], "alpha": 1.0, "deltas": 0.5}),
+        ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "cutoff": {"kind": "sqrt_n", "scale": "x"}}}),
+        ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "cutoff": {"kind": "constant", "value": float("nan")}}}),
+        ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "distribution": {"atoms": [{"point": ["x", 0.0], "prob": 1.0}]}}}),
+        ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "distribution": {"atoms": [{"point": [0.0, 0.0], "prob": "one"}]}}}),
     ],
     ids=[
         "nan-threshold", "negative-count", "weights-string", "bounds-weights-string",
@@ -262,7 +275,10 @@ _DIPPING_CUTOFF = {
         "density-weights-and-matrix", "tail-weights-and-matrix", "bounds-weights-and-matrix",
         "n-terms-string", "n-terms-zero", "d1-fraction", "equivalence-K-string",
         "equivalence-k-min-negative", "equivalence-true", "N-fraction", "K-string",
-        "reps-string", "n-max-true", "decreasing-cutoff",
+        "reps-string", "n-max-true", "decreasing-cutoff", "d1-above-dimension",
+        "equivalence-alpha-string", "phi-a-string", "phi-b-true", "phi-values-string",
+        "phi-envelope-inf", "alpha-string", "deltas-string", "deltas-not-list",
+        "cutoff-scale-string", "cutoff-value-nan", "atom-point-string", "atom-prob-string",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, command, cfg):

@@ -152,6 +152,26 @@ def test_series_terms_share_one_mode_mapping():
             subseq_series_term(k, seq, phi, mode=bad)
 
 
+@pytest.mark.parametrize(
+    "phi",
+    [
+        PhiFamily(kind="parametric", a=3.0, b=-1.0),
+        PhiFamily(kind="parametric", a=0.0, clamp=True),
+        PhiFamily(kind="tabulated", values=tuple(np.linspace(2.0, 4.0, 400))),
+    ],
+    ids=["parametric", "clamped", "tabulated"],
+)
+@pytest.mark.parametrize("mode", ["top-group", "full-product"])
+def test_series_term_on_index_arrays_matches_scalar_calls(phi, mode):
+    s = spectrum_from_weights([1.0, 1.0, 0.49, 0.09])
+    ns = np.arange(1, 401)
+    terms = series_term(ns, s, phi, d1=2, mode=mode)
+    assert terms.shape == ns.shape
+    scalar = [series_term(int(n), s, phi, d1=2, mode=mode) for n in ns]
+    np.testing.assert_allclose(terms, scalar, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(phi.value(ns, 1.0), [phi.value(int(n), 1.0) for n in ns], rtol=1e-15)
+
+
 def test_series_terms_nonnegative_partial_sums_monotone():
     s = spectrum_from_weights([1.0, 0.7])
     phi = PhiFamily(kind="parametric", a=2.0, b=0.0)
@@ -357,6 +377,23 @@ def test_equivalence_exact_vs_integral_methods_agree():
     assert r_approx.block_methods == ("integral",) * 6
     for a, b in zip(r_exact.block_sums, r_approx.block_sums):
         assert b == pytest.approx(a, rel=2e-3)
+
+
+def test_exact_block_sums_match_termwise_sums():
+    # atoms at norms 1, 2 and 3: the blocks cross state changes
+    half = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
+    dist = DiscreteDistribution(points=np.concatenate([half, -half]), probs=np.full(6, 1 / 6))
+    seq = CovarianceSequence.truncated(dist, CutoffFamily(kind="sqrt_n"))
+    phi = PhiFamily(kind="parametric", a=4.0)
+    rep = equivalence_report(phi, seq, K=20, mode="full-product")
+    assert set(rep.block_methods) <= {"exact", "empty"}
+    n_ks = list(rep.n_ks) + [int(subsequence_index(1.0, 21))]
+    for j, total in enumerate(rep.block_sums):
+        lo, hi = n_ks[j], n_ks[j + 1]
+        termwise = math.fsum(
+            series_term(n, seq.spectrum_at(n), phi, mode="full-product") for n in range(lo + 1, hi + 1)
+        )
+        assert total == pytest.approx(termwise, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("kind", ["truncated", "constant"])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,53 @@ def test_take_split_across_block_edges():
     parts = np.concatenate([src.take(m) for m in sizes])
     whole = montecarlo._NormalSource(SeededStream(6, 3)).take(sum(sizes))
     assert np.array_equal(parts, whole)
+
+
+@pytest.mark.parametrize("pairs", [7, 1000])
+def test_block_size_does_not_change_the_stream(monkeypatch, pairs):
+    s = spectrum_from_weights([1.0, 0.5, 0.25])
+    z = sample_standard_normal(SeededStream(8, 1), 20_001)
+    y = sample_norm_Y(s, SeededStream(8, 2), 5_001)
+    monkeypatch.setattr(montecarlo, "_BLOCK_PAIRS", pairs)
+    assert np.array_equal(sample_standard_normal(SeededStream(8, 1), 20_001), z)
+    assert np.array_equal(sample_norm_Y(s, SeededStream(8, 2), 5_001), y)
+
+
+def test_estimate_tail_memory_does_not_grow_with_N():
+    # storing the 10^6 norms alone would take 8 MB, and their chunked
+    # draws 128 MB at d = 8
+    s = spectrum_from_weights(np.linspace(1.0, 0.1, 8))
+    tracemalloc.start()
+    try:
+        estimate_tail(s, 2.0, 1_000_000, SeededStream(1, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000
+
+
+_S2 = spectrum_from_weights([1.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: sample_standard_normal(SeededStream(1, 0), n),
+        lambda n: sample_norm_Y(_S2, SeededStream(1, 0), n),
+        lambda n: estimate_tail(_S2, 1.0, n, SeededStream(1, 0)),
+    ],
+    ids=["standard-normal", "norm-Y", "estimate-tail"],
+)
+@pytest.mark.parametrize("count", [-5, True, 2.5, 1e5, "100000"])
+def test_sampler_counts_rejected(call, count):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(count)
+
+
+def test_sampler_counts_accept_numpy_integers():
+    assert sample_standard_normal(SeededStream(1, 0), np.int64(3)).size == 3
+    assert sample_norm_Y(_S2, SeededStream(1, 0), 0).size == 0
+    assert estimate_tail(_S2, 1.0, np.int64(10_000), SeededStream(1, 0)).samples == 10_000
 
 
 def test_normal_moments():

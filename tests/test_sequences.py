@@ -136,6 +136,24 @@ def test_state_counts_atoms_under_the_cutoff(cross_dist):
     assert CovarianceSequence.constant(np.eye(2)).state(10**9) == 0
 
 
+def test_runs_partition_the_indices_by_state(cross_dist):
+    seqs = [
+        CovarianceSequence.truncated(cross_dist, CutoffFamily(kind="sqrt_n", scale=0.3)),
+        CovarianceSequence.tabulated([np.eye(2)] * 7),
+        CovarianceSequence.constant(np.eye(2)),
+    ]
+    for seq, (lo, hi) in zip(seqs, [(2, 300), (1, 7), (5, 10**9)]):
+        runs = list(seq.runs(lo, hi))
+        assert runs[0][0] == lo and runs[-1][1] == hi
+        assert all(b[0] == a[1] + 1 for a, b in zip(runs, runs[1:]))
+        for first, last in runs:
+            assert seq.state(first) == seq.state(last)
+        assert len({seq.state(first) for first, _ in runs}) == len(runs)
+    # atoms at norms 1 and 2 enter at 0.3 sqrt(n) >= 1 and >= 2
+    assert list(seqs[0].runs(2, 300)) == [(2, 11), (12, 44), (45, 300)]
+    assert list(seqs[1].runs(3, 2)) == []
+
+
 def test_cutoff_window_report(cross_dist):
     fam = CutoffFamily(kind="sqrt_n")
     rows = fam.window_report([1, 10, 100, 10_000])
