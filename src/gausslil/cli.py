@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,7 +77,6 @@ class RunConfig:
     output: str
     seed: int = 0
     format: str = "csv"
-    threads: int = 1
 
     def __post_init__(self):
         if self.command not in COMMANDS:
@@ -98,19 +96,6 @@ def _load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
     return cfg
-
-
-def _threads(args) -> int:
-    """Thread count from --threads, overridden by GAUSSLIL_THREADS if set."""
-    env = os.environ.get("GAUSSLIL_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(
-                f"GAUSSLIL_THREADS must be an integer, got {env!r}"
-            ) from None
-    return max(1, args.threads)
 
 
 def _emit_table(out: Path, name: str, header: list[str], rows, fmt: str, summary: dict):
@@ -336,9 +321,7 @@ def _cmd_simulate(cfg: dict, out: Path, config: RunConfig) -> dict:
         raise ValidationError("simulate config needs 'phi' or 'boundaries'")
     n_max = positive_int(cfg.get("n_max", 100_000), "n_max")
     reps = positive_int(cfg.get("reps", 16), "reps")
-    records = simulate_paths(
-        seq, phis[0], n_max, reps, SeededStream(config.seed), threads=config.threads
-    )
+    records = simulate_paths(seq, phis[0], n_max, reps, SeededStream(config.seed))
     maxima = per_rep_limsup_maxima(records)
     summary = {
         "n_max": n_max,
@@ -387,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output path prefix")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--threads", type=int, default=1)
+        # no longer used; still accepted so that scripts passing it run
+        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     return parser
 
 
@@ -415,7 +399,6 @@ def main(argv=None) -> int:
             output=args.out,
             seed=args.seed,
             format=args.format,
-            threads=_threads(args),
         )
         return run(config)
     except ValidationError as e:

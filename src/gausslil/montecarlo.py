@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +40,9 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
 _M64 = 0xFFFFFFFFFFFFFFFF
 CHECKPOINT_RATIO = 1.05
+# Largest path length: up to 2^53, float64 holds every integer n, so the
+# sqrt(n) scalings and the checkpoint schedule read each n exactly.
+MAX_N = 2**53
 LOW_COUNT_P = 1e-6
 # Uniform pairs per polar block. The block's buffers (about 2.6 MB) stay
 # cache-resident; any size gives the same normals in the same order.
@@ -103,8 +104,7 @@ class _NormalSource:
     """Sequential polar-method normals over a stream's uniform pairs.
 
     Pairs are drawn in blocks of _BLOCK_PAIRS into buffers this source
-    owns, so sources on different threads share nothing. Each step of the
-    polar method runs in place over the block, with the float operations
+    owns. Each step of the polar method runs in place over the block, with the float operations
     of the textbook form x = 2u - 1, s = x^2 + y^2, f = sqrt(-2 log(s) / s)
     in that order; the accepted pairs' normals (x f, y f) are then handed
     out in order.
@@ -282,18 +282,20 @@ def simulate_paths(
     n_max: int,
     reps: int,
     stream: SeededStream,
-    threads: int = 1,
 ) -> list[PathRecord]:
     """Random-walk paths T_n with Gamma_n applied at geometric checkpoints.
 
-    One Gaussian vector per step, summed online with O(d) state; the
-    exceedance event |Gamma_n T_n| > sqrt(n) phi_n is evaluated at
-    checkpoints only. Replication r uses substream r, so the records are
-    identical for every thread count. Replications run on
-    min(threads, reps, os.cpu_count()) threads.
+    T_n is a sum of n i.i.d. N(0, I_d) vectors, read only at the checkpoints
+    n_0 < n_1 < ..., so each increment T_{n_j} - T_{n_{j-1}} is drawn as
+    sqrt(n_j - n_{j-1}) N(0, I_d): one d-vector per checkpoint, O(d log n_max)
+    per replication, and every record has the law of the step-by-step sum.
+    The exceedance event |Gamma_n T_n| > sqrt(n) phi_n is evaluated at each
+    checkpoint. Replication r uses substream r.
     """
     if n_max < 1_000:
         raise ValidationError(f"n_max must be >= 10^3, got {n_max}")
+    if n_max > MAX_N:
+        raise ValidationError(f"n_max must be <= 2^53 = {MAX_N}, got {n_max}")
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
     if operator_norm(seq.limit()) == 0.0:
@@ -303,31 +305,19 @@ def simulate_paths(
         )
     d = seq.dim
     ns = checkpoint_schedule(n_max)
-
-    def one(r: int) -> PathRecord:
-        src = _NormalSource(stream.substream(r))
-        T = np.zeros(d)
-        prev = 0
+    scale = np.sqrt(np.diff(ns, prepend=0).astype(float))[:, None]
+    records = []
+    for r in range(reps):
+        steps = sample_standard_normal(stream.substream(r), len(ns) * d).reshape(-1, d)
         rows = []
-        for n in ns:
-            block = n - prev
-            while block > 0:
-                m = min(block, 2_000_000 // max(d, 1))
-                T = T + src.take(m * d).reshape(m, d).sum(axis=0)
-                block -= m
-            prev = n
+        for n, T in zip(ns, np.cumsum(steps * scale, axis=0)):
             g = seq.root_at(n)
             lam1 = seq.spectrum_at(n).lambda1
             ratio = float(np.linalg.norm(g @ T)) / math.sqrt(n)
             phi_n = phi.value(n, lam1)
             rows.append((n, ratio, phi_n, ratio > phi_n))
-        return PathRecord(rep=r, checkpoints=tuple(rows))
-
-    workers = min(threads, reps, os.cpu_count() or 1)
-    if workers <= 1:
-        return [one(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(reps)))
+        records.append(PathRecord(rep=r, checkpoints=tuple(rows)))
+    return records
 
 
 def per_rep_limsup_maxima(

@@ -152,12 +152,19 @@ def parse_phi(obj: dict) -> PhiFamily:
 def parse_distribution(obj: dict) -> DiscreteDistribution:
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise ValidationError("distribution must be an object with 'atoms'")
+    if not isinstance(obj["atoms"], list):
+        raise ValidationError(f"'atoms' must be a list of atoms, got {obj['atoms']!r}")
     pts, probs = [], []
     for i, atom in enumerate(obj["atoms"]):
-        if "point" not in atom or "prob" not in atom:
-            raise ValidationError(f"atom {i} needs 'point' and 'prob'")
+        if not isinstance(atom, dict) or "point" not in atom or "prob" not in atom:
+            raise ValidationError(f"atom {i} must be an object with 'point' and 'prob'")
         pts.append(finite_numbers(atom["point"], f"atoms[{i}].point"))
         probs.append(finite_number(atom["prob"], f"atoms[{i}].prob"))
+        if not pts[-1] or len(pts[-1]) != len(pts[0]):
+            raise ValidationError(
+                f"atoms[{i}].point has {len(pts[-1])} coordinates; every point "
+                f"needs the same number, at least one"
+            )
     return DiscreteDistribution(points=np.asarray(pts), probs=np.asarray(probs))
 
 

@@ -191,15 +191,24 @@ def test_malformed_json_error_record(tmp_path, capsys):
     assert err["error"]["type"] == "validation"
 
 
-def test_threads_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GAUSSLIL_THREADS", "not-a-number")
+def test_threads_option_and_env_are_ignored(tmp_path, monkeypatch):
+    cfg = {
+        "sequence": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 0.25]]},
+        "phi": {"kind": "parametric", "a": 2.0},
+        "n_max": 2000,
+        "reps": 3,
+    }
     cfg_path = tmp_path / "c.json"
-    cfg_path.write_text(json.dumps({"weights": [1.0], "z": [1.0]}))
-    code = main(["density", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
-    assert code == 2
-    monkeypatch.setenv("GAUSSLIL_THREADS", "2")
-    code = main(["density", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
-    assert code == 0
+    cfg_path.write_text(json.dumps(cfg))
+    outputs = {}
+    for name, extra in (("plain", []), ("threads", ["--threads", "4"])):
+        if extra:
+            monkeypatch.setenv("GAUSSLIL_THREADS", "not-a-number")
+        (tmp_path / name).mkdir()
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / name / "run")]
+        assert main(argv + extra) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert outputs["threads"] == outputs["plain"]
 
 
 def test_json_format_embeds_tables(tmp_path):
@@ -268,6 +277,11 @@ _DIPPING_CUTOFF = {
         ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "cutoff": {"kind": "constant", "value": float("nan")}}}),
         ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "distribution": {"atoms": [{"point": ["x", 0.0], "prob": 1.0}]}}}),
         ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "distribution": {"atoms": [{"point": [0.0, 0.0], "prob": "one"}]}}}),
+        ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "distribution": {"atoms": [{"point": [1.0, 0.0], "prob": 0.5}, {"point": [-1.0], "prob": 0.5}]}}}),
+        ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "distribution": {"atoms": 5}}}),
+        ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "distribution": {"atoms": [5]}}}),
+        ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "distribution": {"atoms": [{"point": [], "prob": 1.0}]}}}),
+        ("simulate", {**_SERIES, "n_max": 10**400}),
     ],
     ids=[
         "nan-threshold", "negative-count", "weights-string", "bounds-weights-string",
@@ -279,6 +293,8 @@ _DIPPING_CUTOFF = {
         "equivalence-alpha-string", "phi-a-string", "phi-b-true", "phi-values-string",
         "phi-envelope-inf", "alpha-string", "deltas-string", "deltas-not-list",
         "cutoff-scale-string", "cutoff-value-nan", "atom-point-string", "atom-prob-string",
+        "atom-points-unequal", "atoms-not-list", "atom-not-object", "atom-point-empty",
+        "n-max-above-2-53",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, command, cfg):

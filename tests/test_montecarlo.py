@@ -251,43 +251,50 @@ def test_simulate_paths_structure_and_determinism():
             assert exceeded == (ratio > phi_n)
 
 
-def test_simulate_parallel_matches_serial():
+def test_simulate_paths_reach_1e15():
     seq = CovarianceSequence.constant(np.eye(2))
-    phi = PhiFamily(kind="parametric", a=2.0, b=0.0)
-    serial = simulate_paths(seq, phi, 3000, 4, SeededStream(31, 0))
-    parallel = simulate_paths(seq, phi, 3000, 4, SeededStream(31, 0), threads=4)
-    assert serial == parallel
+    phi = PhiFamily(kind="parametric", a=0.0, b=0.0)
+    (rec,) = simulate_paths(seq, phi, 10**15, 1, SeededStream(3, 0))
+    assert len(rec.checkpoints) == len(checkpoint_schedule(10**15))
+    assert rec.checkpoints[-1][0] == 10**15
+    assert all(math.isfinite(ratio) for _, ratio, _, _ in rec.checkpoints)
 
 
-class _RecordingPool:
-    """Stands in for ThreadPoolExecutor: records max_workers, maps serially."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("reps,expect", [(3, 3), (6, 4)])
-def test_simulate_threads_clamped(monkeypatch, reps, expect):
-    # a huge --threads value must not become that many OS threads
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
-    _RecordingPool.sizes = []
+@pytest.mark.parametrize("n_max", [2**53 + 1, 10**400])
+def test_simulate_rejects_n_max_above_2_53(n_max):
     seq = CovarianceSequence.constant(np.eye(2))
-    phi = PhiFamily(kind="parametric", a=2.0, b=0.0)
-    clamped = simulate_paths(seq, phi, 1000, reps, SeededStream(5, 0), threads=10**9)
-    assert _RecordingPool.sizes == [expect]
-    assert clamped == simulate_paths(seq, phi, 1000, reps, SeededStream(5, 0))
+    phi = PhiFamily(kind="parametric", a=0.0, b=0.0)
+    with pytest.raises(ValidationError, match="2\\^53"):
+        simulate_paths(seq, phi, n_max, 1, SeededStream(0, 0))
+
+
+def test_checkpoint_paths_match_the_step_sum_law():
+    # The paper's T_n, summed step by step from numpy's generator, against
+    # the checkpoint sampler. Compared: the ratios |T_n| / sqrt(n) at the
+    # middle and the final checkpoint, and the quotients of the final ratio
+    # by the middle and by the previous one, which depend on the joint law.
+    # At 200 replications only the neighbouring quotient tells independent
+    # checkpoints from a walk.
+    stats = pytest.importorskip("scipy.stats")
+    d, n_max, reps = 3, 1000, 200
+    ns = checkpoint_schedule(n_max)
+    picks = [next(j for j, n in enumerate(ns) if n >= n_max // 2), len(ns) - 2, len(ns) - 1]
+    phi = PhiFamily(kind="parametric", a=0.0, b=0.0)
+    records = simulate_paths(CovarianceSequence.constant(np.eye(d)), phi, n_max, reps, SeededStream(2024, 0))
+    got = np.array([[rec.checkpoints[j][1] for j in picks] for rec in records])
+    rng = np.random.default_rng(20240)
+    want = np.empty_like(got)
+    for r in range(reps):
+        T = np.cumsum(rng.standard_normal((n_max, d)), axis=0)
+        want[r] = [np.linalg.norm(T[ns[j] - 1]) / math.sqrt(ns[j]) for j in picks]
+
+    def laws(x):
+        mid, prev, final = x.T
+        return {"middle": mid, "final": final, "final/middle": final / mid, "final/previous": final / prev}
+
+    got, want = laws(got), laws(want)
+    for name in got:
+        assert stats.ks_2samp(got[name], want[name]).pvalue > 1e-3, name
 
 
 def test_sigma_scaling_linearity():
