@@ -104,10 +104,10 @@ class _NormalSource:
     """Sequential polar-method normals over a stream's uniform pairs.
 
     Pairs are drawn in blocks of _BLOCK_PAIRS into buffers this source
-    owns. Each step of the polar method runs in place over the block, with the float operations
-    of the textbook form x = 2u - 1, s = x^2 + y^2, f = sqrt(-2 log(s) / s)
-    in that order; the accepted pairs' normals (x f, y f) are then handed
-    out in order.
+    owns. Each step of the polar method runs in place over the block, with
+    the float operations of the textbook form x = 2u - 1, s = x^2 + y^2,
+    f = sqrt(-2 log(s) / s) in that order; the accepted pairs' normals
+    (x f, y f) are then handed out in order.
     """
 
     def __init__(self, stream: SeededStream):
