@@ -95,7 +95,10 @@ class WeightedChiSquare:
 
 
 class _CubicSpline:
-    """Not-a-knot cubic spline with vectorized evaluation."""
+    """Not-a-knot cubic spline coefficients of y against x.
+
+    On [x_j, x_{j+1}] the spline is y_j + t (b_j + t (c_j + t d_j)), t = x - x_j.
+    """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
         h = np.diff(x)
@@ -121,11 +124,6 @@ class _CubicSpline:
         self.c = c[:-1]
         self.d = (c[1:] - c[:-1]) / (3.0 * h)
 
-    def __call__(self, xq: np.ndarray) -> np.ndarray:
-        j = np.clip(np.searchsorted(self.x, xq) - 1, 0, self.x.size - 2)
-        t = xq - self.x[j]
-        return self.y[j] + t * (self.b[j] + t * (self.c[j] + t * self.d[j]))
-
 
 def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     """Thomas algorithm; row i reads sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1].
@@ -143,6 +141,77 @@ def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
     for i in range(n - 2, -1, -1):
         x[i] = (rhs[i] - sup[i] * x[i + 1]) / diag[i]
     return np.array(x)
+
+
+class _LogGrid:
+    """The engine's nodes: two segments, each uniform in log z.
+
+    n_lo nodes run geometrically from z_lo up to _GRID_MID, then one node
+    per _GRID_LOG_STEP in log z up to the first node at or past _GRID_HI.
+    On each segment the interval index is affine in log z, so it is
+    computed rather than searched.
+    """
+
+    def __init__(self, z_lo: float):
+        n_lo = math.ceil(90 * math.log(_GRID_MID / z_lo) / math.log(_GRID_MID / _GRID_LO))
+        steps = math.ceil(math.log(_GRID_HI / _GRID_MID) / _GRID_LOG_STEP)
+        self.z = np.concatenate(
+            [
+                np.geomspace(z_lo, _GRID_MID, n_lo, endpoint=False),
+                _GRID_MID * np.exp(_GRID_LOG_STEP * np.arange(steps + 1)),
+            ]
+        )
+        self.log_z = np.log(self.z)
+        self.log_lo = float(self.log_z[0])
+        self._lower = (self.log_lo, n_lo / math.log(_GRID_MID / z_lo))
+        self._upper = (math.log(_GRID_MID), 1.0 / _GRID_LOG_STEP, float(n_lo))
+
+    def interval(self, lz: np.ndarray) -> np.ndarray:
+        """Index j of the interval [log z_j, log z_{j+1}] that holds lz.
+
+        The lower segment has fewer nodes per unit of log z, so the larger
+        of the two affine maps is the right one on either side of
+        _GRID_MID. Where the node logs round off the affine map, j can be
+        one below or above the searched index, and the neighbouring cubic
+        agrees there to rounding. Clipped to [0, n - 2].
+        """
+        x0, r0 = self._lower
+        x1, r1, n_lo = self._upper
+        j = lz - x1
+        j *= r1
+        j += n_lo
+        np.maximum(j, (lz - x0) * r0, out=j)
+        np.clip(j, 0.0, self.z.size - 2, out=j)
+        return j.astype(np.intp)
+
+
+class _LogLevel:
+    """L_k(z) = log hhat_k(z) of one convolution level, read on the engine grid.
+
+    On the grid it is the not-a-knot spline of log hhat_k against log z;
+    below it, the small-z form log c_k + (M_k/2 - 1) log z - s_k z. Calls
+    pass z and log z, which every caller has at hand.
+    """
+
+    def __init__(self, grid: _LogGrid, spline: _CubicSpline, small_z: tuple[float, float, float]):
+        self.grid = grid
+        self.spline = spline
+        self.small_z = small_z  # (log c_k, M_k/2 - 1, s_k)
+        self._coefs = (spline.x[:-1], spline.y[:-1], spline.b, spline.c, spline.d)
+
+    def __call__(self, z: np.ndarray, lz: np.ndarray) -> np.ndarray:
+        j = self.grid.interval(lz)
+        x, y, b, c, d = (np.take(a, j) for a in self._coefs)
+        t = lz - x
+        out = d
+        for coef in (c, b, y):
+            out *= t
+            out += coef
+        below = lz < self.grid.log_lo
+        if below.any():
+            log_c, power, slope = self.small_z
+            out[below] = log_c + power * lz[below] - slope * z[below]
+        return out
 
 
 _GL_NODES, _GL_WEIGHTS = gauss_legendre(10)
@@ -169,24 +238,16 @@ class _DensityEngine:
         self.block_w = np.array([v for v, _ in blocks])
         self.block_m = np.array([m for _, m in blocks], dtype=int)
         self.d1 = int(self.block_m[0])
-        mcum = np.cumsum(self.block_m)
-        z_lo = max(min(_GRID_LO, 1e-3 * min(wnorm)), 1e-30)
-        n_lo = math.ceil(90 * math.log(_GRID_MID / z_lo) / math.log(_GRID_MID / _GRID_LO))
-        steps = math.ceil(math.log(_GRID_HI / _GRID_MID) / _GRID_LOG_STEP)
-        self.zs = np.concatenate(
-            [
-                np.geomspace(z_lo, _GRID_MID, n_lo, endpoint=False),
-                _GRID_MID * np.exp(_GRID_LOG_STEP * np.arange(steps + 1)),
-            ]
-        )
-        self.log_zs = np.log(self.zs)
+        # log (2 w_i)^{-m_i/2}: block i's density constant is this over Gamma(m_i/2)
+        self._log_scale = -0.5 * self.block_m * np.log(2.0 * self.block_w)
+        self.grid = _LogGrid(max(min(_GRID_LO, 1e-3 * min(wnorm)), 1e-30))
+        self.zs = self.grid.z
         log_k = log_zolotarev(np.asarray(wnorm[self.d1 :]))
         self._lead_const = math.exp(log_k) * chisq_norm_const(self.d1)
         if self.block_w.size == 1:
             self._level = None
         else:
-            self._small_z = self._small_z_terms(mcum)
-            self._level = self._build(mcum)
+            self._level = self._build(self._small_z_terms())
         self.nodes = np.concatenate([[0.0], self.zs])
         self.pieces = self._integrals(self.nodes[:-1], self.nodes[1:])
         # past the top node h ~ K f_{d1}; that closure enters any tail asked
@@ -201,56 +262,35 @@ class _DensityEngine:
             qhat[j] = pieces[j] + qhat[j + 1] * decay[j]
         self.qhat = np.array(qhat)
 
-    def _small_z_terms(self, mcum: np.ndarray) -> list[tuple[float, float]]:
-        """(c_k, s_k) with hhat_k(z) = c_k z^{M_k/2 - 1} (1 - s_k z + O(z^2)) as z -> 0.
+    def _small_z_terms(self) -> list[tuple[float, float, float]]:
+        """(log c_k, M_k/2 - 1, s_k) with hhat_k(z) = c_k z^{M_k/2 - 1} (1 - s_k z + O(z^2)).
 
-        s_k = sum_{i <= k} m_i delta_i / M_k with delta_i = (1/w_i - 1)/2.
-        Below the grid a level is c_k z^{M_k/2 - 1} e^{-s_k z}, which agrees
-        to first order and stays positive.
+        c_k = prod_{i <= k} (2 w_i)^{-m_i/2} / Gamma(M_k/2), carried as its
+        log so that no level underflows it, and s_k = sum_{i <= k} m_i
+        delta_i / M_k with delta_i = (1/w_i - 1)/2. Below the grid a level
+        is c_k z^{M_k/2 - 1} e^{-s_k z}, which agrees to first order.
         """
+        mcum = np.cumsum(self.block_m)
         slopes = np.cumsum(self.block_m * 0.5 * (1.0 / self.block_w - 1.0)) / mcum
+        log_c = np.cumsum(self._log_scale)
         terms = []
-        c = 1.0
         for k in range(self.block_w.size):
-            m = int(self.block_m[k])
-            c *= chisq_norm_const(m) * self.block_w[k] ** (-m / 2.0)
-            if k > 0:
-                c *= (
-                    math.gamma(mcum[k - 1] / 2.0)
-                    * math.gamma(m / 2.0)
-                    / math.gamma(mcum[k] / 2.0)
-                )
-            terms.append((c, float(slopes[k])))
+            half_m = 0.5 * int(mcum[k])
+            terms.append((float(log_c[k]) - math.lgamma(half_m), half_m - 1.0, float(slopes[k])))
         return terms
 
-    def _level_eval(self, spline, small_z, mtot, zlo):
-        c, slope = small_z
-
-        def ev(z):
-            z = np.asarray(z, dtype=float)
-            out = np.empty_like(z)
-            small = z < zlo
-            if np.any(small):
-                zsm = z[small]
-                out[small] = c * np.power(zsm, mtot / 2.0 - 1.0) * np.exp(-slope * zsm)
-            if np.any(~small):
-                out[~small] = np.exp(spline(np.log(z[~small])))
-            return out
-
-        return ev
-
-    def _build(self, mcum: np.ndarray):
-        """Convolve the blocks in turn; each level is a spline of log hhat_k.
+    def _build(self, small_z: list[tuple[float, float, float]]) -> _LogLevel:
+        """Convolve the blocks in turn; level k is the function L_k = log hhat_k.
 
         hhat_k(z) = int_0^z g_k y^{m_k/2 - 1} e^{-delta_k y} hhat_{k-1}(z - y) dy
         is split at y = z/2. The left half takes y = u^2 and the right half
         v = z - y = u^2, which turns every power law z^{m/2 - 1} into a
         polynomial factor, and both run the fixed Gauss-Kronrod rule over
-        geometric panels in u.
+        geometric panels in u. Each integrand sums its logs, reads
+        L_{k-1} there, and takes one exp.
         """
-        m1 = int(self.block_m[0])
-        c1 = chisq_norm_const(m1)
-        prev = lambda z: c1 * np.power(z, m1 / 2.0 - 1.0)  # noqa: E731
+        log_c1, power1, _ = small_z[0]
+        prev = lambda z, lz: log_c1 + power1 * lz  # noqa: E731
         zs = self.zs
         zero = np.zeros(zs.size)
         u_hi = np.sqrt(0.5 * zs)
@@ -258,17 +298,32 @@ class _DensityEngine:
         right_panels = geometric_knots(zero, u_hi, 0.25 * u_max, growth=2.0)
         for k in range(1, self.block_w.size):
             mk = int(self.block_m[k])
-            wk = float(self.block_w[k])
-            delta = 0.5 * (1.0 / wk - 1.0)
-            gk = chisq_norm_const(mk) * wk ** (-mk / 2.0)
+            delta = 0.5 * (1.0 / float(self.block_w[k]) - 1.0)
+            log_2g = math.log(2.0) + float(self._log_scale[k]) - math.lgamma(0.5 * mk)
 
+            # 2 g_k u^{m_k - 1} e^{-delta u^2} hhat_{k-1}(z_i - u^2)
             def left(i, u):
                 y = u * u
-                return 2.0 * gk * u ** (mk - 1) * np.exp(-delta * y) * prev(zs[i, None] - y)
+                v = zs[i, None] - y
+                s = prev(v, np.log(v))
+                s -= delta * y
+                if mk != 1:
+                    s += (mk - 1) * np.log(u)
+                s += log_2g
+                return np.exp(s, out=s)
 
+            # 2 g_k u hhat_{k-1}(u^2) v^{m_k/2 - 1} e^{-delta v}, v = z_i - u^2
             def right(i, u):
-                y = zs[i, None] - u * u
-                return 2.0 * gk * u * prev(u * u) * np.power(y, mk / 2.0 - 1.0) * np.exp(-delta * y)
+                lu = np.log(u)
+                y = u * u
+                v = zs[i, None] - y
+                s = prev(y, 2.0 * lu)
+                s += lu
+                if mk != 2:
+                    s += (0.5 * mk - 1.0) * np.log(v)
+                s -= delta * v
+                s += log_2g
+                return np.exp(s, out=s)
 
             # the first left panel resolves the block's decay e^{-delta u^2}
             width = 0.25 * min(1.0 / math.sqrt(delta), u_max)
@@ -283,10 +338,7 @@ class _DensityEngine:
                     f"convolution level {k} unresolved at normalized z = {zs[j]:.6g}: "
                     f"Kronrod error {err[j]:.3e} on {vals[j]:.3e}"
                 )
-            spline = _CubicSpline(self.log_zs, np.log(vals))
-            prev = self._level_eval(
-                spline, self._small_z[k], int(mcum[k]), float(zs[0])
-            )
+            prev = _LogLevel(self.grid, _CubicSpline(self.grid.log_z, np.log(vals)), small_z[k])
         return prev
 
     # -- queries ------------------------------------------------------------
@@ -295,7 +347,7 @@ class _DensityEngine:
         z = np.asarray(z, dtype=float)
         if self._level is None:  # one block: the leading term is exact
             return self._leading(z)
-        out = self._level(z)
+        out = np.exp(self._level(z, np.log(z)))
         top = z > self.zs[-1]
         if np.any(top):
             out[top] = self._leading(z[top])
@@ -418,7 +470,7 @@ def zolotarev_constant(s: Spectrum) -> float:
     """
     if s.lambda1 <= 0:
         raise ValidationError("largest eigenvalue must be positive")
-    return math.exp(log_zolotarev(s.weights()[s.d1 :] / s.lambda1**2))
+    return math.exp(s.log_zolotarev_constant)
 
 
 def _zolotarev_term(s: Spectrum, z: float) -> float:
@@ -449,12 +501,7 @@ def density_lower_bound(s: Spectrum, z: float) -> tuple[float, float]:
     Returns (bound value, threshold); callers must check z >= threshold.
     The threshold degenerates to +inf when every eigenvalue ties the top.
     """
-    value = 0.25 * _zolotarev_term(s, z)
-    if s.d1 >= s.dim:
-        return value, math.inf
-    w = s.weights()
-    threshold = 2.0 * s.d1 * float(w.sum()) / (1.0 - w[s.d1] / w[0])
-    return value, threshold
+    return 0.25 * _zolotarev_term(s, z), s.density_lower_threshold
 
 
 # ---------------------------------------------------------------------------

@@ -330,13 +330,15 @@ def _cmd_simulate(cfg: dict, out: Path, config: RunConfig) -> dict:
         "per_rep_limsup_range": [float(maxima.min()), float(maxima.max())],
     }
     exceedance = []
+    # every replication has the same checkpoints
+    ns = [cp[0] for cp in records[0].checkpoints]
     for b, phi in enumerate(phis):
+        bound = {n: phi.value(n, seq.spectrum_at(n).lambda1) for n in ns}
         count = 0
         rows = []
         for rec in records:
             for n, ratio, _, _ in rec.checkpoints:
-                lam1 = seq.spectrum_at(n).lambda1
-                exceeded = ratio > phi.value(n, lam1)
+                exceeded = ratio > bound[n]
                 count += exceeded
                 rows.append((rec.rep, n, ratio, exceeded))
         exceedance.append(int(count))

@@ -103,15 +103,15 @@ class SeededStream:
 class _NormalSource:
     """Sequential polar-method normals over a stream's uniform pairs.
 
-    Pairs are drawn in blocks of _BLOCK_PAIRS into buffers this source
-    owns. Each step of the polar method runs in place over the block, with
+    Pairs are drawn in blocks of ``pairs`` (by default _BLOCK_PAIRS) into
+    buffers this source owns; the block size does not change the stream. Each step of the polar method runs in place over the block, with
     the float operations of the textbook form x = 2u - 1, s = x^2 + y^2,
     f = sqrt(-2 log(s) / s) in that order; the accepted pairs' normals
     (x f, y f) are then handed out in order.
     """
 
-    def __init__(self, stream: SeededStream):
-        pairs = _BLOCK_PAIRS
+    def __init__(self, stream: SeededStream, pairs: int | None = None):
+        pairs = _BLOCK_PAIRS if pairs is None else pairs
         self._key = stream._key()
         self.counter = 0
         # counter step (i + 1) * golden for every output of a block
@@ -179,8 +179,13 @@ class _NormalSource:
 
 
 def sample_standard_normal(stream: SeededStream, count: int) -> np.ndarray:
-    """First ``count`` standard normals of the stream (pure in the key)."""
-    return _NormalSource(stream).take(_check_count(count, "count"))
+    """First ``count`` standard normals of the stream (pure in the key).
+
+    A block of ``count`` pairs holds every normal of most calls, so a
+    short draw fills no more than that.
+    """
+    count = _check_count(count, "count")
+    return _NormalSource(stream, max(1, min(_BLOCK_PAIRS, count))).take(count)
 
 
 def _norm_blocks(s: Spectrum, stream: SeededStream, count: int):
@@ -306,15 +311,17 @@ def simulate_paths(
     d = seq.dim
     ns = checkpoint_schedule(n_max)
     scale = np.sqrt(np.diff(ns, prepend=0).astype(float))[:, None]
+    # per checkpoint, shared by every replication: (n, Gamma_n, sqrt(n), phi_n)
+    marks = [
+        (n, seq.root_at(n), math.sqrt(n), phi.value(n, seq.spectrum_at(n).lambda1))
+        for n in ns
+    ]
     records = []
     for r in range(reps):
         steps = sample_standard_normal(stream.substream(r), len(ns) * d).reshape(-1, d)
         rows = []
-        for n, T in zip(ns, np.cumsum(steps * scale, axis=0)):
-            g = seq.root_at(n)
-            lam1 = seq.spectrum_at(n).lambda1
-            ratio = float(np.linalg.norm(g @ T)) / math.sqrt(n)
-            phi_n = phi.value(n, lam1)
+        for (n, g, root_n, phi_n), T in zip(marks, np.cumsum(steps * scale, axis=0)):
+            ratio = float(np.linalg.norm(g @ T)) / root_n
             rows.append((n, ratio, phi_n, ratio > phi_n))
         records.append(PathRecord(rep=r, checkpoints=tuple(rows)))
     return records

@@ -85,6 +85,21 @@ class Spectrum:
             for i in range(1, self.dim)
         )
 
+    @cached_property
+    def log_zolotarev_constant(self) -> float:
+        """log K(Gamma^2) over the eigenvalues past the top group; needs lambda_1 > 0."""
+        return log_zolotarev(self.weights()[self.d1 :] / self.lambda1**2)
+
+    @cached_property
+    def density_lower_threshold(self) -> float:
+        """2 d1 sum lambda_i^2 / (1 - lambda_{d1+1}^2/lambda_1^2), where the
+        density lower bound starts to hold; +inf when every eigenvalue ties
+        the top."""
+        if self.d1 >= self.dim:
+            return math.inf
+        w = self.weights()
+        return 2.0 * self.d1 * float(w.sum()) / (1.0 - w[self.d1] / w[0])
+
     def log_gap_product(self, x, upto: int | None = None):
         """sum_{i=2}^{upto} log min(lambda_1/(lambda_1^2 - lambda_i^2)^{1/2}, x/lambda_1).
 

@@ -23,6 +23,7 @@ from gausslil.chidensity import (
 from gausslil.errors import NumericError, ValidationError
 from gausslil.quadrature import adaptive_simpson
 from gausslil.special import chisq_density, chisq_norm_tail
+from gausslil.spectral import log_zolotarev
 
 mp.mp.dps = 40
 
@@ -388,6 +389,41 @@ def test_banded_spline_matches_dense_solve():
     np.testing.assert_allclose(np.append(spline.c, c_last), c, rtol=1e-12, atol=0)
 
 
+def _searched_level(level, z, lz):
+    """log hhat_k from the level's coefficients at a searched interval."""
+    sp = level.spline
+    j = np.clip(np.searchsorted(sp.x, lz) - 1, 0, sp.x.size - 2)
+    t = lz - sp.x[j]
+    out = sp.y[j] + t * (sp.b[j] + t * (sp.c[j] + t * sp.d[j]))
+    log_c, power, slope = level.small_z
+    below = lz < sp.x[0]
+    out[below] = (log_c + power * lz - slope * z)[below]
+    return out
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [TABLE_WEIGHTS[-1], np.linspace(1.0, 0.1, 16), [1.0, 0.5, 1e-7, 1e-8]],
+    ids=["d8", "d16", "tiny"],
+)
+def test_level_interval_is_computed_on_the_log_grid(weights):
+    eng = chidensity._DensityEngine(WeightedChiSquare.from_weights(weights).normalized())
+    grid, level = eng.grid, eng._level
+    x = grid.log_z
+    n = x.size
+    mids = 0.5 * (x[:-1] + x[1:])
+    below = x[0] - np.array([1e-12, 1e-3, 0.5, 3.0, 20.0])
+    lz = np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf), mids, below, x[-1:]])
+    z = np.exp(lz)
+    searched = np.clip(np.searchsorted(x, lz) - 1, 0, n - 2)
+    computed = grid.interval(lz)
+    assert np.all(np.abs(computed - searched) <= 1)
+    np.testing.assert_array_equal(grid.interval(mids), np.arange(n - 1))
+    assert grid.interval(below).tolist() == [0] * below.size
+    assert grid.interval(x[-1:]).tolist() == [n - 2]
+    np.testing.assert_allclose(level(z, lz), _searched_level(level, z, lz), rtol=0, atol=1e-13)
+
+
 # ---- Zolotarev constant and asymptotics ------------------------------------
 
 
@@ -417,6 +453,23 @@ def test_zolotarev_asymptotic_ratio(rng):
 
 
 # ---- density bounds ---------------------------------------------------------
+
+
+def test_cached_spectrum_constants_match_their_formulas(rng):
+    # log K and the lower-bound threshold are held per spectrum; the same
+    # arithmetic as the uncached formulas gives the same floats
+    for k in range(20):
+        d = int(rng.integers(1, 7))
+        wts = random_weights(rng, d)
+        if k % 4 == 0 and d > 1:
+            wts[1] = wts[0]  # a tied top group
+        s = spectrum_from_weights(wts)
+        w = s.weights()
+        log_k = log_zolotarev(w[s.d1 :] / s.lambda1**2)
+        assert s.log_zolotarev_constant == log_k
+        assert zolotarev_constant(s) == math.exp(log_k)
+        thresh = math.inf if s.d1 >= s.dim else 2.0 * s.d1 * float(w.sum()) / (1.0 - w[s.d1] / w[0])
+        assert density_lower_bound(s, 1.0)[1] == s.density_lower_threshold == thresh
 
 
 def test_density_upper_bound_equality_case():

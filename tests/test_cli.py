@@ -148,6 +148,26 @@ def test_simulate_multi_boundary(tmp_path):
     assert header == ["rep", "n", "ratio", "exceeded"]
 
 
+def test_simulate_evaluates_each_boundary_once_per_checkpoint(tmp_path, monkeypatch):
+    # phi_n depends on n alone: once per checkpoint in the sampler, and once
+    # per checkpoint and boundary for the tables, whatever the reps
+    from gausslil.integraltest import PhiFamily
+    from gausslil.montecarlo import checkpoint_schedule
+
+    calls = []
+    value = PhiFamily.value
+    monkeypatch.setattr(PhiFamily, "value", lambda self, n, lam1: calls.append(n) or value(self, n, lam1))
+    cfg = {
+        "sequence": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        "boundaries": [{"kind": "parametric", "a": 0.0}, {"kind": "parametric", "a": 6.0}],
+        "n_max": 2000,
+        "reps": 5,
+    }
+    code, _ = run_cli(tmp_path, "simulate", cfg, seed=11)
+    assert code == 0
+    assert calls == 3 * checkpoint_schedule(2000)
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = {
         "sequence": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 0.25]]},

@@ -112,6 +112,18 @@ def test_block_size_does_not_change_the_stream(monkeypatch, pairs):
     assert np.array_equal(sample_norm_Y(s, SeededStream(8, 2), 5_001), y)
 
 
+def test_short_draw_fills_a_short_block():
+    # 400 normals need about 255 polar pairs; a full 2^15-pair block takes 2.6 MB
+    tracemalloc.start()
+    try:
+        z = sample_standard_normal(SeededStream(5, 0), 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100_000
+    assert np.array_equal(z, montecarlo._NormalSource(SeededStream(5, 0)).take(400))
+
+
 def test_estimate_tail_memory_does_not_grow_with_N():
     # storing the 10^6 norms alone would take 8 MB, and their chunked
     # draws 128 MB at d = 8
@@ -249,6 +261,17 @@ def test_simulate_paths_structure_and_determinism():
     for rec in r1:
         for n, ratio, phi_n, exceeded in rec.checkpoints:
             assert exceeded == (ratio > phi_n)
+
+
+def test_simulate_evaluates_each_checkpoint_once(monkeypatch):
+    # Gamma_n, lambda_1 and phi_n depend on n alone, so the replications share them
+    seq = CovarianceSequence.constant(np.eye(2))
+    phi = PhiFamily(kind="parametric", a=0.0, b=0.0)
+    calls = []
+    value = PhiFamily.value
+    monkeypatch.setattr(PhiFamily, "value", lambda self, n, lam1: calls.append(n) or value(self, n, lam1))
+    simulate_paths(seq, phi, 2000, 5, SeededStream(21, 0))
+    assert calls == checkpoint_schedule(2000)
 
 
 def test_simulate_paths_reach_1e15():
