@@ -104,8 +104,9 @@ class _NormalSource:
     """Sequential polar-method normals over a stream's uniform pairs.
 
     Pairs are drawn in blocks of ``pairs`` (by default _BLOCK_PAIRS) into
-    buffers this source owns; the block size does not change the stream. Each step of the polar method runs in place over the block, with
-    the float operations of the textbook form x = 2u - 1, s = x^2 + y^2,
+    buffers this source owns; the block size does not change the stream.
+    Each step of the polar method runs in place over the block, with the
+    float operations of the textbook form x = 2u - 1, s = x^2 + y^2,
     f = sqrt(-2 log(s) / s) in that order; the accepted pairs' normals
     (x f, y f) are then handed out in order.
     """
@@ -185,7 +186,7 @@ def sample_standard_normal(stream: SeededStream, count: int) -> np.ndarray:
     short draw fills no more than that.
     """
     count = _check_count(count, "count")
-    return _NormalSource(stream, max(1, min(_BLOCK_PAIRS, count))).take(count)
+    return _NormalSource(stream, min(_BLOCK_PAIRS, count)).take(count)
 
 
 def _norm_blocks(s: Spectrum, stream: SeededStream, count: int):

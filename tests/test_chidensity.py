@@ -147,10 +147,14 @@ def test_density_small_z_expansion(weights):
         assert got == pytest.approx(want, rel=1e-7, abs=0)
 
 
-@pytest.mark.parametrize("weights", [[1.0, 1e-8], [1.0, 0.5, 1e-7, 1e-8]])
+@pytest.mark.parametrize(
+    "weights", [[1.0, 1e-8], [1.0, 0.5, 1e-7, 1e-8], [1.0, 1e-300, 1e-300, 1e-300]]
+)
 def test_density_normalizes_with_tiny_weights(weights):
     # a block far below 1e-6 lambda_1^2 moves the grid start below it, so the
     # mass near z = 0 is not read from a small-z expansion past its range
+    # (a block of three weights 1e-300 has a density constant near 1e450,
+    # which only its log can carry)
     w = WeightedChiSquare.from_weights(weights)
     t_split = math.sqrt(40.0 * w.lambda1_sq)
     total = weighted_shell_probability(w, 0.0, t_split) + weighted_norm_tail(w, t_split)
