@@ -14,11 +14,12 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .quadrature import gauss_kronrod, gauss_legendre, geometric_knots
+from .quadrature import KronrodChain, gauss_legendre
 from .special import (
     chisq_density,
     chisq_norm_const,
@@ -55,6 +56,10 @@ _GRID_LOG_STEP = 0.013583036861  # log z spacing of the nodes from _GRID_MID up
 _GRID_HI = _UNDERFLOW_X + _TAIL_WINDOW  # the top node is the first at or past this
 _KRONROD_RTOL = 1e-6  # largest accepted error estimate of a convolution level
 _ENGINE_CACHE_SIZE = 32  # engines kept, least recently used dropped first
+_GRID_CACHE_SIZE = 4  # grids kept; every smallest weight >= 1e-3 shares one
+# The left half of level k stops where delta_k u^2 reaches _LEFT_CUT + 2 m_k
+# (see _left_chain).
+_LEFT_CUT = 60.0
 
 
 @dataclass(frozen=True)
@@ -94,62 +99,33 @@ class WeightedChiSquare:
 # ---------------------------------------------------------------------------
 
 
-class _CubicSpline:
-    """Not-a-knot cubic spline coefficients of y against x.
+class _CubicSpline(NamedTuple):
+    """Cubic spline coefficients on the nodes x.
 
     On [x_j, x_{j+1}] the spline is y_j + t (b_j + t (c_j + t d_j)), t = x - x_j.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        h = np.diff(x)
-        r = 3.0 * np.diff(np.diff(y) / h)  # right-hand sides of rows 1..n-2
-        # Rows 1..n-2 are tridiagonal in the second-derivative coefficients
-        # c; the not-a-knot rows give c_0 and c_{n-1} in terms of their two
-        # neighbours, which folds them into the first and last of these rows.
-        sub = h[:-1].copy()
-        diag = 2.0 * (h[:-1] + h[1:])
-        sup = h[1:].copy()
-        diag[0] += h[0] * (h[0] + h[1]) / h[1]
-        sup[0] -= h[0] * h[0] / h[1]
-        diag[-1] += h[-1] * (h[-2] + h[-1]) / h[-2]
-        sub[-1] -= h[-1] * h[-1] / h[-2]
-        inner = _solve_tridiagonal(sub, diag, sup, r)
-        c = np.empty(x.size)
-        c[1:-1] = inner
-        c[0] = ((h[0] + h[1]) * inner[0] - h[0] * inner[1]) / h[1]
-        c[-1] = ((h[-2] + h[-1]) * inner[-1] - h[-1] * inner[-2]) / h[-2]
-        self.x = x
-        self.y = y
-        self.b = np.diff(y) / h - h / 3.0 * (2.0 * c[:-1] + c[1:])
-        self.c = c[:-1]
-        self.d = (c[1:] - c[:-1]) / (3.0 * h)
-
-
-def _solve_tridiagonal(sub, diag, sup, rhs) -> np.ndarray:
-    """Thomas algorithm; row i reads sub[i] x[i-1] + diag[i] x[i] + sup[i] x[i+1].
-
-    Stable without pivoting for the diagonally dominant spline rows.
-    """
-    sub, diag, sup, rhs = sub.tolist(), diag.tolist(), sup.tolist(), rhs.tolist()
-    n = len(diag)
-    for i in range(1, n):
-        m = sub[i] / diag[i - 1]
-        diag[i] -= m * sup[i - 1]
-        rhs[i] -= m * rhs[i - 1]
-    x = [0.0] * n
-    x[-1] = rhs[-1] / diag[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (rhs[i] - sup[i] * x[i + 1]) / diag[i]
-    return np.array(x)
+    x: np.ndarray
+    y: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
 
 
 class _LogGrid:
-    """The engine's nodes: two segments, each uniform in log z.
+    """The engine's nodes, and everything that depends on them alone.
 
     n_lo nodes run geometrically from z_lo up to _GRID_MID, then one node
     per _GRID_LOG_STEP in log z up to the first node at or past _GRID_HI.
     On each segment the interval index is affine in log z, so it is
     computed rather than searched.
+
+    Every level's spline on these nodes solves one not-a-knot system,
+    which is factored here once; a level runs only the two substitution
+    sweeps. The right half of every convolution level (see
+    _DensityEngine._build) integrates over abscissas that depend on the
+    nodes alone, so those, their logs and their grid positions are kept
+    here too. Engines with one grid start share one grid (_log_grid).
     """
 
     def __init__(self, z_lo: float):
@@ -165,14 +141,20 @@ class _LogGrid:
         self.log_lo = float(self.log_z[0])
         self._lower = (self.log_lo, n_lo / math.log(_GRID_MID / z_lo))
         self._upper = (math.log(_GRID_MID), 1.0 / _GRID_LOG_STEP, float(n_lo))
+        self._factor()
+        # each row i integrates over u in [0, sqrt(z_i / 2)]
+        self.u_hi = np.sqrt(0.5 * self.z)
+        self.u_max = float(self.u_hi[-1])
+        self.right = _RightHalf(self)
 
     def interval(self, lz: np.ndarray) -> np.ndarray:
         """Index j of the interval [log z_j, log z_{j+1}] that holds lz.
 
         The lower segment has fewer nodes per unit of log z, so the larger
         of the two affine maps is the right one on either side of
-        _GRID_MID. Where the node logs round off the affine map, j can be
-        one below or above the searched index, and the neighbouring cubic
+        _GRID_MID; when no lz lies below _GRID_MID, that is the upper
+        one. Where the node logs round off the affine map, j can be one
+        below or above the searched index, and the neighbouring cubic
         agrees there to rounding. Clipped to [0, n - 2].
         """
         x0, r0 = self._lower
@@ -180,9 +162,92 @@ class _LogGrid:
         j = lz - x1
         j *= r1
         j += n_lo
-        np.maximum(j, (lz - x0) * r0, out=j)
-        np.clip(j, 0.0, self.z.size - 2, out=j)
+        if lz.min() < x1:
+            np.maximum(j, (lz - x0) * r0, out=j)
+            np.clip(j, 0.0, self.z.size - 2, out=j)
+        else:
+            np.minimum(j, self.z.size - 2, out=j)
         return j.astype(np.intp)
+
+    def _factor(self) -> None:
+        """Thomas elimination of the not-a-knot system, without a right-hand side.
+
+        Rows 1..n-2 are tridiagonal in the second-derivative coefficients
+        c; the not-a-knot rows give c_0 and c_{n-1} in terms of their two
+        neighbours, which folds them into the first and last of these
+        rows. Row i reads sub[i] c[i-1] + diag[i] c[i] + sup[i] c[i+1];
+        the rows are diagonally dominant, so no pivoting is needed.
+        """
+        h = np.diff(self.log_z)
+        sub = h[:-1].copy()
+        diag = 2.0 * (h[:-1] + h[1:])
+        sup = h[1:].copy()
+        diag[0] += h[0] * (h[0] + h[1]) / h[1]
+        sup[0] -= h[0] * h[0] / h[1]
+        diag[-1] += h[-1] * (h[-2] + h[-1]) / h[-2]
+        sub[-1] -= h[-1] * h[-1] / h[-2]
+        sub, diag, sup = sub.tolist(), diag.tolist(), sup.tolist()
+        mult = []
+        for i in range(1, len(diag)):
+            m = sub[i] / diag[i - 1]
+            diag[i] -= m * sup[i - 1]
+            mult.append(m)
+        self._h = h
+        self._sweeps = (mult, diag, sup)
+
+    def spline(self, y: np.ndarray) -> _CubicSpline:
+        """Not-a-knot cubic spline of y against log z on the nodes."""
+        h = self._h
+        slope = np.diff(y) / h
+        mult, diag, sup = self._sweeps
+        rhs = (3.0 * np.diff(slope)).tolist()
+        acc = rhs[0]
+        fwd = [acc]
+        for m, r in zip(mult, rhs[1:]):
+            acc = r - m * acc
+            fwd.append(acc)
+        acc = fwd[-1] / diag[-1]
+        back = [acc]
+        for r, up, dg in zip(fwd[-2::-1], sup[-2::-1], diag[-2::-1]):
+            acc = (r - up * acc) / dg
+            back.append(acc)
+        inner = np.array(back[::-1])
+        c = np.empty(y.size)
+        c[1:-1] = inner
+        c[0] = ((h[0] + h[1]) * inner[0] - h[0] * inner[1]) / h[1]
+        c[-1] = ((h[-2] + h[-1]) * inner[-1] - h[-1] * inner[-2]) / h[-2]
+        b = slope - h / 3.0 * (2.0 * c[:-1] + c[1:])
+        return _CubicSpline(self.log_z, y, b, c[:-1], (c[1:] - c[:-1]) / (3.0 * h))
+
+
+class _RightHalf:
+    """The right half's Kronrod points on a grid, shared by every level.
+
+    Row i takes v = z_i - u^2 over u in [0, sqrt(z_i / 2)] on the chain
+    [0, s], [s, 2s], [2s, 4s], s = u_max / 4. Kept per point: log u, v,
+    log v, and where y = u^2 lies on the grid (read at log y = 2 log u):
+    interval j at t = log y - log z_j, or, for the flat indices ``below``,
+    under the grid at below_y and below_ly.
+    """
+
+    def __init__(self, grid: _LogGrid):
+        self.chain = KronrodChain(0.25 * grid.u_max, grid.u_hi)
+        self.rows, u, self.width = self.chain.points()
+        self.log_u = np.log(u)
+        y = u * u
+        self.v = grid.z[self.rows, None] - y
+        self.log_v = np.log(self.v)
+        ly = 2.0 * self.log_u
+        self.j = grid.interval(ly)
+        self.t = ly - grid.log_z[self.j]
+        self.below = np.flatnonzero(ly < grid.log_lo)
+        self.below_y, self.below_ly = y.flat[self.below], ly.flat[self.below]
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _log_grid(z_lo: float) -> _LogGrid:
+    """The grid that starts at z_lo, built on first use and shared after."""
+    return _LogGrid(z_lo)
 
 
 class _LogLevel:
@@ -190,31 +255,69 @@ class _LogLevel:
 
     On the grid it is the not-a-knot spline of log hhat_k against log z;
     below it, the small-z form log c_k + (M_k/2 - 1) log z - s_k z. Calls
-    pass z and log z, which every caller has at hand.
+    pass z and log z, which every caller has at hand; ``at`` reads at
+    the right half's points, which the grid located once.
     """
 
     def __init__(self, grid: _LogGrid, spline: _CubicSpline, small_z: tuple[float, float, float]):
         self.grid = grid
         self.spline = spline
         self.small_z = small_z  # (log c_k, M_k/2 - 1, s_k)
-        self._coefs = (spline.x[:-1], spline.y[:-1], spline.b, spline.c, spline.d)
+        self._coefs = (spline.c, spline.b, spline.y[:-1])
+
+    def _cubic(self, j: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # one coefficient gathered at a time keeps two arrays of j's size alive
+        out = np.take(self.spline.d, j)
+        for coef in self._coefs:
+            out *= t
+            out += np.take(coef, j)
+        return out
+
+    def _small(self, z, lz):
+        log_c, power, slope = self.small_z
+        return log_c + power * lz - slope * z
 
     def __call__(self, z: np.ndarray, lz: np.ndarray) -> np.ndarray:
         j = self.grid.interval(lz)
-        x, y, b, c, d = (np.take(a, j) for a in self._coefs)
-        t = lz - x
-        out = d
-        for coef in (c, b, y):
-            out *= t
-            out += coef
-        below = lz < self.grid.log_lo
-        if below.any():
-            log_c, power, slope = self.small_z
-            out[below] = log_c + power * lz[below] - slope * z[below]
+        out = self._cubic(j, lz - np.take(self.spline.x, j))
+        if lz.min() < self.grid.log_lo:
+            below = lz < self.grid.log_lo
+            out[below] = self._small(z[below], lz[below])
+        return out
+
+    def at(self, p: _RightHalf) -> np.ndarray:
+        out = self._cubic(p.j, p.t)
+        out.flat[p.below] = self._small(p.below_y, p.below_ly)
         return out
 
 
 _GL_NODES, _GL_WEIGHTS = gauss_legendre(10)
+
+
+def _left_chain(grid: _LogGrid, delta: float, mk: int) -> KronrodChain:
+    """Panels of level k's left half, u in [0, sqrt(z_i / 2)] with y = u^2.
+
+    The first panel resolves the block's decay e^{-delta u^2}. Each row
+    stops where delta y reaches C = _LEFT_CUT + 2 m_k; what that drops is
+    below 2^-82 of hhat_k(z_i), whatever the other blocks:
+
+    Block 1 has delta_1 = 0, so hhat_{k-1} = p * R with p(x) = c x^{q},
+    q = m_1/2 - 1, and R >= 0 the scaled law of blocks 2..k-1 (a point
+    mass at 0 for k = 2). With the block's
+    factor f(y) = g y^{a-1} e^{-delta y}, a = m_k/2, the dropped part is at
+    most int R(s) int_{y >= C/delta} f(y) p(z - s - y) dy ds, so its ratio
+    to hhat_k(z) = int R(s) (f * p)(z - s) ds is at most the sup over x of
+    rho(x) = int_tau^1 t^{a-1} (1-t)^q e^{-lam t} dt / int_0^1 (same),
+    lam = delta x, tau = C/lam (y = x t; rho = 0 unless lam > C). For
+    q >= 0, (1-t)^q falls and [t >= tau] rises, so by Chebyshev's sum
+    inequality rho <= Gamma(a, C)/gamma(a, C). For q = -1/2, split the
+    top at t = 1/2: rho <= sqrt(2) [Gamma(a, C) + max(1, 2^{1-a})
+    (2C)^a e^{-C}] / gamma(a, C), which also bounds the first case. With
+    C = 60 + 2 m_k its largest value over every m_k is 1.3e-25, at m_k = 8.
+    """
+    first = 0.25 * min(1.0 / math.sqrt(delta), grid.u_max)
+    cut = math.sqrt((_LEFT_CUT + 2.0 * mk) / delta)
+    return KronrodChain(first, np.minimum(grid.u_hi, cut))
 
 
 class _DensityEngine:
@@ -240,7 +343,7 @@ class _DensityEngine:
         self.d1 = int(self.block_m[0])
         # log (2 w_i)^{-m_i/2}: block i's density constant is this over Gamma(m_i/2)
         self._log_scale = -0.5 * self.block_m * np.log(2.0 * self.block_w)
-        self.grid = _LogGrid(max(min(_GRID_LO, 1e-3 * min(wnorm)), 1e-30))
+        self.grid = _log_grid(max(min(_GRID_LO, 1e-3 * min(wnorm)), 1e-30))
         self.zs = self.grid.z
         log_k = log_zolotarev(np.asarray(wnorm[self.d1 :]))
         self._lead_const = math.exp(log_k) * chisq_norm_const(self.d1)
@@ -286,49 +389,45 @@ class _DensityEngine:
         is split at y = z/2. The left half takes y = u^2 and the right half
         v = z - y = u^2, which turns every power law z^{m/2 - 1} into a
         polynomial factor, and both run the fixed Gauss-Kronrod rule over
-        geometric panels in u. Each integrand sums its logs, reads
-        L_{k-1} there, and takes one exp.
+        doubling panels in u that every node shares. Each integrand sums
+        its logs, reads L_{k-1} there, and takes one exp. The right half's
+        points are the grid's; the left half's depend on delta_k, and its
+        factors in u alone are computed once per shared panel.
         """
+        grid = self.grid
+        zs = grid.z
+        right = grid.right
         log_c1, power1, _ = small_z[0]
         prev = lambda z, lz: log_c1 + power1 * lz  # noqa: E731
-        zs = self.zs
-        zero = np.zeros(zs.size)
-        u_hi = np.sqrt(0.5 * zs)
-        u_max = float(u_hi[-1])
-        right_panels = geometric_knots(zero, u_hi, 0.25 * u_max, growth=2.0)
         for k in range(1, self.block_w.size):
             mk = int(self.block_m[k])
             delta = 0.5 * (1.0 / float(self.block_w[k]) - 1.0)
             log_2g = math.log(2.0) + float(self._log_scale[k]) - math.lgamma(0.5 * mk)
 
             # 2 g_k u^{m_k - 1} e^{-delta u^2} hhat_{k-1}(z_i - u^2)
-            def left(i, u):
+            def left(rows, u):
                 y = u * u
-                v = zs[i, None] - y
+                v = zs[rows, None] - y
                 s = prev(v, np.log(v))
-                s -= delta * y
+                factor = log_2g - delta * y
                 if mk != 1:
-                    s += (mk - 1) * np.log(u)
-                s += log_2g
+                    factor += (mk - 1) * np.log(u)
+                s += factor
                 return np.exp(s, out=s)
+
+            vals, err = _left_chain(grid, delta, mk).integrate(left)
 
             # 2 g_k u hhat_{k-1}(u^2) v^{m_k/2 - 1} e^{-delta v}, v = z_i - u^2
-            def right(i, u):
-                lu = np.log(u)
-                y = u * u
-                v = zs[i, None] - y
-                s = prev(y, 2.0 * lu)
-                s += lu
-                if mk != 2:
-                    s += (0.5 * mk - 1.0) * np.log(v)
-                s -= delta * v
-                s += log_2g
-                return np.exp(s, out=s)
-
-            # the first left panel resolves the block's decay e^{-delta u^2}
-            width = 0.25 * min(1.0 / math.sqrt(delta), u_max)
-            vals, err = gauss_kronrod(left, geometric_knots(zero, u_hi, width, growth=2.0))
-            v_right, e_right = gauss_kronrod(right, right_panels)
+            if k == 1:
+                s = log_c1 + power1 * (2.0 * right.log_u)
+            else:
+                s = prev.at(right)
+            s += right.log_u
+            if mk != 2:
+                s += (0.5 * mk - 1.0) * right.log_v
+            s -= delta * right.v
+            s += log_2g
+            v_right, e_right = right.chain.reduce(right.rows, np.exp(s, out=s), right.width)
             vals += v_right
             err += e_right
             bad = ~(err <= _KRONROD_RTOL * vals)  # also catches NaN
@@ -338,7 +437,7 @@ class _DensityEngine:
                     f"convolution level {k} unresolved at normalized z = {zs[j]:.6g}: "
                     f"Kronrod error {err[j]:.3e} on {vals[j]:.3e}"
                 )
-            prev = _LogLevel(self.grid, _CubicSpline(self.grid.log_z, np.log(vals)), small_z[k])
+            prev = _LogLevel(grid, grid.spline(np.log(vals)), small_z[k])
         return prev
 
     # -- queries ------------------------------------------------------------

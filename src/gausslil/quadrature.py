@@ -5,6 +5,8 @@ correction (err/15) into every accepted panel. ``gauss_kronrod`` applies
 the fixed (10, 21) Gauss-Kronrod rule to one integrand over a different
 chain of panels per row (per grid node), in one vectorized integrand
 call per panel, and reports |K21 - G10| as its error estimate.
+``KronrodChain`` applies the same rule over the doubling chain
+[0, s], [s, 2s], [2s, 4s], ... that every row shares up to its own end.
 ``gauss_legendre`` gives the n-point rule for callers that need no
 estimate.
 """
@@ -128,6 +130,16 @@ def _kronrod_rule() -> tuple[np.ndarray, np.ndarray]:
 _GK_NODES, _GK_WEIGHTS = _kronrod_rule()
 
 
+def kronrod_sums(values: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
+    """K21 and |K21 - G10| of panels of the given widths.
+
+    ``values`` holds the integrand at each panel's 21 abscissas along its
+    last axis; ``width`` broadcasts against the other axes.
+    """
+    sums = np.asarray(width)[..., None] * (values @ _GK_WEIGHTS)
+    return sums[..., 0], np.abs(sums[..., 1])
+
+
 def gauss_kronrod(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     panels: list[tuple[np.ndarray, np.ndarray]],
@@ -153,10 +165,81 @@ def gauss_kronrod(
             continue
         width = b[rows] - a[rows]
         x = a[rows, None] + width[:, None] * _GK_NODES
-        sums = width[:, None] * (f(rows, x) @ _GK_WEIGHTS)
-        total[rows] += sums[:, 0]
-        err[rows] += np.abs(sums[:, 1])
+        value, estimate = kronrod_sums(f(rows, x), width)
+        total[rows] += value
+        err[rows] += estimate
     return total, err
+
+
+class KronrodChain:
+    """The (10, 21) rule over [0, ends_i] on panels that the rows share.
+
+    Every row's chain is [0, s], [s, 2s], [2s, 4s], ..., clipped at the
+    row's end, and ``ends`` must not decrease along the rows. A panel that
+    ends at or before a row's end is then whole for that row and for every
+    row after it, so its 21 abscissas are one array for all of them; only
+    each row's last, clipped panel has abscissas of its own.
+    """
+
+    def __init__(self, first: float, ends: np.ndarray):
+        ends = np.asarray(ends, dtype=float)
+        if not (first > 0 and np.all(np.isfinite(ends))):
+            raise NumericError("Gauss-Kronrod needs finite limits at every node")
+        knots = [0.0, first]
+        while knots[-1] < ends[-1]:
+            knots.append(2.0 * knots[-1])
+        knots = np.array(knots)
+        self.size = ends.size
+        # whole panel [knots[j], knots[j + 1]]: the rows from starts[j] on
+        starts = np.searchsorted(ends, knots[1:], side="left")
+        self.whole = [
+            (int(k), float(lo), float(hi))
+            for k, lo, hi in zip(starts, knots[:-1], knots[1:])
+            if k < self.size
+        ]
+        last = knots[np.searchsorted(knots, ends, side="right") - 1]
+        self.rows = np.flatnonzero(ends > last)
+        self.lo = last[self.rows]
+        self.width = ends[self.rows] - self.lo
+
+    def integrate(self, f: Callable) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's Kronrod integral of f and its summed |K21 - G10|.
+
+        ``f(rows, x)`` gets either a slice of rows and the (21,) abscissas
+        of a whole panel, to broadcast against, or an index array of rows
+        and their (rows, 21) abscissas, and returns values of shape
+        (rows, 21).
+        """
+        total = np.zeros(self.size)
+        err = np.zeros(self.size)
+        for start, lo, hi in self.whole:
+            value, estimate = kronrod_sums(f(slice(start, None), lo + (hi - lo) * _GK_NODES), hi - lo)
+            total[start:] += value
+            err[start:] += estimate
+        if self.rows.size:
+            x = self.lo[:, None] + self.width[:, None] * _GK_NODES
+            value, estimate = kronrod_sums(f(self.rows, x), self.width)
+            total[self.rows] += value
+            err[self.rows] += estimate
+        return total, err
+
+    def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (row, panel) pair: rows, abscissas (pairs, 21) and widths.
+
+        For integrands whose abscissa-only factors are kept between calls;
+        ``reduce`` turns their values into the sums ``integrate`` gives.
+        """
+        rows = [np.arange(start, self.size) for start, _, _ in self.whole] + [self.rows]
+        lo = [np.full(self.size - start, lo) for start, lo, _ in self.whole] + [self.lo]
+        width = [np.full(self.size - start, hi - lo) for start, lo, hi in self.whole] + [self.width]
+        lo, width = np.concatenate(lo), np.concatenate(width)
+        return np.concatenate(rows), lo[:, None] + width[:, None] * _GK_NODES, width
+
+    def reduce(self, rows: np.ndarray, values: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row sums of the panels that ``points`` listed, as ``integrate`` gives them."""
+        value, estimate = kronrod_sums(values, width)
+        return np.bincount(rows, value, self.size), np.bincount(rows, estimate, self.size)
+
 
 def geometric_knots(
     a: np.ndarray, b: np.ndarray, scale: float, growth: float = 4.0

@@ -11,7 +11,6 @@ from conftest import random_weights, spectrum_from_weights
 from gausslil import chidensity
 from gausslil.chidensity import (
     WeightedChiSquare,
-    _CubicSpline,
     constants,
     density_lower_bound,
     density_upper_bound,
@@ -21,7 +20,7 @@ from gausslil.chidensity import (
     zolotarev_constant,
 )
 from gausslil.errors import NumericError, ValidationError
-from gausslil.quadrature import adaptive_simpson
+from gausslil.quadrature import KronrodChain, adaptive_simpson
 from gausslil.special import chisq_density, chisq_norm_tail
 from gausslil.spectral import log_zolotarev
 
@@ -368,16 +367,19 @@ def test_engine_built_once_under_threads(monkeypatch):
 def test_unresolved_level_raises(monkeypatch):
     # one panel per node cannot resolve the block decay e^{-delta u^2}, delta ~ 5000;
     # the Kronrod estimate must stop the build rather than return a wrong density
-    monkeypatch.setattr(chidensity, "geometric_knots", lambda a, b, scale, growth: [(a, b)])
+    monkeypatch.setattr(
+        chidensity, "_left_chain", lambda grid, delta, mk: KronrodChain(grid.u_max, grid.u_hi)
+    )
     with pytest.raises(NumericError, match="unresolved"):
         chidensity._DensityEngine((1.0, 1e-4))
 
 
 def test_banded_spline_matches_dense_solve():
-    x = np.log(np.concatenate([np.geomspace(1e-6, 0.05, 90, endpoint=False),
-                               np.geomspace(0.05, 2960.0, 810)]))
+    # the grid's factored not-a-knot system against a dense solve on its nodes
+    grid = chidensity._log_grid(1e-6)
+    x = grid.log_z
     y = np.exp(0.3 * x) + x * x
-    spline = _CubicSpline(x, y)
+    spline = grid.spline(y)
     # not-a-knot system for the coefficients c, solved densely
     n, h = x.size, np.diff(x)
     A = np.zeros((n, n))
@@ -391,6 +393,60 @@ def test_banded_spline_matches_dense_solve():
     # b and d are fixed formulas of c; the last c is read back from d
     c_last = spline.c[-1] + 3.0 * h[-1] * spline.d[-1]
     np.testing.assert_allclose(np.append(spline.c, c_last), c, rtol=1e-12, atol=0)
+
+
+def test_engines_on_one_grid_start_share_one_grid():
+    # every smallest weight >= 1e-3 starts the grid at 1e-6
+    a = chidensity._DensityEngine((1.0, 0.5))
+    b = chidensity._DensityEngine((1.0, 0.9, 0.3, 2e-3))
+    assert a.grid is b.grid is chidensity._log_grid(1e-6)
+    assert a.grid.z[0] == 1e-6
+    tiny = chidensity._DensityEngine((1.0, 1e-5))
+    assert tiny.grid is not a.grid and tiny.grid.z[0] == pytest.approx(1e-8, rel=1e-15)
+
+
+def test_grid_cache_is_bounded():
+    size = chidensity._GRID_CACHE_SIZE
+    for k in range(size + 3):
+        chidensity._log_grid(1e-9 * (k + 1))
+        assert chidensity._log_grid.cache_info().currsize <= size
+    assert chidensity._log_grid.cache_info().maxsize == size
+
+
+def test_left_cut_bound_holds_for_every_multiplicity():
+    # the bound derived at _left_chain, evaluated at 50 digits: the dropped
+    # part of a left half is below 2^-82 of the level for any block size
+    with mp.workdps(50):
+        for m in [*range(1, 65), 100, 400, 2000]:
+            a, c = mp.mpf(m) / 2, chidensity._LEFT_CUT + 2 * m
+            top = mp.gammainc(a, c, mp.inf) + max(1, 2 ** (1 - a)) * (2 * c) ** a * mp.exp(-c)
+            assert mp.sqrt(2) * top / mp.gammainc(a, 0, c) < 2.0**-82, m
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [1.0, 1e-4],
+        [1.0, 0.5, 1e-7, 1e-8],
+        [1.0, 0.3, 0.2999],
+        TABLE_WEIGHTS[-1],
+        np.linspace(1.0, 0.1, 32),
+    ],
+    ids=["pair", "tiny", "near-tie", "d8", "d32"],
+)
+def test_truncated_left_chain_matches_full_chain(weights, monkeypatch):
+    wnorm = WeightedChiSquare.from_weights(weights).normalized()
+    cut = chidensity._DensityEngine(wnorm)
+    monkeypatch.setattr(chidensity, "_LEFT_CUT", math.inf)
+    full = chidensity._DensityEngine(wnorm)
+    z = np.geomspace(1e-12, 1e3, 200)
+    for got, want in (
+        (np.exp(cut._level.spline.y), np.exp(full._level.spline.y)),
+        (cut.qhat, full.qhat),
+        (cut.density(z), full.density(z)),
+    ):
+        assert np.all(want > 0)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def _searched_level(level, z, lz):

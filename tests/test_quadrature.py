@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gausslil.errors import NumericError
-from gausslil.quadrature import adaptive_simpson, gauss_kronrod, geometric_knots
+from gausslil.quadrature import KronrodChain, adaptive_simpson, gauss_kronrod, geometric_knots
 
 
 def test_scalar_known_integrals():
@@ -81,3 +81,48 @@ def test_geometric_knots_cover_interval():
     # panels chain without gaps
     for (_, hi), (lo, _) in zip(panels[:-1], panels[1:]):
         assert np.allclose(hi, lo)
+
+
+ROW_Z = np.geomspace(1e-3, 40.0, 57)
+
+
+def _decay(rows, x):
+    return np.exp(-3.0 * x * x) * (1.0 + 0.1 * ROW_Z[rows, None] * x)
+
+
+def test_shared_chain_matches_per_row_panels():
+    # the same doubling panels, with whole panels' abscissas shared by their rows
+    ends = np.sqrt(0.5 * ROW_Z)
+    chain = KronrodChain(0.05, ends)
+    want = gauss_kronrod(_decay, geometric_knots(np.zeros(ends.size), ends, 0.05, growth=2.0))
+    got = chain.integrate(_decay)
+    np.testing.assert_array_equal(got[0], want[0])
+    # the estimates are differences of near-equal sums, equal to their rounding
+    np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-16)
+    # each row's last panel is its only one with abscissas of its own
+    assert chain.rows.size <= ends.size
+    rows, x, width = chain.points()
+    np.testing.assert_array_equal(chain.reduce(rows, _decay(rows, x), width)[0], got[0])
+
+
+def test_shared_chain_hands_whole_panels_one_abscissa_row():
+    shapes = []
+
+    def f(rows, x):
+        shapes.append((rows, x.shape))
+        return np.ones((np.arange(4)[rows].size, 21))
+
+    chain = KronrodChain(1.0, np.array([0.5, 1.0, 3.0, 3.0]))
+    total, _ = chain.integrate(f)
+    np.testing.assert_allclose(total, [0.5, 1.0, 3.0, 3.0], rtol=1e-14)
+    assert [(r.start if isinstance(r, slice) else r.tolist(), shape) for r, shape in shapes] == [
+        (1, (21,)),  # [0, 1] for rows 1..3
+        (2, (21,)),  # [1, 2] for rows 2..3
+        ([0, 2, 3], (3, 21)),  # [0, 0.5], [2, 3], [2, 3]
+    ]
+
+
+@pytest.mark.parametrize("first,end", [(0.0, 1.0), (float("nan"), 1.0), (1.0, float("inf"))])
+def test_shared_chain_needs_finite_limits(first, end):
+    with pytest.raises(NumericError):
+        KronrodChain(first, np.array([0.5, end]))
