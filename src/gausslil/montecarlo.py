@@ -193,13 +193,14 @@ def _norm_blocks(s: Spectrum, stream: SeededStream, count: int):
     """Consecutive blocks of the first ``count`` |Y| draws, in order.
 
     Each block is a view of one reused buffer, valid until the next one
-    is requested; memory does not grow with count.
+    is requested; memory does not grow with count. The polar block holds
+    at most the count * d normals asked for, so a short draw stays small.
     """
     if s.lambda1 <= 0:
         raise ValidationError("largest eigenvalue must be positive")
     w = s.weights()
     d = s.dim
-    src = _NormalSource(stream)
+    src = _NormalSource(stream, max(1, min(_BLOCK_PAIRS, -(-count * d // 2))))
     rows = max(1, min(count, 2 * _BLOCK_PAIRS // d))
     eta = np.empty((rows, d))
     norms = np.empty(rows)

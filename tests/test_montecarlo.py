@@ -124,6 +124,19 @@ def test_short_draw_fills_a_short_block():
     assert np.array_equal(z, montecarlo._NormalSource(SeededStream(5, 0)).take(400))
 
 
+def test_short_norm_draw_fills_a_short_block():
+    # 100 draws at d = 2 need 100 polar pairs; a full 2^15-pair block takes 2.6 MB
+    s = spectrum_from_weights([1.0, 0.5])
+    tracemalloc.start()
+    try:
+        y = sample_norm_Y(s, SeededStream(3, 1), 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256_000
+    assert np.array_equal(y, sample_norm_Y(s, SeededStream(3, 1), 100_000)[:100])
+
+
 def test_estimate_tail_memory_does_not_grow_with_N():
     # storing the 10^6 norms alone would take 8 MB, and their chunked
     # draws 128 MB at d = 8
