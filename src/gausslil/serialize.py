@@ -79,10 +79,29 @@ def parse_spectrum(cfg: dict) -> Spectrum:
     return spectrum_from_weights(finite_numbers(cfg["weights"], "weights"))
 
 
+# Caps on the size fields of a config. Each is far above every size the
+# tests, goldens, README examples and benchmark use, and low enough that a
+# capped run stays within seconds per row and within memory.
+CAPS = {
+    "count": 100_000,  # points of a range grid
+    "monte_carlo.samples": 10_000_000,  # draws per threshold, about 1 s each at d = 8
+    "reps": 1024,  # simulate replications, each up to 712 checkpoints kept
+    "N": 10**9,  # sequence-info convergence range
+    "K": 10_000,  # sequence-info fluctuation blocks
+    "equivalence.K": 10_000,  # integral-test subsequence blocks
+    "n_terms": 1_000_000,  # integral-test series terms, one table row each
+}
+
+
 def positive_int(value, name: str) -> int:
-    """A count field of a config: a JSON integer >= 1; true, 2.0 and "2" are rejected."""
+    """A count field of a config: a JSON integer >= 1; true, 2.0 and "2" are rejected.
+
+    Fields named in CAPS must also be at most their cap.
+    """
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValidationError(f"'{name}' must be a positive integer, got {value!r}")
+    if value > CAPS.get(name, value):
+        raise ValidationError(f"'{name}' must be at most {CAPS[name]}, its cap, got {value!r}")
     return value
 
 
@@ -114,6 +133,10 @@ def parse_grid(obj, name: str) -> np.ndarray:
         lo, hi, count = (finite_number(obj[k], f"{name}.{k}") for k in ("min", "max", "count"))
         if count < 1:
             raise ValidationError(f"grid '{name}': count must be >= 1, got {obj['count']}")
+        if count > CAPS["count"]:
+            raise ValidationError(
+                f"grid '{name}': count must be at most {CAPS['count']}, its cap, got {obj['count']}"
+            )
         spacing = obj.get("spacing", "log")
         if spacing == "log":
             if not (lo > 0 and hi > 0):

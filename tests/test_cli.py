@@ -10,6 +10,8 @@ import pytest
 
 import gausslil
 from gausslil.cli import main
+from gausslil.errors import ValidationError
+from gausslil.serialize import CAPS, parse_grid, positive_int
 from gausslil.special import chisq_density
 
 
@@ -302,6 +304,14 @@ _DIPPING_CUTOFF = {
         ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "distribution": {"atoms": [5]}}}),
         ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "distribution": {"atoms": [{"point": [], "prob": 1.0}]}}}),
         ("simulate", {**_SERIES, "n_max": 10**400}),
+        ("density", {"weights": [1.0, 0.5], "z": {"min": 0.05, "max": 60, "count": 1e13}}),
+        ("tail", {"weights": [1.0], "t": {"min": 1.0, "max": 2.0, "count": 100_001}}),
+        ("tail", {"weights": [1.0], "t": [1.0], "monte_carlo": {"samples": 10_000_001}}),
+        ("simulate", {**_SERIES, "reps": 1025}),
+        ("sequence-info", {"sequence": _SERIES["sequence"], "N": 10**9 + 1}),
+        ("sequence-info", {"sequence": _SERIES["sequence"], "alpha": 1.0, "K": 10_001}),
+        ("integral-test", {**_SERIES, "equivalence": {"K": 10_001}}),
+        ("integral-test", {**_SERIES, "n_terms": 10**13}),
     ],
     ids=[
         "nan-threshold", "negative-count", "weights-string", "bounds-weights-string",
@@ -314,7 +324,9 @@ _DIPPING_CUTOFF = {
         "phi-envelope-inf", "alpha-string", "deltas-string", "deltas-not-list",
         "cutoff-scale-string", "cutoff-value-nan", "atom-point-string", "atom-prob-string",
         "atom-points-unequal", "atoms-not-list", "atom-not-object", "atom-point-empty",
-        "n-max-above-2-53",
+        "n-max-above-2-53", "count-above-cap", "t-count-above-cap", "samples-above-cap",
+        "reps-above-cap", "N-above-cap", "K-above-cap", "equivalence-K-above-cap",
+        "n-terms-above-cap",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, command, cfg):
@@ -331,3 +343,15 @@ def test_malformed_config_exits_2(tmp_path, command, cfg):
     assert proc.returncode == 2, proc.stderr
     err = json.loads(proc.stderr)
     assert err["error"]["type"] == "validation"
+
+
+def test_capped_fields_name_their_cap():
+    for name, cap in CAPS.items():
+        if name == "count":
+            assert parse_grid({"min": 1.0, "max": 2.0, "count": cap}, "z").size == cap
+            with pytest.raises(ValidationError, match=f"grid 'z': count must be at most {cap}, its cap"):
+                parse_grid({"min": 1.0, "max": 2.0, "count": cap + 1}, "z")
+            continue
+        assert positive_int(cap, name) == cap
+        with pytest.raises(ValidationError, match=f"'{name}' must be at most {cap}, its cap"):
+            positive_int(cap + 1, name)
