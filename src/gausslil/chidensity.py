@@ -56,7 +56,6 @@ _GRID_LOG_STEP = 0.013583036861  # log z spacing of the nodes from _GRID_MID up
 _GRID_HI = _UNDERFLOW_X + _TAIL_WINDOW  # the top node is the first at or past this
 _KRONROD_RTOL = 1e-6  # largest accepted error estimate of a convolution level
 _ENGINE_CACHE_SIZE = 32  # engines kept, least recently used dropped first
-_GRID_CACHE_SIZE = 4  # grids kept; every smallest weight >= 1e-3 shares one
 # The left half of level k stops where delta_k u^2 reaches _LEFT_CUT + 2 m_k
 # (see _left_chain).
 _LEFT_CUT = 60.0
@@ -125,7 +124,7 @@ class _LogGrid:
     sweeps. The right half of every convolution level (see
     _DensityEngine._build) integrates over abscissas that depend on the
     nodes alone, so those, their logs and their grid positions are kept
-    here too. Engines with one grid start share one grid (_log_grid).
+    here too. Engines on the _GRID_LO grid share one (_log_grid).
     """
 
     def __init__(self, z_lo: float):
@@ -152,9 +151,8 @@ class _LogGrid:
 
         The lower segment has fewer nodes per unit of log z, so the larger
         of the two affine maps is the right one on either side of
-        _GRID_MID; when no lz lies below _GRID_MID, that is the upper
-        one. Where the node logs round off the affine map, j can be one
-        below or above the searched index, and the neighbouring cubic
+        _GRID_MID. Where the node logs round off the affine map, j can be
+        one below or above the searched index, and the neighbouring cubic
         agrees there to rounding. Clipped to [0, n - 2].
         """
         x0, r0 = self._lower
@@ -162,11 +160,8 @@ class _LogGrid:
         j = lz - x1
         j *= r1
         j += n_lo
-        if lz.min() < x1:
-            np.maximum(j, (lz - x0) * r0, out=j)
-            np.clip(j, 0.0, self.z.size - 2, out=j)
-        else:
-            np.minimum(j, self.z.size - 2, out=j)
+        np.maximum(j, (lz - x0) * r0, out=j)
+        np.clip(j, 0.0, self.z.size - 2, out=j)
         return j.astype(np.intp)
 
     def _factor(self) -> None:
@@ -244,10 +239,20 @@ class _RightHalf:
         self.below_y, self.below_ly = y.flat[self.below], ly.flat[self.below]
 
 
-@lru_cache(maxsize=_GRID_CACHE_SIZE)
+@lru_cache(maxsize=1)
+def _shared_grid() -> _LogGrid:
+    return _LogGrid(_GRID_LO)
+
+
 def _log_grid(z_lo: float) -> _LogGrid:
-    """The grid that starts at z_lo, built on first use and shared after."""
-    return _LogGrid(z_lo)
+    """The grid that starts at z_lo.
+
+    Every smallest weight >= 1e-3 starts the grid at _GRID_LO; that grid
+    is built on first use and shared after. A smaller weight gives a start
+    of its own, which seldom repeats, so its grid is built for its engine
+    alone and never displaces the shared one.
+    """
+    return _shared_grid() if z_lo == _GRID_LO else _LogGrid(z_lo)
 
 
 class _LogLevel:
@@ -280,8 +285,8 @@ class _LogLevel:
     def __call__(self, z: np.ndarray, lz: np.ndarray) -> np.ndarray:
         j = self.grid.interval(lz)
         out = self._cubic(j, lz - np.take(self.spline.x, j))
-        if lz.min() < self.grid.log_lo:
-            below = lz < self.grid.log_lo
+        below = lz < self.grid.log_lo
+        if below.any():
             out[below] = self._small(z[below], lz[below])
         return out
 

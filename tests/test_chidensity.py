@@ -110,6 +110,12 @@ def test_density_permutation_invariant(rng):
         assert weighted_density(w1, z) == weighted_density(w2, z)
 
 
+def test_density_of_empty_array_is_empty():
+    w = WeightedChiSquare.from_weights([1.0, 0.5, 0.2])
+    out = weighted_density(w, np.array([]))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
 def test_density_normalizes(rng):
     # shell[0, T] + tail[T, inf) of the computed density must carry unit mass
     for d in (2, 3, 5, 8):
@@ -405,12 +411,13 @@ def test_engines_on_one_grid_start_share_one_grid():
     assert tiny.grid is not a.grid and tiny.grid.z[0] == pytest.approx(1e-8, rel=1e-15)
 
 
-def test_grid_cache_is_bounded():
-    size = chidensity._GRID_CACHE_SIZE
-    for k in range(size + 3):
-        chidensity._log_grid(1e-9 * (k + 1))
-        assert chidensity._log_grid.cache_info().currsize <= size
-    assert chidensity._log_grid.cache_info().maxsize == size
+def test_grid_cache_holds_only_the_shared_grid():
+    shared = chidensity._log_grid(1e-6)
+    for k in range(4):
+        own = chidensity._log_grid(1e-9 * (k + 1))
+        assert own is not chidensity._log_grid(1e-9 * (k + 1))
+    assert chidensity._log_grid(1e-6) is shared
+    assert chidensity._shared_grid.cache_info().currsize == 1
 
 
 def test_left_cut_bound_holds_for_every_multiplicity():

@@ -1,13 +1,14 @@
 """Engine build times of the weighted chi-square density engine.
 
-    python tools/time_builds.py [--src DIR] [--repeats 7] [--rounds 3]
+    python tools/time_builds.py [--src DIR]
 
 Prints one JSON line:
 - ``build_ms``: the median time of one engine build, weights
-  linspace(1, 0.1, d), for d = 2, 3, 5, 8 and 32, over ``--repeats`` builds;
+  linspace(1, 0.1, d), for d = 2, 3, 5, 8 and 32, over REPEATS builds;
 - ``mix_builds_per_s``: builds per second over a fixed mix of d = 2..8
   vectors shaped like the density-cold benchmark's (one ratio per stratum
-  of [0.05, 0.999], with tied and near-tied tops), each built once.
+  of [0.05, 0.999], with tied and near-tied tops), ROUNDS rounds of
+  MIX_DIMS, each vector built once.
 
 Engines are built directly, so the per-vector engine cache is bypassed;
 whatever the engine shares between vectors (a grid, say) is warmed by one
@@ -28,13 +29,15 @@ import numpy as np
 DIMS = (2, 3, 5, 8, 32)
 MIX_DIMS = (2, 3, 4, 5, 6, 6, 7, 8, 8, 8)
 STYLES = ("tied", "near", "generic")
+REPEATS = 7
+ROUNDS = 3
 
 
-def mix_vectors(rounds: int) -> list[tuple[float, ...]]:
+def mix_vectors() -> list[tuple[float, ...]]:
     """Normalized weight vectors of the mix, the same on every run."""
     rng = np.random.default_rng(20261018)
     out = []
-    for r in range(rounds):
+    for r in range(ROUNDS):
         for i, d in enumerate(MIX_DIMS):
             edges = np.linspace(0.05, 0.999, d)
             ratios = rng.uniform(edges[:-1], edges[1:])[::-1]
@@ -56,8 +59,6 @@ def build_seconds(engine, wnorm) -> float:
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
-    p.add_argument("--repeats", type=int, default=7)
-    p.add_argument("--rounds", type=int, default=3)
     args = p.parse_args()
     sys.path.insert(0, args.src)
     from gausslil import chidensity
@@ -67,15 +68,15 @@ def main() -> None:
     for d in DIMS:
         wnorm = tuple(np.linspace(1.0, 0.1, d).tolist())
         engine(wnorm)  # warm-up
-        times = [build_seconds(engine, wnorm) for _ in range(args.repeats)]
+        times = [build_seconds(engine, wnorm) for _ in range(REPEATS)]
         build_ms[str(d)] = round(1e3 * statistics.median(times), 2)
-    vectors = mix_vectors(args.rounds)
+    vectors = mix_vectors()
     total = sum(build_seconds(engine, w) for w in vectors)
     print(
         json.dumps(
             {
                 "src": args.src,
-                "repeats": args.repeats,
+                "repeats": REPEATS,
                 "build_ms": build_ms,
                 "mix_builds": len(vectors),
                 "mix_builds_per_s": round(len(vectors) / total, 1),
