@@ -359,8 +359,15 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argument errors, which main turns into a JSON error record."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gausslil",
         description="Gaussian norm tails, eigenvalue-product bounds, and "
         "upper-lower class integral tests",
@@ -393,8 +400,8 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = RunConfig(
             command=args.command,
             input=args.config,

@@ -37,7 +37,12 @@ def chisq_density(d: int, z: float) -> float:
         if d == 1:
             raise ValidationError("f_1 is singular at z = 0")
         return chisq_norm_const(2) if d == 2 else 0.0
-    return chisq_norm_const(d) * z ** (d / 2.0 - 1.0) * math.exp(-z / 2.0)
+    return chisq_density_scaled(chisq_norm_const(d), d, z)
+
+
+def chisq_density_scaled(c0: float, d: int, z: float) -> float:
+    """c0 z^{d/2-1} e^{-z/2} at z > 0: f_d(z) when c0 = C0(d), held by the caller."""
+    return c0 * z ** (d / 2.0 - 1.0) * math.exp(-z / 2.0)
 
 
 def _gamma_series_lower(a: float, x: float) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .iterlog import subsequence_index
+from .special import chisq_norm_const
 
 SYMMETRY_RTOL = 1e-12
 EIGEN_CLAMP_RTOL = 1e-10
@@ -67,9 +68,13 @@ class Spectrum:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    @property
+    @cached_property
     def lambda1(self) -> float:
         return float(self.eigenvalues[0])
+
+    @cached_property
+    def lambda1_sq(self) -> float:
+        return self.lambda1**2
 
     def weights(self) -> np.ndarray:
         """lambda_i^2, descending."""
@@ -89,6 +94,16 @@ class Spectrum:
     def log_zolotarev_constant(self) -> float:
         """log K(Gamma^2) over the eigenvalues past the top group; needs lambda_1 > 0."""
         return log_zolotarev(self.weights()[self.d1 :] / self.lambda1**2)
+
+    @cached_property
+    def zolotarev_constant(self) -> float:
+        """K(Gamma^2) = exp(log K); needs lambda_1 > 0."""
+        return math.exp(self.log_zolotarev_constant)
+
+    @cached_property
+    def chisq_const_d1(self) -> float:
+        """C0(d1), the constant of the chi-square density with d1 degrees of freedom."""
+        return chisq_norm_const(self.d1)
 
     @cached_property
     def density_lower_threshold(self) -> float:
@@ -158,46 +173,46 @@ def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi diagonalization of a symmetric matrix.
 
     Sweeps (p, q) pairs in fixed row-major order until the off-diagonal
-    Frobenius mass falls below JACOBI_TOL * ||A||_F.
+    Frobenius mass falls below JACOBI_TOL * ||A||_F. The matrix and the
+    basis are lists of float rows. Each rotation turns columns p and q of
+    the matrix, then rows p and q of the result, then basis columns p and
+    q, each entry pair (x, y) into (c x - s y, s x + c y).
     """
     d = a.shape[0]
-    m = a.copy()
-    v = np.eye(d)
     norm = math.sqrt(float(np.sum(a * a)))
     if d == 1 or norm == 0.0:
-        return np.diag(m).copy(), v
+        return np.diag(a).copy(), np.eye(d)
+    m = a.tolist()
+    v = np.eye(d).tolist()
     threshold = JACOBI_TOL * norm
     off_mask = ~np.eye(d, dtype=bool)
     for _ in range(_MAX_SWEEPS):
-        off = math.sqrt(float(np.sum(m[off_mask] ** 2)))
+        off = math.sqrt(float(np.sum(np.array(m)[off_mask] ** 2)))
         if off <= threshold:
             break
         for p in range(d - 1):
             for q in range(p + 1, d):
-                apq = m[p, q]
+                mp, mq = m[p], m[q]
+                apq = mp[q]
                 if apq == 0.0:
                     continue
-                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
+                theta = (mq[q] - mp[p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                rp = m[:, p].copy()
-                rq = m[:, q].copy()
-                m[:, p] = c * rp - s * rq
-                m[:, q] = s * rp + c * rq
-                rp = m[p, :].copy()
-                rq = m[q, :].copy()
-                m[p, :] = c * rp - s * rq
-                m[q, :] = s * rp + c * rq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+                for row in m:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+                m[p] = [c * x - s * y for x, y in zip(mp, mq)]
+                m[q] = [s * x + c * y for x, y in zip(mp, mq)]
+                for row in v:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
     else:
         raise ValidationError("Jacobi iteration failed to converge")
-    return np.diag(m).copy(), v
+    return np.array([m[i][i] for i in range(d)]), np.array(v)
 
 
 def group_descending(lams, rtol: float) -> tuple[tuple[float, int], ...]:

@@ -21,7 +21,7 @@ from gausslil.chidensity import (
 )
 from gausslil.errors import NumericError, ValidationError
 from gausslil.quadrature import KronrodChain, adaptive_simpson
-from gausslil.special import chisq_density, chisq_norm_tail
+from gausslil.special import chisq_density, chisq_norm_const, chisq_norm_tail
 from gausslil.spectral import log_zolotarev
 
 mp.mp.dps = 40
@@ -401,6 +401,66 @@ def test_banded_spline_matches_dense_solve():
     np.testing.assert_allclose(np.append(spline.c, c_last), c, rtol=1e-12, atol=0)
 
 
+def _not_a_knot_system(x):
+    """The inner rows of the not-a-knot system on nodes x, end rows folded in, dense."""
+    h = np.diff(x)
+    sub, diag, sup = h[:-1].copy(), 2.0 * (h[:-1] + h[1:]), h[1:].copy()
+    diag[0] += h[0] * (h[0] + h[1]) / h[1]
+    sup[0] -= h[0] * h[0] / h[1]
+    diag[-1] += h[-1] * (h[-2] + h[-1]) / h[-2]
+    sub[-1] -= h[-1] * h[-1] / h[-2]
+    return np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+
+
+@pytest.mark.parametrize("z_lo", [1e-9, 1e-30], ids=["own", "floor"])
+def test_spline_matches_dense_solve_on_own_grids(z_lo):
+    # a grid of its own (smallest weight < 1e-3) has more nodes below _GRID_MID
+    grid = chidensity._log_grid(z_lo)
+    assert grid is not chidensity._log_grid(1e-6) and grid.z[0] == pytest.approx(z_lo, rel=1e-15)
+    x = grid.log_z
+    y = np.exp(0.3 * x) + x * x
+    spline = grid.spline(y)
+    # the full not-a-knot system for c, its end rows unfolded, solved densely
+    n, h = x.size, np.diff(x)
+    A = np.zeros((n, n))
+    rhs = np.zeros(n)
+    for i in range(1, n - 1):
+        A[i, i - 1 : i + 2] = h[i - 1], 2.0 * (h[i - 1] + h[i]), h[i]
+        rhs[i] = 3.0 * ((y[i + 1] - y[i]) / h[i] - (y[i] - y[i - 1]) / h[i - 1])
+    A[0, :3] = h[1], -(h[0] + h[1]), h[0]
+    A[-1, -3:] = h[-1], -(h[-2] + h[-1]), h[-2]
+    c = np.linalg.solve(A, rhs)
+    c_last = spline.c[-1] + 3.0 * h[-1] * spline.d[-1]
+    np.testing.assert_allclose(np.append(spline.c, c_last), c, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("z_lo", [1e-6, 1e-9, 1e-30], ids=["shared", "own", "floor"])
+def test_spline_solve_drops_only_factor_inverse_entries_below_2_to_minus_60(z_lo):
+    # T = L U from the sequential Thomas elimination; the grid's pivots are
+    # its floats, and the doubling tables leave out only entries of the
+    # unit-diagonal inverses of L and of U diag(1/u) below 2^-60
+    grid = chidensity._log_grid(z_lo)
+    t = _not_a_knot_system(grid.log_z)
+    n = t.shape[0]
+    sub, diag, sup = np.diag(t, -1), np.diag(t).copy(), np.diag(t, 1)
+    mult = np.empty(n - 1)
+    for i in range(1, n):
+        mult[i - 1] = sub[i - 1] / diag[i - 1]
+        diag[i] -= mult[i - 1] * sup[i - 1]
+    assert np.array_equal(grid._pivots, diag)
+    unit_lower = np.eye(n) + np.diag(mult, -1)
+    unit_upper = np.eye(n) + np.diag(sup / diag[1:], 1)
+    np.testing.assert_allclose(
+        unit_lower @ unit_upper * diag, t, rtol=1e-14, atol=1e-14 * np.abs(t).max()
+    )
+    for factor, tables, side in ((unit_lower, grid._forward, -1), (unit_upper, grid._backward, 1)):
+        inv = np.linalg.inv(factor)
+        span = 2 ** len(tables)  # predecessors the scan reaches: 1..span-1
+        dist = side * (np.arange(n)[None, :] - np.arange(n)[:, None])
+        assert np.all(np.abs(inv[dist >= span]) < 2.0**-60)
+        assert np.abs(inv[dist == span // 2]).max() >= 2.0**-60  # the last table is needed
+
+
 def test_engines_on_one_grid_start_share_one_grid():
     # every smallest weight >= 1e-3 starts the grid at 1e-6
     a = chidensity._DensityEngine((1.0, 0.5))
@@ -537,6 +597,17 @@ def test_cached_spectrum_constants_match_their_formulas(rng):
         assert zolotarev_constant(s) == math.exp(log_k)
         thresh = math.inf if s.d1 >= s.dim else 2.0 * s.d1 * float(w.sum()) / (1.0 - w[s.d1] / w[0])
         assert density_lower_bound(s, 1.0)[1] == s.density_lower_threshold == thresh
+        # lambda_1, lambda_1^2, K and C0(d1) are held too; every bound is the
+        # float of the uncached formula
+        lam1 = float(s.eigenvalues[0])
+        assert s.lambda1 == lam1 and s.lambda1_sq == lam1**2
+        assert s.zolotarev_constant == math.exp(log_k)
+        assert s.chisq_const_d1 == chisq_norm_const(s.d1)
+        c3 = 1.0 if s.d1 >= 2 or s.dim == 1 else constants(s.dim).C3
+        for z in (1e-9, 0.3, 1.0, 7.5, 60.0, 900.0):
+            term = math.exp(log_k) * chisq_density(s.d1, z / lam1**2) / lam1**2
+            assert density_upper_bound(s, z) == (term if c3 == 1.0 else c3 * term)
+            assert density_lower_bound(s, z) == (0.25 * term, thresh)
 
 
 def test_density_upper_bound_equality_case():

@@ -213,6 +213,25 @@ def test_malformed_json_error_record(tmp_path, capsys):
     assert err["error"]["type"] == "validation"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["density", "--config", "c.json", "--out", "x", "--bogus"], "unrecognized arguments"),
+        (["density", "--config", "c.json", "--out", "x", "--seed", "abc"], "invalid int value"),
+        (["tail", "--out", "x"], "required: --config"),
+    ],
+    ids=["unknown-option", "bad-seed", "missing-config"],
+)
+def test_argument_errors_give_an_error_record(argv, message, capsys):
+    # argparse would print its usage text and exit 2 with no record
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    record = json.loads(err)  # stderr holds the record and nothing else
+    assert record["error"]["type"] == "validation"
+    assert message in record["error"]["message"]
+    assert "version" in record
+
+
 def test_threads_option_and_env_are_ignored(tmp_path, monkeypatch):
     cfg = {
         "sequence": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 0.25]]},

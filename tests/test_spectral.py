@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gausslil import spectral
 from gausslil.errors import ValidationError
 from gausslil.integraltest import fluctuation_diagnostic
 from gausslil.sequences import (
@@ -196,3 +197,96 @@ def test_delta_k_invariant_under_common_conjugation(rng):
     seq_b = CovarianceSequence.tabulated([0.5 * (q @ m @ q.T + (q @ m @ q.T).T) for m in mats])
     for k in (1,):
         assert delta_k(seq_a, 1.0, k) == pytest.approx(delta_k(seq_b, 1.0, k), rel=1e-9)
+
+
+# ---- the float-list Jacobi against the numpy-slice form it replaced -------
+
+
+def _slice_jacobi(a, max_sweeps=spectral._MAX_SWEEPS):
+    """The cyclic Jacobi sweep as numpy slice updates, the earlier form of _jacobi."""
+    d = a.shape[0]
+    m = a.copy()
+    v = np.eye(d)
+    norm = math.sqrt(float(np.sum(a * a)))
+    if d == 1 or norm == 0.0:
+        return np.diag(m).copy(), v
+    threshold = spectral.JACOBI_TOL * norm
+    off_mask = ~np.eye(d, dtype=bool)
+    for _ in range(max_sweeps):
+        off = math.sqrt(float(np.sum(m[off_mask] ** 2)))
+        if off <= threshold:
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = m[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (m[q, q] - m[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rp = m[:, p].copy()
+                rq = m[:, q].copy()
+                m[:, p] = c * rp - s * rq
+                m[:, q] = s * rp + c * rq
+                rp = m[p, :].copy()
+                rq = m[q, :].copy()
+                m[p, :] = c * rp - s * rq
+                m[q, :] = s * rp + c * rq
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    else:
+        raise ValidationError("Jacobi iteration failed to converge")
+    return np.diag(m).copy(), v
+
+
+def _jacobi_cases():
+    rng = np.random.default_rng(20261018)
+    for d in range(1, 17):
+        for kind in range(20):
+            g = rng.standard_normal((d, d))
+            if kind == 0:  # diagonal
+                a = np.diag(rng.standard_normal(d))
+            elif kind == 1:  # every eigenvalue tied
+                a = 2.0 * np.eye(d)
+            elif kind == 2:  # a tied top pair under a rotation
+                q, _ = np.linalg.qr(g)
+                lam = np.sort(rng.uniform(0.1, 1.0, d))[::-1]
+                lam[: min(2, d)] = 1.5
+                a = (q * lam) @ q.T
+            elif kind == 3:  # a zero row and column
+                a = g + g.T
+                a[0, :] = a[:, 0] = 0.0
+            elif kind == 4:  # rank deficient
+                x = rng.standard_normal((d, max(d // 2, 1)))
+                a = x @ x.T
+            elif kind == 5:
+                a = 1e-300 * (g + g.T)
+            elif kind == 6:
+                a = np.zeros((d, d))
+            else:
+                a = g + g.T
+            yield a
+
+
+def test_float_list_jacobi_is_bit_identical_to_slice_form():
+    cases = list(_jacobi_cases())
+    assert len(cases) >= 300
+    for a in cases:
+        mu, v = spectral._jacobi(a)
+        mu_ref, v_ref = _slice_jacobi(a)
+        assert np.array_equal(mu, mu_ref) and np.array_equal(v, v_ref)
+        assert mu.dtype == mu_ref.dtype and v.shape == v_ref.shape
+
+
+def test_jacobi_non_convergence_error_is_unchanged(monkeypatch, rng):
+    g = rng.standard_normal((6, 6))
+    a = g + g.T
+    monkeypatch.setattr(spectral, "_MAX_SWEEPS", 2)
+    with pytest.raises(ValidationError) as ref:
+        _slice_jacobi(a, max_sweeps=2)
+    with pytest.raises(ValidationError) as got:
+        spectral._jacobi(a)
+    assert str(got.value) == str(ref.value) == "Jacobi iteration failed to converge"

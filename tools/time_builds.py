@@ -8,7 +8,14 @@ Prints one JSON line:
 - ``mix_builds_per_s``: builds per second over a fixed mix of d = 2..8
   vectors shaped like the density-cold benchmark's (one ratio per stratum
   of [0.05, 0.999], with tied and near-tied tops), ROUNDS rounds of
-  MIX_DIMS, each vector built once.
+  MIX_DIMS, each vector built once;
+- ``own_grid_build_ms``: the median build time, over REPEATS builds, of
+  linspace(1, 0.1, d - 1) + [1e-4] for d in OWN_GRID_DIMS; a smallest
+  weight below 1e-3 gives the engine a grid of its own, built with it;
+- ``spline_us``: the median time of one level's spline solve on the shared
+  grid, over LAYER_REPEATS calls;
+- ``eigh_us``: the median time of ``eigh`` on a fixed seeded positive
+  definite matrix for each d in EIGH_DIMS, over LAYER_REPEATS calls.
 
 Engines are built directly, so the per-vector engine cache is bypassed;
 whatever the engine shares between vectors (a grid, say) is warmed by one
@@ -31,6 +38,9 @@ MIX_DIMS = (2, 3, 4, 5, 6, 6, 7, 8, 8, 8)
 STYLES = ("tied", "near", "generic")
 REPEATS = 7
 ROUNDS = 3
+OWN_GRID_DIMS = (2, 5, 8)
+EIGH_DIMS = (2, 4, 6, 8, 16)
+LAYER_REPEATS = 51
 
 
 def mix_vectors() -> list[tuple[float, ...]]:
@@ -50,10 +60,20 @@ def mix_vectors() -> list[tuple[float, ...]]:
     return out
 
 
-def build_seconds(engine, wnorm) -> float:
+def call_seconds(f, *args) -> float:
     start = time.perf_counter()
-    engine(wnorm)
+    f(*args)
     return time.perf_counter() - start
+
+
+def median_ms(f, args, repeats: int) -> float:
+    f(*args)  # warm-up
+    return 1e3 * statistics.median(call_seconds(f, *args) for _ in range(repeats))
+
+
+def eigh_matrix(d: int) -> np.ndarray:
+    g = np.random.default_rng(20261018 + d).standard_normal((d, d))
+    return g @ g.T + d * np.eye(d)
 
 
 def main() -> None:
@@ -61,17 +81,25 @@ def main() -> None:
     p.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     args = p.parse_args()
     sys.path.insert(0, args.src)
-    from gausslil import chidensity
+    from gausslil import chidensity, spectral
 
     engine = chidensity._DensityEngine
     build_ms = {}
     for d in DIMS:
         wnorm = tuple(np.linspace(1.0, 0.1, d).tolist())
-        engine(wnorm)  # warm-up
-        times = [build_seconds(engine, wnorm) for _ in range(REPEATS)]
-        build_ms[str(d)] = round(1e3 * statistics.median(times), 2)
+        build_ms[str(d)] = round(median_ms(engine, (wnorm,), REPEATS), 2)
     vectors = mix_vectors()
-    total = sum(build_seconds(engine, w) for w in vectors)
+    total = sum(call_seconds(engine, w) for w in vectors)
+    own_ms = {}
+    for d in OWN_GRID_DIMS:
+        wnorm = tuple(np.linspace(1.0, 0.1, d - 1).tolist()) + (1e-4,)
+        own_ms[str(d)] = round(median_ms(engine, (wnorm,), REPEATS), 2)
+    grid = chidensity._log_grid(chidensity._GRID_LO)
+    spline_us = 1e3 * median_ms(grid.spline, (np.log1p(grid.z),), LAYER_REPEATS)
+    eigh_us = {
+        str(d): round(1e3 * median_ms(spectral.eigh, (eigh_matrix(d),), LAYER_REPEATS), 1)
+        for d in EIGH_DIMS
+    }
     print(
         json.dumps(
             {
@@ -80,6 +108,9 @@ def main() -> None:
                 "build_ms": build_ms,
                 "mix_builds": len(vectors),
                 "mix_builds_per_s": round(len(vectors) / total, 1),
+                "own_grid_build_ms": own_ms,
+                "spline_us": round(spline_us, 1),
+                "eigh_us": eigh_us,
             }
         )
     )
