@@ -193,7 +193,7 @@ class _LogGrid:
         diag[-1] += h[-1] * (h[-2] + h[-1]) / h[-2]
         sub[-1] -= h[-1] * h[-1] / h[-2]
         u = diag.copy()
-        while True:
+        for _ in range(u.size):  # row i is exact after i passes
             mult = sub[1:] / u[:-1]
             pivots = diag[1:] - mult * sup[:-1]
             if np.array_equal(pivots, u[1:]):
