@@ -202,15 +202,21 @@ class _LogGrid:
         self._h = h
         self._pivots = u
         self._forward = _scan_tables(-mult)
-        self._backward = _scan_tables(-sup[-2::-1] / u[:0:-1])
+        self._backward = _scan_tables(-sup[:-1] / u[1:])
 
     def spline(self, y: np.ndarray) -> _CubicSpline:
         """Not-a-knot cubic spline of y against log z on the nodes."""
         h = self._h
         slope = np.diff(y) / h
         inner = 3.0 * np.diff(slope)
-        _scan(inner, self._forward)
-        _scan(inner[::-1], self._backward)
+        span = 1
+        for table in self._forward:  # f_i += alpha_i f_{i-1}, 2^j rows at a time
+            inner[span:] += table * inner[:-span]
+            span *= 2
+        span = 1
+        for table in self._backward:  # z_i += gamma_i z_{i+1}
+            inner[:-span] += table * inner[span:]
+            span *= 2
         inner /= self._pivots
         c = np.empty(y.size)
         c[1:-1] = inner
@@ -221,11 +227,13 @@ class _LogGrid:
 
 
 def _scan_tables(coef: np.ndarray) -> list[np.ndarray]:
-    """Tables for x_i += coef[i-1] x_{i-1}, i = 1..n-1, by recursive doubling.
+    """Products of 1, 2, 4, ... consecutive coefficients of a linear recurrence.
 
-    Table j holds the products of 2^j consecutive coefficients, aligned so
-    that ``_scan`` adds table[k] x_k to x_{k + 2^j}: after the passes over
-    tables 0..j-1, x_i holds the terms of its last 2^j - 1 predecessors.
+    For x_i += coef_i x_{i-1} (or x_i += coef_i x_{i+1}), table j holds at
+    k the product of coef_k .. coef_{k+2^j-1}, the weight with which x at
+    one end of that run reaches x at the other. Pass j of a recursive
+    doubling scan adds table j times x 2^j rows away, so after passes
+    0..j-1 each x_i holds the terms of its 2^j - 1 nearest predecessors.
     The tables stop at the first product below 2^-60 in size everywhere.
     The spline's coefficients are below 1 in size (2 - sqrt(3) = 0.268 on
     evenly spaced rows, 0.51 at most where the spacing changes at
@@ -237,17 +245,9 @@ def _scan_tables(coef: np.ndarray) -> list[np.ndarray]:
     span = 1
     while coef.size and np.abs(coef).max() >= 2.0**-60:
         tables.append(coef)
-        coef = coef[span:] * coef[:-span]
+        coef = coef[:-span] * coef[span:]
         span *= 2
     return tables
-
-
-def _scan(x: np.ndarray, tables: list[np.ndarray]) -> None:
-    """Run x_i += coef x_{i-1} in place over the spans of ``_scan_tables``."""
-    span = 1
-    for table in tables:
-        x[span:] += table * x[:-span]
-        span *= 2
 
 
 class _RightHalf:
