@@ -638,7 +638,7 @@ def density_upper_bound(s: Spectrum, z: float) -> float:
     base = _zolotarev_term(s, z)
     if s.d1 >= 2 or s.dim == 1:
         return base
-    return constants(s.dim).C3 * base
+    return _c3(s.dim) * base
 
 
 def density_lower_bound(s: Spectrum, z: float) -> tuple[float, float]:
@@ -702,6 +702,12 @@ def _partitions(n: int, largest: int | None = None):
             yield [k, *rest]
 
 
+@lru_cache(maxsize=None)
+def _c3(d: int) -> float:
+    """C3(d), the largest product of C4(m) over the partitions m of d - 1."""
+    return max(math.prod(_c4(m) for m in p) for p in _partitions(d - 1))
+
+
 def _tail_ratio_log(d: int, t: float) -> float:
     """log of P{|Z| >= t} / (t^{d-2} e^{-t^2/2})."""
     return log_chisq_norm_tail(d, t) - (d - 2) * math.log(t) + t * t / 2.0
@@ -718,7 +724,7 @@ def constants(d: int) -> ConstantTable:
     if d < 2:
         raise ValidationError(f"constant table requires d >= 2, got {d}")
     c4 = tuple(_c4(m) for m in range(1, d))
-    c3 = max(math.prod(_c4(m) for m in p) for p in _partitions(d - 1))
+    c3 = _c3(d)
     c5 = max(4.0 * math.sqrt(math.log(8.0 * c3)), 3.0 * d)
     beta = math.log(8.0 * c3) + d / 4.0
     ts = np.geomspace(2 * d, 200.0, 2000)

@@ -379,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output path prefix")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        # no longer used; still accepted so that scripts passing it run
-        p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     return parser
 
 

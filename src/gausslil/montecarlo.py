@@ -95,10 +95,6 @@ class SeededStream:
         _mix(z, np.empty_like(z))
         return z
 
-    def uniforms(self, start: int, count: int) -> np.ndarray:
-        """Uniforms in [0, 1) from the top 53 bits."""
-        return (self.raw(start, count) >> np.uint64(11)) * _U53
-
 
 class _NormalSource:
     """Sequential polar-method normals over a stream's uniform pairs.

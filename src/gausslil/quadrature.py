@@ -1,68 +1,21 @@
-"""Quadrature: scalar adaptive Simpson and fixed rules batched across rows.
+"""Quadrature: the (10, 21) Gauss-Kronrod rule, batched across rows.
 
-``adaptive_simpson`` integrates one scalar function, folding Richardson's
-correction (err/15) into every accepted panel. ``gauss_kronrod`` applies
-the fixed (10, 21) Gauss-Kronrod rule to one integrand over a different
-chain of panels per row (per grid node), in one vectorized integrand
-call per panel, and reports |K21 - G10| as its error estimate.
-``KronrodChain`` applies the same rule over the doubling chain
-[0, s], [s, 2s], [2s, 4s], ... that every row shares up to its own end.
-``gauss_legendre`` gives the n-point rule for callers that need no
-estimate.
+``kronrod_sums`` applies the rule to panels and reports |K21 - G10| as
+its error estimate; every integral in the library goes through it.
+``KronrodChain`` runs it over the doubling chain [0, s], [s, 2s],
+[2s, 4s], ... that every row shares up to its own end, for the density
+engine's levels. ``kronrod_halving`` runs it over each row's own
+interval and halves every panel whose estimate is too large, for the
+integral-test block sums. ``gauss_legendre`` gives the n-point rule for
+callers that need no estimate.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
 from .errors import NumericError
-
-
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    atol: float = 1e-12,
-    rtol: float = 1e-10,
-    max_depth: int = 48,
-) -> float:
-    """Integrate a scalar function over [a, b]."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise NumericError(f"adaptive Simpson needs finite limits, got [{a}, {b}]")
-    if b <= a:
-        return 0.0
-
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = max(atol, rtol * abs(whole))
-    total = 0.0
-    forced_err = 0.0
-    stack = [(a, m, b, fa, fm, fb, whole, tol, 0)]
-    while stack:
-        a0, m0, b0, fa0, fm0, fb0, s0, tol0, depth = stack.pop()
-        lm = 0.5 * (a0 + m0)
-        rm = 0.5 * (m0 + b0)
-        flm, frm = f(lm), f(rm)
-        sl = (m0 - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
-        sr = (b0 - m0) / 6.0 * (fm0 + 4.0 * frm + fb0)
-        err = sl + sr - s0
-        if abs(err) <= 15.0 * tol0 or depth >= max_depth:
-            if depth >= max_depth:
-                forced_err += abs(err)
-            total += sl + sr + err / 15.0
-        else:
-            stack.append((a0, lm, m0, fa0, flm, fm0, sl, tol0 / 2.0, depth + 1))
-            stack.append((m0, rm, b0, fm0, frm, fb0, sr, tol0 / 2.0, depth + 1))
-    if forced_err > 100.0 * max(atol, rtol * abs(total)):
-        raise NumericError(
-            f"adaptive Simpson stalled on [{a}, {b}]: unresolved error "
-            f"{forced_err:.3e} after depth {max_depth}"
-        )
-    return total
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,37 +93,6 @@ def kronrod_sums(values: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
     return sums[..., 0], np.abs(sums[..., 1])
 
 
-def gauss_kronrod(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    panels: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate f over each row's chain of panels with the (10, 21) rule.
-
-    ``panels`` lists (a, b) pairs of per-row limits, as ``geometric_knots``
-    returns them. ``f(rows, x)`` receives the indices of the rows a panel
-    still covers and their abscissas, one row of 21 per index, and must
-    return values of the same shape. Returns the Kronrod integral of every
-    row and its error estimate, the sum over panels of |K21 - G10|.
-    """
-    n = np.asarray(panels[0][0]).size
-    total = np.zeros(n)
-    err = np.zeros(n)
-    for a, b in panels:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise NumericError("Gauss-Kronrod needs finite limits at every node")
-        rows = np.nonzero(b > a)[0]
-        if rows.size == 0:
-            continue
-        width = b[rows] - a[rows]
-        x = a[rows, None] + width[:, None] * _GK_NODES
-        value, estimate = kronrod_sums(f(rows, x), width)
-        total[rows] += value
-        err[rows] += estimate
-    return total, err
-
-
 class KronrodChain:
     """The (10, 21) rule over [0, ends_i] on panels that the rows share.
 
@@ -241,25 +163,44 @@ class KronrodChain:
         return np.bincount(rows, value, self.size), np.bincount(rows, estimate, self.size)
 
 
-def geometric_knots(
-    a: np.ndarray, b: np.ndarray, scale: float, growth: float = 4.0
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Panel boundaries from a, spaced geometrically on the given scale.
+# kronrod_halving accepts a panel once |K21 - G10| <= _HALVING_RTOL |K21|,
+# and gives up after _HALVING_DEPTH halvings or at _HALVING_PANELS live
+# panels, which bound its time and memory
+_HALVING_RTOL = 1e-10
+_HALVING_DEPTH = 48
+_HALVING_PANELS = 1 << 16
 
-    Keeps a fixed rule from missing integrand features much narrower than
-    the full interval (e.g. a fast exponential decay whose width is known
-    analytically).
+
+def kronrod_halving(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Each row's integral of f over [lo_i, hi_i], halving unresolved panels.
+
+    Every row starts as one panel. On each pass the live panels of all
+    rows go through the (10, 21) rule at once; a panel is accepted when
+    |K21 - G10| <= 1e-10 |K21|, and every other one is halved (QUADPACK's
+    bisection). ``f(rows, x)`` gets the row of each live panel and its
+    (panels, 21) abscissas, and returns values of that shape. Raises
+    NumericError on a non-finite panel sum, and when the panels reach the
+    depth or the live-panel cap.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    panels = []
-    lo = a
-    width = scale
-    for _ in range(200):
-        hi = np.minimum(a + width, b)
-        panels.append((lo, hi))
-        if np.all(hi >= b):
-            break
-        lo = hi
-        width *= growth
-    return panels
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise NumericError("Gauss-Kronrod needs finite limits at every row")
+    total = np.zeros(lo.size)
+    rows, width = np.arange(lo.size), hi - lo
+    for depth in range(_HALVING_DEPTH + 1):
+        if rows.size > _HALVING_PANELS:
+            raise NumericError(f"Gauss-Kronrod halving unresolved: {rows.size} live panels at depth {depth}")
+        value, estimate = kronrod_sums(f(rows, lo[:, None] + width[:, None] * _GK_NODES), width)
+        bad = ~np.isfinite(value)
+        if bad.any():
+            raise NumericError(f"Gauss-Kronrod panel sum {value[bad][0]} on row {rows[bad][0]}")
+        done = estimate <= _HALVING_RTOL * np.abs(value)
+        total += np.bincount(rows[done], value[done], total.size)
+        if done.all():
+            return total
+        rows = np.repeat(rows[~done], 2)
+        width = np.repeat(0.5 * width[~done], 2)
+        lo = np.repeat(lo[~done], 2)
+        lo[1::2] += width[1::2]
+    raise NumericError(f"Gauss-Kronrod halving unresolved after {_HALVING_DEPTH} halvings on row {rows[0]}")

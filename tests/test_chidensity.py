@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conftest import random_weights, spectrum_from_weights
 
@@ -20,7 +21,7 @@ from gausslil.chidensity import (
     zolotarev_constant,
 )
 from gausslil.errors import NumericError, ValidationError
-from gausslil.quadrature import KronrodChain, adaptive_simpson
+from gausslil.quadrature import KronrodChain
 from gausslil.special import chisq_density, chisq_norm_const, chisq_norm_tail
 from gausslil.spectral import log_zolotarev
 
@@ -270,10 +271,9 @@ TABLE_T = (0.3, 2.0, 8.0, 20.0, 35.0, 37.6)  # in units of lambda_1
 
 
 def direct_mass(w, z_lo, z_hi):
-    """Scalar adaptive Simpson of the density over [z_lo, z_hi]."""
-    return adaptive_simpson(
-        lambda z: float(weighted_density(w, z)), z_lo, z_hi, atol=1e-320, rtol=1e-11
-    )
+    """QUADPACK's adaptive rule (scipy) on the density over [z_lo, z_hi]."""
+    value, _ = quad(lambda z: float(weighted_density(w, z)), z_lo, z_hi, epsabs=0, epsrel=1e-12, limit=200)
+    return value
 
 
 @pytest.mark.parametrize("weights", TABLE_WEIGHTS, ids=lambda v: f"d{len(v)}")
@@ -629,6 +629,15 @@ def test_density_upper_bound_two_weights_formula():
         c3 * k * chisq_density(1, z), rel=1e-12
     )
     assert k == pytest.approx((1 - 0.5) ** -0.5, rel=1e-13)
+
+
+def test_density_upper_bound_reads_c3_alone(monkeypatch):
+    # the constant table calibrates C1 and C2 from 2,000 tail ratios on first
+    # use; the density bound needs only C3 and must not pay for them
+    s = spectrum_from_weights([1.0, 0.5, 0.25])
+    want = constants(3).C3 * zolotarev_constant(s) * chisq_density(1, 4.0)
+    monkeypatch.setattr(chidensity, "constants", None)
+    assert density_upper_bound(s, 4.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_density_lower_bound_threshold():

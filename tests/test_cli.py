@@ -232,7 +232,7 @@ def test_argument_errors_give_an_error_record(argv, message, capsys):
     assert "version" in record
 
 
-def test_threads_option_and_env_are_ignored(tmp_path, monkeypatch):
+def test_threads_option_is_rejected_and_env_ignored(tmp_path, monkeypatch, capsys):
     cfg = {
         "sequence": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 0.25]]},
         "phi": {"kind": "parametric", "a": 2.0},
@@ -241,15 +241,22 @@ def test_threads_option_and_env_are_ignored(tmp_path, monkeypatch):
     }
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(cfg))
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    # the option is gone: an argument error, with its JSON record
+    capsys.readouterr()
+    assert main(argv + ["--threads", "4"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "validation"
+    assert "--threads" in record["error"]["message"]
     outputs = {}
-    for name, extra in (("plain", []), ("threads", ["--threads", "4"])):
-        if extra:
+    for name in ("plain", "env"):
+        if name == "env":
             monkeypatch.setenv("GAUSSLIL_THREADS", "not-a-number")
         (tmp_path / name).mkdir()
         argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / name / "run")]
-        assert main(argv + extra) == 0
+        assert main(argv) == 0
         outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
-    assert outputs["threads"] == outputs["plain"]
+    assert outputs["env"] == outputs["plain"]
 
 
 def test_json_format_embeds_tables(tmp_path):

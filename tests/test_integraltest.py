@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -377,6 +378,41 @@ def test_equivalence_exact_vs_integral_methods_agree():
     assert r_approx.block_methods == ("integral",) * 6
     for a, b in zip(r_exact.block_sums, r_approx.block_sums):
         assert b == pytest.approx(a, rel=2e-3)
+
+
+def _mp_series_term(n, variances, a):
+    """The full-product series term at real n for Gamma^2 = diag(variances), in
+    mpmath, with the regularized logs."""
+    lam = [mp.sqrt(v) for v in variances]
+    lam1 = lam[0]
+    lllt = mp.log(mp.log(mp.log(n)))
+    phi = lam1 * mp.sqrt(2 * mp.log(mp.log(n)) + a * max(lllt, 1))
+    gap = mp.mpf(1)
+    for li in lam[1:]:
+        gap *= phi / lam1 if li == lam1 else min(lam1 / mp.sqrt(lam1**2 - li**2), phi / lam1)
+    return phi / (n * lam1) * gap * mp.exp(-phi * phi / (2 * lam1 * lam1))
+
+
+@pytest.mark.parametrize("variances", [[1.0], [1.0, 1.0, 0.36]], ids=["d1", "d3"])
+def test_integral_blocks_resolve_the_lllt_kink(variances):
+    # LLLn = log(LLn v e) has a kink at n = e^{e^e}; the blocks that straddle
+    # it match mpmath's Euler-Maclaurin sum, its integral split at the kink
+    phi = PhiFamily(kind="parametric", a=4.0)
+    seq = const_seq(variances)
+    with mp.workdps(30):
+        kink = mp.e ** mp.e
+        for alpha in (0.5, 1.0, 2.0):
+            k = 1
+            while subsequence_index(alpha, k + 1) < mp.exp(kink):
+                k += 1
+            rep = equivalence_report(phi, seq, alpha=alpha, K=k, k_min=k)
+            lo, hi = mp.mpf(int(rep.n_ks[0])), mp.mpf(subsequence_index(alpha, k + 1))
+            assert rep.block_methods == ("integral",) and mp.log(lo) < kink < mp.log(hi)
+            body = mp.quad(
+                lambda u: _mp_series_term(mp.exp(u), variances, 4) * mp.exp(u), [mp.log(lo), kink, mp.log(hi)]
+            )
+            want = body + (_mp_series_term(hi, variances, 4) - _mp_series_term(lo, variances, 4)) / 2
+            assert rep.block_sums[0] == pytest.approx(float(want), rel=1e-10, abs=0)
 
 
 def test_exact_block_sums_match_termwise_sums():
