@@ -28,7 +28,6 @@ from .integraltest import (
     fluctuation_diagnostic,
     gamma_n,
     series_term,
-    subseq_series_term,
     subsequence_index,
 )
 from .montecarlo import (

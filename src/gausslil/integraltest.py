@@ -29,7 +29,6 @@ __all__ = [
     "gamma_n",
     "series_term",
     "subsequence_index",
-    "subseq_series_term",
     "classify",
     "fluctuation_diagnostic",
     "equivalence_report",
@@ -153,30 +152,28 @@ def series_term(
     return phi_n / (n * lam1) * g * np.exp(-phi_n * phi_n / (2.0 * lam1 * lam1))
 
 
-def _run_terms(seq: CovarianceSequence, phi: PhiFamily, d1, mode: str, lo: int, hi: int):
-    """Series terms for n = lo..hi, one array expression per run of equal Gamma_n."""
-    return np.concatenate(
-        [np.empty(0)]
-        + [
-            series_term(np.arange(first, last + 1), seq.spectrum_at(first), phi, d1=d1, mode=mode)
-            for first, last in seq.runs(lo, hi)
-        ]
-    )
+def _subseq_term(n, s_n: Spectrum, phi: PhiFamily, d1: int | None, mode: str):
+    """Subsequence term gamma_n/phi_n exp(-phi_n^2 / 2 l_{n,1}^2) at n = n_k, with
+    the product of ``series_term``; elementwise over an array of indices."""
+    lam1 = s_n.lambda1
+    phi_n = phi.value(n, lam1)
+    g = gamma_n(s_n, phi_n, upto=_product_upto(s_n, mode, d1))
+    return g / phi_n * np.exp(-phi_n * phi_n / (2.0 * lam1 * lam1))
 
 
-def subseq_series_term(
-    k: int,
-    seq: CovarianceSequence,
-    phi: PhiFamily,
-    alpha: float = 1.0,
-    mode: str = "full-product",
-) -> float:
-    """k-th term gamma_{n_k}/phi_{n_k} exp(-phi_{n_k}^2 / 2 l_{n_k,1}^2)."""
-    n_k = subsequence_index(alpha, k)
-    s = seq.spectrum_at(n_k)
-    phi_k = phi.value(n_k, s.lambda1)
-    g = gamma_n(s, phi_k, upto=_product_upto(s, mode))
-    return g / phi_k * math.exp(-phi_k * phi_k / (2.0 * s.lambda1**2))
+def _by_state(seq: CovarianceSequence, ns, term, at=None) -> np.ndarray:
+    """term(at[sl], s) on each slice sl of the non-decreasing indices ns that
+    shares one Gamma_n, s its spectrum; ``at`` defaults to ns.
+
+    Where Gamma_n = 0 the term is 0.0: |Gamma_n T_n| = 0 < sqrt(n) phi_n, so
+    the event is empty.
+    """
+    at = ns if at is None else at
+    out = np.zeros(at.shape)
+    for sl, s in seq.runs(ns):
+        if s.lambda1 > 0:
+            out[sl] = term(at[sl], s)
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,12 +230,13 @@ def classify(
     envelope; otherwise Inconclusive. Partial sums over the first
     ``n_terms`` indices are attached for inspection.
     """
+    seq.check_nonzero_limit()
     _check_d1(d1, seq)
     n_max = n_terms if seq.max_index is None else min(n_terms, seq.max_index)
     if phi.kind == "tabulated":
         n_max = min(n_max, len(phi.values))
     ns = np.arange(1, n_max + 1)
-    terms = _run_terms(seq, phi, d1, "top-group", 1, n_max)
+    terms = _by_state(seq, ns, lambda n, s: series_term(n, s, phi, d1=d1))
     psums = np.cumsum(terms)
     params = phi.classification_params()
     if params is None:
@@ -326,25 +324,19 @@ class EquivalenceReport:
         return self.full_verdict == self.subseq_verdict
 
 
-def _block_sums_integral(seq, phi, d1, mode, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _block_sums_integral(seq, term, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin: sum_{n=lo+1}^{hi} g(n) ~ int_lo^hi g + (g(hi)-g(lo))/2, per block.
 
     Each block's spectrum is frozen at its left endpoint; drift within a
     block is exactly what the fluctuation condition bounds. The integrals
     run in u = log n, where g(e^u) e^u varies slowly, with the panels of
-    every block in one batch and one ``series_term`` call per frozen state.
+    every block in one batch; their rows come sorted, so their left
+    endpoints group by state.
     """
     lo, hi = lo.astype(float), hi.astype(float)
-    states = np.array([seq.state(int(n)) for n in lo])
-    spectra = {st: seq.spectrum_at(int(n)) for st, n in dict(zip(states.tolist(), lo)).items()}
 
     def g(rows, n):
-        out = np.empty(n.shape)
-        row_states = states[rows]
-        for st in set(row_states.tolist()):
-            take = row_states == st
-            out[take] = series_term(n[take], spectra[st], phi, d1=d1, mode=mode)
-        return out
+        return _by_state(seq, lo[rows], term, n)
 
     body = kronrod_halving(lambda rows, u: g(rows, np.exp(u)) * np.exp(u), np.log(lo), np.log(hi))
     ends = g(np.arange(lo.size), np.stack([hi, lo], axis=1))
@@ -370,6 +362,7 @@ def equivalence_report(
     K = min(K, max_subsequence_k(alpha) - 1)
     if k_min < 1 or K < k_min:
         raise ValidationError(f"need 1 <= k_min <= K, got [{k_min}, {K}]")
+    seq.check_nonzero_limit()
     if d1 is None:
         d1 = seq.limit_spectrum().d1
     _check_d1(d1, seq)
@@ -378,16 +371,22 @@ def equivalence_report(
     lo, hi = n_ks[:-1], n_ks[1:]
     methods = np.where(hi <= lo, "empty", np.where(hi <= exact_block_limit, "exact", "integral"))
     block_sums = np.zeros(ks.size)
-    for j in np.flatnonzero(methods == "exact"):
-        block_sums[j] = np.sum(_run_terms(seq, phi, d1, mode, int(lo[j]) + 1, int(hi[j])))
+    term = lambda n, s: series_term(n, s, phi, d1=d1, mode=mode)  # noqa: E731
+    exact = np.flatnonzero(methods == "exact")
+    if exact.size:
+        # one pass over lo_1+1..hi_last, then each block sums its own slice
+        first = int(lo[exact[0]])
+        terms = _by_state(seq, np.arange(first + 1, int(hi[exact[-1]]) + 1), term)
+        for j in exact:
+            block_sums[j] = np.sum(terms[int(lo[j]) - first : int(hi[j]) - first])
     integral = methods == "integral"
-    block_sums[integral] = _block_sums_integral(seq, phi, d1, mode, lo[integral], hi[integral])
-    subseq = np.array(
-        [subseq_series_term(int(k), seq, phi, alpha=alpha, mode=mode) for k in range(k_min, K + 2)]
-    )
-    nonempty = block_sums > 0
-    low = float(np.min(block_sums[nonempty] / subseq[1:][nonempty])) if np.any(nonempty) else math.nan
-    high = float(np.max(block_sums[nonempty] / subseq[:-1][nonempty])) if np.any(nonempty) else math.nan
+    block_sums[integral] = _block_sums_integral(seq, term, lo[integral], hi[integral])
+    # n_k past k ~ 240 overflows int64, and phi_n takes float indices
+    subseq = _by_state(seq, n_ks.astype(float), lambda n, s: _subseq_term(n, s, phi, d1, mode))
+    # a zero Gamma_n (a finite prefix) gives b_k = 0, and no ratio
+    used = (block_sums > 0) & (subseq[:-1] > 0) & (subseq[1:] > 0)
+    low = float(np.min(block_sums[used] / subseq[1:][used])) if np.any(used) else math.nan
+    high = float(np.max(block_sums[used] / subseq[:-1][used])) if np.any(used) else math.nan
     params = phi.classification_params()
     # the subsequence series obeys the same exponent rule (see _exponent_verdict)
     full_v = sub_v = "Inconclusive" if params is None else _exponent_verdict(params[0], d1)[0]

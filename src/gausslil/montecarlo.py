@@ -19,7 +19,7 @@ from .errors import ValidationError
 from .integraltest import PhiFamily
 from .iterlog import llt
 from .sequences import CovarianceSequence
-from .spectral import Spectrum, operator_norm
+from .spectral import Spectrum
 
 __all__ = [
     "SeededStream",
@@ -301,11 +301,7 @@ def simulate_paths(
         raise ValidationError(f"n_max must be <= 2^53 = {MAX_N}, got {n_max}")
     if reps < 1:
         raise ValidationError(f"reps must be >= 1, got {reps}")
-    if operator_norm(seq.limit()) == 0.0:
-        raise ValidationError(
-            "covariance sequence degenerates to the zero matrix; the limit "
-            "must be a nonzero symmetric non-negative definite matrix"
-        )
+    seq.check_nonzero_limit()
     d = seq.dim
     ns = checkpoint_schedule(n_max)
     scale = np.sqrt(np.diff(ns, prepend=0).astype(float))[:, None]

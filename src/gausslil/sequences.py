@@ -216,23 +216,30 @@ class CovarianceSequence:
             )
         return n - 1
 
-    def runs(self, lo: int, hi: int):
-        """The maximal runs (first, last) of lo..hi on which Gamma_n is one matrix.
+    def runs(self, ns):
+        """Each maximal slice of the non-decreasing indices ``ns`` (an array
+        or a range) on which Gamma_n is one matrix, with its spectrum.
 
-        The state never decreases in n, so each run ends where a bisection
+        The state never decreases in n, so each slice ends where a bisection
         finds the state change.
         """
-        first = lo
-        while first <= hi:
-            state, a, b = self.state(first), first, hi
-            while a < b:
-                mid = (a + b + 1) // 2
-                if self.state(mid) == state:
-                    a = mid
-                else:
-                    b = mid - 1
-            yield first, a
-            first = a + 1
+        def state(i: int) -> int:
+            return self.state(int(ns[i]))
+
+        start = 0
+        while start < len(ns):
+            s = state(start)
+            stop = bisect.bisect_right(range(len(ns)), s, lo=start, key=state)
+            yield slice(start, stop), self._spectrum_and_root(s)[0]
+            start = stop
+
+    def check_nonzero_limit(self) -> None:
+        """Reject a sequence whose limit is the zero matrix."""
+        if spectral.operator_norm(self.limit()) == 0.0:
+            raise ValidationError(
+                "covariance sequence degenerates to the zero matrix; the limit "
+                "must be a nonzero symmetric non-negative definite matrix"
+            )
 
     @property
     def is_constant(self) -> bool:

@@ -286,6 +286,27 @@ _DIPPING_CUTOFF = {
     },
     "cutoff": {"kind": "sqrt_n", "g_table": [1.0] * 9 + [0.05] + [1.0] * 2},
 }
+# atoms at +-(0, 2): under c_n = sqrt(n), Gamma_n = 0 for n <= 3
+_ZERO_PREFIX = {
+    "kind": "truncated",
+    "distribution": {"atoms": [{"point": [0.0, 2.0], "prob": 0.5}, {"point": [0.0, -2.0], "prob": 0.5}]},
+    "cutoff": {"kind": "sqrt_n"},
+}
+
+
+def test_integral_test_zero_prefix(tmp_path):
+    cfg = {"phi": {"kind": "parametric", "a": 4.0}, "sequence": _ZERO_PREFIX, "n_terms": 50,
+           "equivalence": {"K": 60}}
+    code, out = run_cli(tmp_path, "integral-test", cfg)
+    assert code == 0
+    summary = read_json(out)
+    assert summary["verdict"] == "Converges"
+    eq = summary["equivalence"]
+    assert 0 < eq["bracketing_low"] <= eq["bracketing_high"] < math.inf
+    _, rows = read_csv(tmp_path / "run_terms.csv")
+    assert [int(r[0]) for r in rows] == list(range(1, 51))
+    assert [float(r[1]) for r in rows[:3]] == [0.0] * 3
+    assert all(float(r[1]) > 0 for r in rows[3:])
 
 
 @pytest.mark.parametrize(
@@ -338,6 +359,7 @@ _DIPPING_CUTOFF = {
         ("sequence-info", {"sequence": _SERIES["sequence"], "alpha": 1.0, "K": 10_001}),
         ("integral-test", {**_SERIES, "equivalence": {"K": 10_001}}),
         ("integral-test", {**_SERIES, "n_terms": 10**13}),
+        ("integral-test", {**_SERIES, "sequence": {**_ZERO_PREFIX, "cutoff": {"kind": "constant", "value": 1.0}}}),
     ],
     ids=[
         "nan-threshold", "negative-count", "weights-string", "bounds-weights-string",
@@ -352,7 +374,7 @@ _DIPPING_CUTOFF = {
         "atom-points-unequal", "atoms-not-list", "atom-not-object", "atom-point-empty",
         "n-max-above-2-53", "count-above-cap", "t-count-above-cap", "samples-above-cap",
         "reps-above-cap", "N-above-cap", "K-above-cap", "equivalence-K-above-cap",
-        "n-terms-above-cap",
+        "n-terms-above-cap", "cutoff-below-every-atom",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, command, cfg):

@@ -15,7 +15,6 @@ from gausslil.integraltest import (
     fluctuation_diagnostic,
     gamma_n,
     series_term,
-    subseq_series_term,
     subsequence_index,
 )
 from gausslil.iterlog import llt, lllt, lt, max_subsequence_k, subsequence_exponent
@@ -145,12 +144,13 @@ def test_series_terms_share_one_mode_mapping():
     phin = phi.value(n_k, s.lambda1)
     for mode, upto in (("top-group", s.d1), ("full-product", s.dim)):
         expect = gamma_n(s, phin, upto=upto) / phin * math.exp(-phin**2 / 2)
-        assert subseq_series_term(k, seq, phi, mode=mode) == pytest.approx(expect, rel=1e-14)
+        rep = equivalence_report(phi, seq, K=k, k_min=k, mode=mode)
+        assert rep.subseq_terms[0] == pytest.approx(expect, rel=1e-14)
     for bad in ("top_group", "full"):
         with pytest.raises(ValidationError, match="unknown mode"):
             series_term(100, s, phi, mode=bad)
         with pytest.raises(ValidationError, match="unknown mode"):
-            subseq_series_term(k, seq, phi, mode=bad)
+            equivalence_report(phi, seq, K=k, k_min=k, mode=bad)
 
 
 @pytest.mark.parametrize(
@@ -225,7 +225,7 @@ def test_subsequence_strictly_increasing_beyond_k0():
     assert np.all(diffs[k0:] > 0)
 
 
-def test_subseq_series_term_d1():
+def test_subseq_term_d1():
     # d = 1: gamma = 1, term = (1/phi) e^{-phi^2/2 lam^2}
     seq = const_seq([1.0])
     phi = PhiFamily(kind="parametric", a=0.0, b=0.0)
@@ -233,7 +233,7 @@ def test_subseq_series_term_d1():
     n_k = subsequence_index(1.0, k)
     phin = phi.value(n_k, 1.0)
     expect = (1 / phin) * math.exp(-phin**2 / 2)
-    assert subseq_series_term(k, seq, phi) == pytest.approx(expect, rel=1e-12)
+    assert equivalence_report(phi, seq, K=k, k_min=k).subseq_terms[0] == pytest.approx(expect, rel=1e-12)
 
 
 # ---- classifier ---------------------------------------------------------------
@@ -413,6 +413,44 @@ def test_integral_blocks_resolve_the_lllt_kink(variances):
             )
             want = body + (_mp_series_term(hi, variances, 4) - _mp_series_term(lo, variances, 4)) / 2
             assert rep.block_sums[0] == pytest.approx(float(want), rel=1e-10, abs=0)
+
+
+def _zero_prefix_seq(cutoff):
+    # atoms at +-(0, 2): Gamma_n = 0 until c_n reaches 2
+    points = np.array([[0.0, 2.0], [0.0, -2.0]])
+    return CovarianceSequence.truncated(DiscreteDistribution(points=points, probs=np.full(2, 0.5)), cutoff)
+
+
+def test_zero_prefix_terms_vanish():
+    seq = _zero_prefix_seq(CutoffFamily(kind="sqrt_n"))
+    phi = PhiFamily(kind="parametric", a=4.0)
+    diag = classify(phi, seq, 1, n_terms=100)
+    assert diag.verdict == "Converges"
+    assert np.all(diag.terms[:3] == 0.0)
+    np.testing.assert_array_equal(diag.terms[3:], series_term(diag.ns[3:], seq.limit_spectrum(), phi, d1=1))
+    rep = equivalence_report(phi, seq, K=60)
+    assert rep.n_ks[0] == 2 and rep.subseq_terms[0] == 0.0 and np.all(rep.subseq_terms[1:] > 0)
+    assert rep.bracketing_low == pytest.approx(1.49, abs=0.005)
+    assert rep.bracketing_high == pytest.approx(8.70, abs=0.005)
+
+
+def test_zero_limit_rejected():
+    seq = _zero_prefix_seq(CutoffFamily(kind="constant", value=1.0))
+    phi = PhiFamily(kind="parametric", a=4.0)
+    with pytest.raises(ValidationError, match="zero matrix"):
+        classify(phi, seq, 1)
+    with pytest.raises(ValidationError, match="zero matrix"):
+        equivalence_report(phi, seq, K=10)
+
+
+def test_block_and_subsequence_terms_share_d1():
+    # diag(1, 0.25): the i = 2 factor takes its gap branch 1/sqrt(0.75) at
+    # every n, so d1 = 2 scales a_k and b_k alike and leaves their ratios
+    seq = const_seq([1.0, 0.25])
+    phi = PhiFamily(kind="parametric", a=4.0)
+    one, two = (equivalence_report(phi, seq, K=60, k_min=5, mode="top-group", d1=d1) for d1 in (1, 2))
+    assert two.bracketing_low == pytest.approx(one.bracketing_low, rel=1e-12)
+    assert two.bracketing_high == pytest.approx(one.bracketing_high, rel=1e-12)
 
 
 def test_exact_block_sums_match_termwise_sums():

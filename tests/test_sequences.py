@@ -142,16 +142,19 @@ def test_runs_partition_the_indices_by_state(cross_dist):
         CovarianceSequence.tabulated([np.eye(2)] * 7),
         CovarianceSequence.constant(np.eye(2)),
     ]
-    for seq, (lo, hi) in zip(seqs, [(2, 300), (1, 7), (5, 10**9)]):
-        runs = list(seq.runs(lo, hi))
-        assert runs[0][0] == lo and runs[-1][1] == hi
-        assert all(b[0] == a[1] + 1 for a, b in zip(runs, runs[1:]))
-        for first, last in runs:
+    for seq, ns in zip(seqs, [np.arange(2, 301), range(1, 8), range(5, 10**9 + 1)]):
+        runs = list(seq.runs(ns))
+        assert runs[0][0].start == 0 and runs[-1][0].stop == len(ns)
+        assert all(b[0].start == a[0].stop for a, b in zip(runs, runs[1:]))
+        for sl, s in runs:
+            first, last = int(ns[sl][0]), int(ns[sl][-1])
             assert seq.state(first) == seq.state(last)
-        assert len({seq.state(first) for first, _ in runs}) == len(runs)
+            assert s is seq.spectrum_at(first)
+        assert len({seq.state(int(ns[sl.start])) for sl, _ in runs}) == len(runs)
     # atoms at norms 1 and 2 enter at 0.3 sqrt(n) >= 1 and >= 2
-    assert list(seqs[0].runs(2, 300)) == [(2, 11), (12, 44), (45, 300)]
-    assert list(seqs[1].runs(3, 2)) == []
+    ns = np.arange(2, 301)
+    assert [(ns[sl][0], ns[sl][-1]) for sl, _ in seqs[0].runs(ns)] == [(2, 11), (12, 44), (45, 300)]
+    assert list(seqs[1].runs(range(3, 3))) == []
 
 
 def test_cutoff_window_report(cross_dist):
