@@ -252,8 +252,6 @@ def _cmd_integral_test(cfg: dict, out: Path, config: RunConfig) -> dict:
             "bracketing_low": rep.bracketing_low,
             "bracketing_high": rep.bracketing_high,
             "full_verdict": rep.full_verdict,
-            "subseq_verdict": rep.subseq_verdict,
-            "verdicts_agree": rep.verdicts_agree,
         }
     _emit_table(out, "terms", ["index", "term", "partial_sum"], rows, config.format, summary)
     return summary
