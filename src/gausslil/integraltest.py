@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -236,7 +236,7 @@ def classify(
     if phi.kind == "tabulated":
         n_max = min(n_max, len(phi.values))
     ns = np.arange(1, n_max + 1)
-    terms = _by_state(seq, ns, lambda n, s: series_term(n, s, phi, d1=d1))
+    terms = _by_state(seq, ns, partial(series_term, phi=phi, d1=d1))
     psums = np.cumsum(terms)
     params = phi.classification_params()
     if params is None:
@@ -371,7 +371,7 @@ def equivalence_report(
     lo, hi = n_ks[:-1], n_ks[1:]
     methods = np.where(hi <= lo, "empty", np.where(hi <= exact_block_limit, "exact", "integral"))
     block_sums = np.zeros(ks.size)
-    term = lambda n, s: series_term(n, s, phi, d1=d1, mode=mode)  # noqa: E731
+    term = partial(series_term, phi=phi, d1=d1, mode=mode)
     exact = np.flatnonzero(methods == "exact")
     if exact.size:
         # one pass over lo_1+1..hi_last, then each block sums its own slice
@@ -382,7 +382,7 @@ def equivalence_report(
     integral = methods == "integral"
     block_sums[integral] = _block_sums_integral(seq, term, lo[integral], hi[integral])
     # n_k past k ~ 240 overflows int64, and phi_n takes float indices
-    subseq = _by_state(seq, n_ks.astype(float), lambda n, s: _subseq_term(n, s, phi, d1, mode))
+    subseq = _by_state(seq, n_ks.astype(float), partial(_subseq_term, phi=phi, d1=d1, mode=mode))
     # a zero Gamma_n (a finite prefix) gives b_k = 0, and no ratio
     used = (block_sums > 0) & (subseq[:-1] > 0) & (subseq[1:] > 0)
     low = float(np.min(block_sums[used] / subseq[1:][used])) if np.any(used) else math.nan

@@ -235,7 +235,7 @@ class CovarianceSequence:
 
     def check_nonzero_limit(self) -> None:
         """Reject a sequence whose limit is the zero matrix."""
-        if spectral.operator_norm(self.limit()) == 0.0:
+        if not np.any(self.limit()):
             raise ValidationError(
                 "covariance sequence degenerates to the zero matrix; the limit "
                 "must be a nonzero symmetric non-negative definite matrix"

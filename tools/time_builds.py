@@ -1,4 +1,5 @@
-"""Engine build times of the weighted chi-square density engine.
+"""Engine build times of the weighted chi-square density engine, and the
+integral-test series times.
 
     python tools/time_builds.py [--src DIR]
 
@@ -15,11 +16,18 @@ Prints one JSON line:
 - ``spline_us``: the median time of one level's spline solve on the shared
   grid, over LAYER_REPEATS calls;
 - ``eigh_us``: the median time of ``eigh`` on a fixed seeded positive
-  definite matrix for each d in EIGH_DIMS, over LAYER_REPEATS calls.
+  definite matrix for each d in EIGH_DIMS, over LAYER_REPEATS calls;
+- ``report_ms``: the median time of one ``equivalence_report`` (a = 4,
+  alpha = 1, full product) for K in REPORT_KS, on a constant d = 3
+  sequence and on a truncated d = 2 one whose states change at n = 4 and
+  n = 9, over REPEATS calls;
+- ``classify_ms``: the median time of ``classify`` over 5000 terms on
+  the same two sequences, over REPEATS calls.
 
 Engines are built directly, so the per-vector engine cache is bypassed;
 whatever the engine shares between vectors (a grid, say) is warmed by one
-build first. ``--src`` imports gausslil from another source tree, so that
+build first, and the series are timed after one warm-up call, which
+builds the sequences' spectra. ``--src`` imports gausslil from another source tree, so that
 two checkouts can be timed by one script. Needs only numpy.
 """
 from __future__ import annotations
@@ -41,6 +49,7 @@ ROUNDS = 3
 OWN_GRID_DIMS = (2, 5, 8)
 EIGH_DIMS = (2, 4, 6, 8, 16)
 LAYER_REPEATS = 51
+REPORT_KS = (200, 2000)
 
 
 def mix_vectors() -> list[tuple[float, ...]]:
@@ -76,12 +85,22 @@ def eigh_matrix(d: int) -> np.ndarray:
     return g @ g.T + d * np.eye(d)
 
 
+def series_sequences(sequences) -> dict:
+    """The constant and the truncated sequence of the series timings."""
+    half = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
+    dist = sequences.DiscreteDistribution(points=np.concatenate([half, -half]), probs=np.full(6, 1 / 6))
+    return {
+        "constant": sequences.CovarianceSequence.constant(np.diag([1.0, 0.5, 0.25])),
+        "truncated": sequences.CovarianceSequence.truncated(dist, sequences.CutoffFamily(kind="sqrt_n")),
+    }
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     args = p.parse_args()
     sys.path.insert(0, args.src)
-    from gausslil import chidensity, spectral
+    from gausslil import chidensity, integraltest, sequences, spectral
 
     engine = chidensity._DensityEngine
     build_ms = {}
@@ -100,6 +119,17 @@ def main() -> None:
         str(d): round(1e3 * median_ms(spectral.eigh, (eigh_matrix(d),), LAYER_REPEATS), 1)
         for d in EIGH_DIMS
     }
+    phi = integraltest.PhiFamily(kind="parametric", a=4.0)
+    seqs = series_sequences(sequences)
+    report_ms = {
+        f"{name}_K{K}": round(median_ms(integraltest.equivalence_report, (phi, seq, 1.0, K), REPEATS), 2)
+        for name, seq in seqs.items()
+        for K in REPORT_KS
+    }
+    classify_ms = {
+        name: round(median_ms(integraltest.classify, (phi, seq, 1, 5000), REPEATS), 3)
+        for name, seq in seqs.items()
+    }
     print(
         json.dumps(
             {
@@ -111,6 +141,8 @@ def main() -> None:
                 "own_grid_build_ms": own_ms,
                 "spline_us": round(spline_us, 1),
                 "eigh_us": eigh_us,
+                "report_ms": report_ms,
+                "classify_ms": classify_ms,
             }
         )
     )
