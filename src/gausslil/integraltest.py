@@ -34,6 +34,8 @@ __all__ = [
     "equivalence_report",
 ]
 
+_TERM_CHUNK = 1 << 15  # indices per term call, so a long run's temporaries stay small
+
 FINITE_SAMPLE_LABEL = (
     "finite-sample diagnostic only; asymptotic conditions cannot be "
     "certified by finite computation"
@@ -172,7 +174,9 @@ def _by_state(seq: CovarianceSequence, ns, term, at=None) -> np.ndarray:
     out = np.zeros(at.shape)
     for sl, s in seq.runs(ns):
         if s.lambda1 > 0:
-            out[sl] = term(at[sl], s)
+            for i in range(sl.start, sl.stop, _TERM_CHUNK):
+                piece = slice(i, min(i + _TERM_CHUNK, sl.stop))
+                out[piece] = term(at[piece], s)
     return out
 
 
@@ -213,7 +217,8 @@ def _exponent_verdict(a: float, d1: int) -> tuple[str, str]:
     )
 
 
-def _check_d1(d1: int, seq: CovarianceSequence) -> None:
+def _check_series(seq: CovarianceSequence, d1: int) -> None:
+    seq.check_nonzero_limit()
     if not 1 <= d1 <= seq.dim:
         raise ValidationError(f"d1 must be between 1 and the dimension {seq.dim}, got {d1}")
 
@@ -230,8 +235,7 @@ def classify(
     envelope; otherwise Inconclusive. Partial sums over the first
     ``n_terms`` indices are attached for inspection.
     """
-    seq.check_nonzero_limit()
-    _check_d1(d1, seq)
+    _check_series(seq, d1)
     n_max = n_terms if seq.max_index is None else min(n_terms, seq.max_index)
     if phi.kind == "tabulated":
         n_max = min(n_max, len(phi.values))
@@ -334,12 +338,10 @@ def _block_sums_integral(seq, term, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     endpoints group by state.
     """
     lo, hi = lo.astype(float), hi.astype(float)
-
-    def g(rows, n):
-        return _by_state(seq, lo[rows], term, n)
-
-    body = kronrod_halving(lambda rows, u: g(rows, np.exp(u)) * np.exp(u), np.log(lo), np.log(hi))
-    ends = g(np.arange(lo.size), np.stack([hi, lo], axis=1))
+    body = kronrod_halving(
+        lambda rows, u: _by_state(seq, lo[rows], term, np.exp(u)) * np.exp(u), np.log(lo), np.log(hi)
+    )
+    ends = _by_state(seq, lo, term, np.stack([hi, lo], axis=1))
     return body + 0.5 * (ends[:, 0] - ends[:, 1])
 
 
@@ -362,10 +364,9 @@ def equivalence_report(
     K = min(K, max_subsequence_k(alpha) - 1)
     if k_min < 1 or K < k_min:
         raise ValidationError(f"need 1 <= k_min <= K, got [{k_min}, {K}]")
-    seq.check_nonzero_limit()
     if d1 is None:
         d1 = seq.limit_spectrum().d1
-    _check_d1(d1, seq)
+    _check_series(seq, d1)
     ks = np.arange(k_min, K + 1)
     n_ks = np.array([subsequence_index(alpha, int(k)) for k in range(k_min, K + 2)])
     lo, hi = n_ks[:-1], n_ks[1:]

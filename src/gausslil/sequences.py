@@ -226,12 +226,11 @@ class CovarianceSequence:
         def state(i: int) -> int:
             return self.state(int(ns[i]))
 
-        start = 0
-        while start < len(ns):
-            s = state(start)
+        stop = 0
+        while stop < len(ns):
+            start, s = stop, state(stop)
             stop = bisect.bisect_right(range(len(ns)), s, lo=start, key=state)
             yield slice(start, stop), self._spectrum_and_root(s)[0]
-            start = stop
 
     def check_nonzero_limit(self) -> None:
         """Reject a sequence whose limit is the zero matrix."""

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_weights, spectrum_from_weights
 
-from gausslil import spectral
+from gausslil import integraltest, spectral
 from gausslil.errors import ValidationError
 from gausslil.integraltest import (
     PhiFamily,
@@ -468,6 +468,23 @@ def test_exact_block_sums_match_termwise_sums():
             series_term(n, seq.spectrum_at(n), phi, mode="full-product") for n in range(lo + 1, hi + 1)
         )
         assert total == pytest.approx(termwise, rel=1e-12, abs=0.0)
+
+
+def test_long_runs_are_evaluated_in_pieces_without_changing_terms():
+    # atoms at norms 1, 2 and 3 enter near n = 1e4, 4e4 and 9e4 under
+    # 0.01 sqrt(n): a zero prefix, then runs longer and shorter than a piece
+    half = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
+    dist = DiscreteDistribution(points=np.concatenate([half, -half]), probs=np.full(6, 1 / 6))
+    seq = CovarianceSequence.truncated(dist, CutoffFamily(kind="sqrt_n", scale=0.01))
+    phi = PhiFamily(kind="parametric", a=4.0)
+    diag = classify(phi, seq, 1, n_terms=100_000)
+    states = np.array([seq.state(n) for n in range(1, 100_001)])
+    assert np.bincount(states).max() > integraltest._TERM_CHUNK
+    for state in np.unique(states):
+        ns = np.flatnonzero(states == state) + 1
+        s = seq.spectrum_at(int(ns[0]))
+        want = series_term(ns, s, phi, d1=1) if state else np.zeros(ns.size)
+        np.testing.assert_array_equal(diag.terms[ns - 1], want)
 
 
 @pytest.mark.parametrize("kind", ["truncated", "constant"])
