@@ -177,8 +177,8 @@ def kronrod_halving(f: Callable, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     Every row starts as one panel. On each pass the live panels of all
     rows go through the (10, 21) rule at once; a panel is accepted when
     |K21 - G10| <= 1e-10 |K21|, and every other one is halved (QUADPACK's
-    bisection). ``f(rows, x)`` gets the row of each live panel and its
-    (panels, 21) abscissas, and returns values of that shape. Raises
+    bisection). ``f(rows, x)`` gets the row of each live panel, ascending,
+    and its (panels, 21) abscissas, and returns values of that shape. Raises
     NumericError on a non-finite panel sum, and when the panels reach the
     depth or the live-panel cap.
     """

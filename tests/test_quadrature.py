@@ -15,6 +15,7 @@ def test_scalar_known_integrals():
     rows_seen = set()
 
     def f(rows, x):
+        assert np.all(np.diff(rows) >= 0)  # the live panels' rows come ascending
         rows_seen.update(rows.tolist())
         out = np.empty_like(x)
         for i, fi in enumerate(fs):
