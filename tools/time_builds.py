@@ -26,9 +26,9 @@ Prints one JSON line:
 
 Engines are built directly, so the per-vector engine cache is bypassed;
 whatever the engine shares between vectors (a grid, say) is warmed by one
-build first, and the series are timed after one warm-up call, which
-builds the sequences' spectra. ``--src`` imports gausslil from another source tree, so that
-two checkouts can be timed by one script. Needs only numpy.
+build first. The series are timed after one warm-up call, which builds
+the sequences' spectra. ``--src`` imports gausslil from another source
+tree, so that two checkouts can be timed by one script. Needs only numpy.
 """
 from __future__ import annotations
 
