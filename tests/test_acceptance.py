@@ -73,7 +73,7 @@ def test_criterion_1_exact_case_recovery():
     with criterion(1, "exact-case recovery (d=2 equal)", 1.0):
         for lam2 in (1.0, 0.49):
             w = WeightedChiSquare.from_weights([lam2, lam2])
-            for t_over_l1 in np.linspace(0.0, 12.0, 49):
+            for t_over_l1 in np.linspace(0.0, 37.0, 149):
                 t = float(t_over_l1) * math.sqrt(lam2)
                 got = weighted_norm_tail(w, t)
                 want = math.exp(-t * t / (2 * lam2))
