@@ -125,8 +125,9 @@ class _LogGrid:
     recursive-doubling scans over tables of the factors. The right half
     of every convolution level (see _DensityEngine._build) integrates over
     abscissas that depend on the nodes alone, so those, their logs and
-    their grid positions are kept here too. Engines on the _GRID_LO grid
-    share one (_log_grid).
+    their grid positions are kept here too, as are the decay tables of the
+    node table's suffix tails (see _DensityEngine). Engines on the _GRID_LO
+    grid share one (_log_grid).
     """
 
     def __init__(self, z_lo: float):
@@ -140,6 +141,10 @@ class _LogGrid:
         )
         self.log_z = np.log(self.z)
         self.log_lo = float(self.log_z[0])
+        # the node table's suffix tails run x_j += e^{-(z_{j+1} - z_j)/2} x_{j+1}
+        # down from the top node over z_0 = 0, z_1, ...; no term is dropped
+        self.nodes = np.concatenate([[0.0], self.z])
+        self.suffix = _scan_tables(np.exp(-0.5 * np.diff(self.nodes)), floor=0.0)
         self._lower = (self.log_lo, n_lo / math.log(_GRID_MID / z_lo))
         self._upper = (math.log(_GRID_MID), 1.0 / _GRID_LOG_STEP, float(n_lo))
         self._factor()
@@ -226,7 +231,7 @@ class _LogGrid:
         return _CubicSpline(self.log_z, y, b, c[:-1], (c[1:] - c[:-1]) / (3.0 * h))
 
 
-def _scan_tables(coef: np.ndarray) -> list[np.ndarray]:
+def _scan_tables(coef: np.ndarray, floor: float = 2.0**-60) -> list[np.ndarray]:
     """Products of 1, 2, 4, ... consecutive coefficients of a linear recurrence.
 
     For x_i += coef_i x_{i-1} (or x_i += coef_i x_{i+1}), table j holds at
@@ -234,8 +239,8 @@ def _scan_tables(coef: np.ndarray) -> list[np.ndarray]:
     one end of that run reaches x at the other. Pass j of a recursive
     doubling scan adds table j times x 2^j rows away, so after passes
     0..j-1 each x_i holds the terms of its 2^j - 1 nearest predecessors.
-    The tables stop at the first product below 2^-60 in size everywhere.
-    The spline's coefficients are below 1 in size (2 - sqrt(3) = 0.268 on
+    The tables stop at the first product below ``floor`` in size
+    everywhere (with floor = 0, when they cover every row). The spline's coefficients are below 1 in size (2 - sqrt(3) = 0.268 on
     evenly spaced rows, 0.51 at most where the spacing changes at
     _GRID_MID), so every term left out, a longer product, weighs under
     2^-60 of x_i's own coefficient, 1: five or six tables, 31 or 63
@@ -243,7 +248,7 @@ def _scan_tables(coef: np.ndarray) -> list[np.ndarray]:
     """
     tables = []
     span = 1
-    while coef.size and np.abs(coef).max() >= 2.0**-60:
+    while coef.size and np.abs(coef).max() >= floor:
         tables.append(coef)
         coef = coef[:-span] * coef[span:]
         span *= 2
@@ -391,19 +396,18 @@ class _DensityEngine:
             self._level = None
         else:
             self._level = self._build(self._small_z_terms())
-        self.nodes = np.concatenate([[0.0], self.zs])
+        self.nodes = self.grid.nodes
         self.pieces = self._integrals(self.nodes[:-1], self.nodes[1:])
         # past the top node h ~ K f_{d1}; that closure enters any tail asked
         # for at most e^{-30}-fold, since the top node is _TAIL_WINDOW past
         # _UNDERFLOW_X
         top = float(self.nodes[-1])
-        qhat = [0.0] * self.nodes.size
-        qhat[-1] = math.exp(log_k + log_chisq_norm_tail(self.d1, math.sqrt(top)) + 0.5 * top)
-        decay = np.exp(-0.5 * np.diff(self.nodes)).tolist()
-        pieces = self.pieces.tolist()
-        for j in range(len(pieces) - 1, -1, -1):
-            qhat[j] = pieces[j] + qhat[j + 1] * decay[j]
-        self.qhat = np.array(qhat)
+        qhat = np.append(self.pieces, math.exp(log_k + log_chisq_norm_tail(self.d1, math.sqrt(top)) + 0.5 * top))
+        span = 1
+        for table in self.grid.suffix:  # Qhat_j = I_j + e^{-(z_{j+1} - z_j)/2} Qhat_{j+1}
+            qhat[:-span] += table * qhat[span:]
+            span *= 2
+        self.qhat = qhat
 
     def _small_z_terms(self) -> list[tuple[float, float, float]]:
         """(log c_k, M_k/2 - 1, s_k) with hhat_k(z) = c_k z^{M_k/2 - 1} (1 - s_k z + O(z^2)).
