@@ -16,7 +16,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ValidationError
-from .iterlog import llt, lllt, max_subsequence_k, subsequence_index
+from .iterlog import llt, lt, max_subsequence_k, subsequence_index
 from .quadrature import kronrod_halving
 from .sequences import CovarianceSequence
 from .spectral import Spectrum, delta_k
@@ -87,6 +87,7 @@ class PhiFamily:
         lo, hi = (ns.min(), ns.max()) if ns.ndim else (n, n)
         if lo < 1:
             raise ValidationError(f"index must be >= 1, got {lo}")
+        lln = llt(n) if self.kind == "parametric" or self.clamp else None
         if self.kind == "tabulated":
             if int(hi) > len(self.values):
                 raise ValidationError(
@@ -94,9 +95,9 @@ class PhiFamily:
                 )
             phi2 = np.square(self._table[ns.astype(int) - 1])
         else:
-            phi2 = lam1 * lam1 * (2.0 * llt(n) + self.a * lllt(n) + self.b)
+            phi2 = lam1 * lam1 * (2.0 * lln + self.a * lt(lln) + self.b)  # LLLn = L(LLn)
         if self.clamp:
-            phi2 = np.clip(phi2, lam1 * lam1 * llt(n), 3.0 * lam1 * lam1 * llt(n))
+            phi2 = np.clip(phi2, lam1 * lam1 * lln, 3.0 * lam1 * lam1 * lln)
         return np.sqrt(phi2) if ns.ndim else math.sqrt(phi2)
 
     @cached_property

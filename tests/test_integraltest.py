@@ -64,6 +64,24 @@ def test_phi_clamp_mode():
     assert lo.value(10, 1.0) == pytest.approx(math.sqrt(llt(10)), rel=1e-14)
 
 
+@pytest.mark.parametrize("clamp", [False, True], ids=["plain", "clamped"])
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (4.0, 0.0), (3.0, -1.0), (0.5, 50.0)])
+def test_phi_value_is_bit_identical_to_the_iterated_log_expression(a, b, clamp):
+    # LLLn is taken from LLn, which takes the same float operations as lllt(n)
+    phi = PhiFamily(kind="parametric", a=a, b=b, clamp=clamp)
+    ns = np.concatenate([np.arange(1, 2000), np.geomspace(2000, 1e15, 300).round()])
+    for lam1 in (1.0, 0.37, 2.5):
+        want = lam1 * lam1 * (2.0 * llt(ns) + a * lllt(ns) + b)
+        if clamp:
+            want = np.clip(want, lam1 * lam1 * llt(ns), 3.0 * lam1 * lam1 * llt(ns))
+        assert np.array_equal(phi.value(ns, lam1), np.sqrt(want))
+        for n in (1, 3, 16, 1618, 10**9):
+            one = lam1 * lam1 * (2.0 * llt(n) + a * lllt(n) + b)
+            if clamp:
+                one = float(np.clip(one, lam1 * lam1 * llt(n), 3.0 * lam1 * lam1 * llt(n)))
+            assert phi.value(n, lam1) == math.sqrt(one)
+
+
 def test_phi_tabulated_range():
     phi = PhiFamily(kind="tabulated", values=(1.0, 2.0, 3.0))
     assert phi.value(2, 5.0) == 2.0
