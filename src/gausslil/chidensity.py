@@ -52,8 +52,16 @@ _TAIL_WINDOW = 60.0  # the grid runs this far past the deepest tail it serves
 # The grid starts at _GRID_LO, or, for a smallest weight w below 1e-3, at
 # 1e-3 w (not below 1e-30), so that the small-z expansion holds below it.
 _GRID_LO = 1e-6
-_GRID_MID = 0.05  # 90 nodes in [_GRID_LO, _GRID_MID), as dense per decade below
-_GRID_LOG_STEP = 0.013583036861  # log z spacing of the nodes from _GRID_MID up
+# _GRID_N_LO geometric nodes run from the start up to the break, _GRID_MID /
+# _GRID_LO times the start. A level is a power law below its turnover
+# z ~ 1/s_k, where e^{-s_k z} sets in; s_k <= (1/w - 1)/2 <= 500 on the shared
+# grid, so the break sits a decade below the earliest turnover (own grids:
+# 0.2 w against 2 w). Above it the spline's error is O(h^4) in the log step h
+# (de Boor, A Practical Guide to Splines, 2001), and _GRID_LOG_STEP is the
+# widest step that keeps the oracle sweep within the README's stated accuracy.
+_GRID_MID = 2e-4
+_GRID_N_LO = 90
+_GRID_LOG_STEP = 0.0231
 _GRID_HI = _UNDERFLOW_X + _TAIL_WINDOW  # the top node is the first at or past this
 _KRONROD_RTOL = 1e-6  # largest accepted error estimate of a convolution level
 _ENGINE_CACHE_SIZE = 32  # engines kept, least recently used dropped first
@@ -115,10 +123,11 @@ class _CubicSpline(NamedTuple):
 class _LogGrid:
     """The engine's nodes, and everything that depends on them alone.
 
-    n_lo nodes run geometrically from z_lo up to _GRID_MID, then one node
-    per _GRID_LOG_STEP in log z up to the first node at or past _GRID_HI.
-    On each segment the interval index is affine in log z, so it is
-    computed rather than searched.
+    _GRID_N_LO nodes run geometrically from z_lo up to the break
+    z_lo _GRID_MID / _GRID_LO (_GRID_MID on the shared grid), then one node
+    per _GRID_LOG_STEP in log z up to the first node at or past _GRID_HI:
+    778 nodes on the shared grid. On each segment the interval index is
+    affine in log z, so it is computed rather than searched.
 
     Every level's spline on these nodes solves one not-a-knot system,
     which is factored here once (_factor); a level's solve is two
@@ -131,22 +140,22 @@ class _LogGrid:
     """
 
     def __init__(self, z_lo: float):
-        n_lo = math.ceil(90 * math.log(_GRID_MID / z_lo) / math.log(_GRID_MID / _GRID_LO))
-        steps = math.ceil(math.log(_GRID_HI / _GRID_MID) / _GRID_LOG_STEP)
+        mid = z_lo * (_GRID_MID / _GRID_LO)
+        steps = math.ceil(math.log(_GRID_HI / mid) / _GRID_LOG_STEP)
         self.z = np.concatenate(
             [
-                np.geomspace(z_lo, _GRID_MID, n_lo, endpoint=False),
-                _GRID_MID * np.exp(_GRID_LOG_STEP * np.arange(steps + 1)),
+                np.geomspace(z_lo, mid, _GRID_N_LO, endpoint=False),
+                mid * np.exp(_GRID_LOG_STEP * np.arange(steps + 1)),
             ]
         )
         self.log_z = np.log(self.z)
         self.log_lo = float(self.log_z[0])
+        self._lower = (self.log_lo, _GRID_N_LO / math.log(mid / z_lo))
+        self._upper = (math.log(mid), 1.0 / _GRID_LOG_STEP, float(_GRID_N_LO))
         # the node table's suffix tails run x_j += e^{-(z_{j+1} - z_j)/2} x_{j+1}
         # down from the top node over z_0 = 0, z_1, ...; no term is dropped
         self.nodes = np.concatenate([[0.0], self.z])
         self.suffix = _scan_tables(np.exp(-0.5 * np.diff(self.nodes)), floor=0.0)
-        self._lower = (self.log_lo, n_lo / math.log(_GRID_MID / z_lo))
-        self._upper = (math.log(_GRID_MID), 1.0 / _GRID_LOG_STEP, float(n_lo))
         self._factor()
         # each row i integrates over u in [0, sqrt(z_i / 2)]
         self.u_hi = np.sqrt(0.5 * self.z)
@@ -156,9 +165,9 @@ class _LogGrid:
     def interval(self, lz: np.ndarray) -> np.ndarray:
         """Index j of the interval [log z_j, log z_{j+1}] that holds lz.
 
-        The lower segment has fewer nodes per unit of log z, so the larger
-        of the two affine maps is the right one on either side of
-        _GRID_MID. Where the node logs round off the affine map, j can be
+        The lower segment has fewer nodes per unit of log z (a step of
+        log(200) / 90 = 0.059 against 0.0231), so the larger of the two
+        affine maps is the right one on either side of the break. Where the node logs round off the affine map, j can be
         one below or above the searched index, and the neighbouring cubic
         agrees there to rounding. Clipped to [0, n - 2].
         """
@@ -240,11 +249,11 @@ def _scan_tables(coef: np.ndarray, floor: float = 2.0**-60) -> list[np.ndarray]:
     doubling scan adds table j times x 2^j rows away, so after passes
     0..j-1 each x_i holds the terms of its 2^j - 1 nearest predecessors.
     The tables stop at the first product below ``floor`` in size
-    everywhere (with floor = 0, when they cover every row). The spline's coefficients are below 1 in size (2 - sqrt(3) = 0.268 on
-    evenly spaced rows, 0.51 at most where the spacing changes at
-    _GRID_MID), so every term left out, a longer product, weighs under
-    2^-60 of x_i's own coefficient, 1: five or six tables, 31 or 63
-    predecessors.
+    everywhere (with floor = 0, when they cover every row). The spline's
+    coefficients are below 1 in size (2 - sqrt(3) = 0.268 on evenly spaced
+    rows, 0.40 at most where the spacing changes at the break), so every
+    term left out, a longer product, weighs under 2^-60 of x_i's own
+    coefficient, 1: five tables each way, 31 predecessors.
     """
     tables = []
     span = 1
@@ -336,7 +345,8 @@ class _LogLevel:
         return out
 
 
-_GL_NODES, _GL_WEIGHTS = gauss_legendre(10)
+_GL_ORDER = 16
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(_GL_ORDER)
 
 
 def _left_chain(grid: _LogGrid, delta: float, mk: int) -> KronrodChain:
@@ -507,8 +517,11 @@ class _DensityEngine:
     def _integrals(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """int_a^b hhat(z) e^{-(z - a)/2} dz for each interval [a_i, b_i].
 
-        One fixed Gauss-Legendre rule in u = sqrt(z), which leaves a smooth
-        integrand at z = 0 for every power law z^{m/2 - 1}.
+        One fixed _GL_ORDER-point Gauss-Legendre rule in u = sqrt(z), which
+        leaves a smooth integrand at z = 0 for every power law z^{m/2 - 1}.
+        Sixteen points hold the exact two-weight tail (criterion 1) to
+        2e-13 out to 37 lambda_1 on the grid's intervals; ten points miss it
+        by 1.9e-9 there.
         """
         ua, ub = np.sqrt(a), np.sqrt(b)
         u = ua[:, None] + (ub - ua)[:, None] * _GL_NODES
