@@ -13,8 +13,14 @@ Prints one JSON line:
 - ``own_grid_build_ms``: the median build time, over REPEATS builds, of
   linspace(1, 0.1, d - 1) + [1e-4] for d in OWN_GRID_DIMS; a smallest
   weight below 1e-3 gives the engine a grid of its own, built with it;
+- ``grid_nodes``: the number of nodes of the shared grid;
 - ``spline_us``: the median time of one level's spline solve on the shared
   grid, over LAYER_REPEATS calls;
+- ``tail_us`` and ``shell_us``: the time of one warm scalar query on
+  linspace(1, 0.1, 8), ``weighted_norm_tail`` at t and
+  ``weighted_shell_probability`` on [t, 1.05 t], averaged over the
+  QUERY_T thresholds t / lambda_1 in one sweep; the median over
+  LAYER_REPEATS sweeps;
 - ``eigh_us``: the median time of ``eigh`` on a fixed seeded positive
   definite matrix for each d in EIGH_DIMS, over LAYER_REPEATS calls;
 - ``report_ms``: the median time of one ``equivalence_report`` (a = 4,
@@ -50,6 +56,7 @@ OWN_GRID_DIMS = (2, 5, 8)
 EIGH_DIMS = (2, 4, 6, 8, 16)
 LAYER_REPEATS = 51
 REPORT_KS = (200, 2000)
+QUERY_T = tuple(np.linspace(0.5, 30.0, 40).tolist())
 
 
 def mix_vectors() -> list[tuple[float, ...]]:
@@ -78,6 +85,11 @@ def call_seconds(f, *args) -> float:
 def median_ms(f, args, repeats: int) -> float:
     f(*args)  # warm-up
     return 1e3 * statistics.median(call_seconds(f, *args) for _ in range(repeats))
+
+
+def query_sweep(query, w, ts) -> None:
+    for t in ts:
+        query(w, t)
 
 
 def eigh_matrix(d: int) -> np.ndarray:
@@ -115,6 +127,12 @@ def main() -> None:
         own_ms[str(d)] = round(median_ms(engine, (wnorm,), REPEATS), 2)
     grid = chidensity._log_grid(chidensity._GRID_LO)
     spline_us = 1e3 * median_ms(grid.spline, (np.log1p(grid.z),), LAYER_REPEATS)
+    w8 = chidensity.WeightedChiSquare.from_weights(np.linspace(1.0, 0.1, 8))
+    shells = [(t, 1.05 * t) for t in QUERY_T]
+    tail_us = 1e3 * median_ms(query_sweep, (chidensity.weighted_norm_tail, w8, QUERY_T), LAYER_REPEATS)
+    shell_us = 1e3 * median_ms(
+        query_sweep, (lambda w, ends: chidensity.weighted_shell_probability(w, *ends), w8, shells), LAYER_REPEATS
+    )
     eigh_us = {
         str(d): round(1e3 * median_ms(spectral.eigh, (eigh_matrix(d),), LAYER_REPEATS), 1)
         for d in EIGH_DIMS
@@ -139,7 +157,10 @@ def main() -> None:
                 "mix_builds": len(vectors),
                 "mix_builds_per_s": round(len(vectors) / total, 1),
                 "own_grid_build_ms": own_ms,
+                "grid_nodes": int(grid.z.size),
                 "spline_us": round(spline_us, 1),
+                "tail_us": round(tail_us / len(QUERY_T), 1),
+                "shell_us": round(shell_us / len(QUERY_T), 1),
                 "eigh_us": eigh_us,
                 "report_ms": report_ms,
                 "classify_ms": classify_ms,
