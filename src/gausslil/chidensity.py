@@ -167,9 +167,10 @@ class _LogGrid:
 
         The lower segment has fewer nodes per unit of log z (a step of
         log(200) / 90 = 0.059 against 0.0231), so the larger of the two
-        affine maps is the right one on either side of the break. Where the node logs round off the affine map, j can be
-        one below or above the searched index, and the neighbouring cubic
-        agrees there to rounding. Clipped to [0, n - 2].
+        affine maps is the right one on either side of the break. Where the
+        node logs round off the affine map, j can be one below or above the
+        searched index, and the neighbouring cubic agrees there to rounding.
+        Clipped to [0, n - 2].
         """
         x0, r0 = self._lower
         x1, r1, n_lo = self._upper
@@ -345,8 +346,7 @@ class _LogLevel:
         return out
 
 
-_GL_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = gauss_legendre(_GL_ORDER)
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(16)
 
 
 def _left_chain(grid: _LogGrid, delta: float, mk: int) -> KronrodChain:
@@ -412,7 +412,8 @@ class _DensityEngine:
         # for at most e^{-30}-fold, since the top node is _TAIL_WINDOW past
         # _UNDERFLOW_X
         top = float(self.nodes[-1])
-        qhat = np.append(self.pieces, math.exp(log_k + log_chisq_norm_tail(self.d1, math.sqrt(top)) + 0.5 * top))
+        q_top = math.exp(log_k + log_chisq_norm_tail(self.d1, math.sqrt(top)) + 0.5 * top)
+        qhat = np.append(self.pieces, q_top)
         span = 1
         for table in self.grid.suffix:  # Qhat_j = I_j + e^{-(z_{j+1} - z_j)/2} Qhat_{j+1}
             qhat[:-span] += table * qhat[span:]
@@ -517,7 +518,7 @@ class _DensityEngine:
     def _integrals(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """int_a^b hhat(z) e^{-(z - a)/2} dz for each interval [a_i, b_i].
 
-        One fixed _GL_ORDER-point Gauss-Legendre rule in u = sqrt(z), which
+        One fixed 16-point Gauss-Legendre rule in u = sqrt(z), which
         leaves a smooth integrand at z = 0 for every power law z^{m/2 - 1}.
         Sixteen points hold the exact two-weight tail (criterion 1) to
         2e-13 out to 37 lambda_1 on the grid's intervals; ten points miss it

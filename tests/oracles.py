@@ -4,8 +4,8 @@ The law is that of sum_i w_i eta_i^2 with eta_i independent standard
 normals, on the scale of its weights (no normalization). Two oracles, each
 independent of the engine:
 
-- ``hypoexp_tail``, ``hypoexp_shell`` and ``hypoexp_density``: the closed form when every
-  distinct weight appears exactly twice. Each pair w eta^2 + w eta'^2 is
+- ``hypoexp_tail``, ``hypoexp_shell`` and ``hypoexp_density``: the
+  closed form when every distinct weight appears exactly twice. Each pair w eta^2 + w eta'^2 is
   exponential with mean 2w, so the sum is hypoexponential, with tail
   sum_i prod_{j != i} w_i / (w_i - w_j) e^{-x / 2 w_i} over the distinct
   weights (Box 1954, Ann. Math. Stat. 25:290). The terms cancel at small
@@ -30,6 +30,7 @@ from collections import Counter
 import mpmath as mp
 
 DIGITS = 60
+RUBEN_MAX_TERMS = 20_000
 
 
 def _hypoexp_terms(weights) -> list[tuple[mp.mpf, mp.mpf]]:
@@ -67,7 +68,7 @@ def hypoexp_density(weights, x: float) -> float:
         return float(mp.fsum(c * mp.exp(-x / (2 * w)) / (2 * w) for w, c in _hypoexp_terms(weights)))
 
 
-def ruben_density(weights, x: float, max_terms: int = 20_000) -> float:
+def ruben_density(weights, x: float) -> float:
     """Density of sum w_i eta_i^2 at x > 0, any weights (repeat one for multiplicity)."""
     with mp.workdps(DIGITS):
         w = [mp.mpf(float(v)) for v in weights]
@@ -81,7 +82,7 @@ def ruben_density(weights, x: float, max_terms: int = 20_000) -> float:
         a = [mp.fprod(mp.sqrt(beta / wi) for wi in w)]
         f = y ** (mp.mpf(d) / 2 - 1) * mp.exp(-y / 2) / (2 ** (mp.mpf(d) / 2) * mp.gamma(mp.mpf(d) / 2))
         total, mass = a[0] * f, a[0]
-        for k in range(1, max_terms):
+        for k in range(1, RUBEN_MAX_TERMS):
             powers = [p * r for p, r in zip(powers, ratios)]
             g.append(mp.fsum(powers))
             a.append(mp.fsum(g[k - r] * a[r] for r in range(k)) / (2 * k))
@@ -90,4 +91,4 @@ def ruben_density(weights, x: float, max_terms: int = 20_000) -> float:
             mass += a[k]
             if d + 2 * k > y and (1 - mass) * f * y / (d + 2 * k) < mp.mpf(10) ** -30 * total:
                 return float(total / beta)
-        raise RuntimeError(f"Ruben series did not converge in {max_terms} terms at x = {x}")
+        raise RuntimeError(f"Ruben series did not converge in {RUBEN_MAX_TERMS} terms at x = {x}")

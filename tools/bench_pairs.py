@@ -49,7 +49,7 @@ def flatten(record: dict, prefix: str = "") -> dict[str, float]:
         name = f"{prefix}{key}"
         if isinstance(value, dict):
             out.update(flatten(value, name + "."))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool) and key not in ("repeats", "mix_builds"):
+        elif isinstance(value, (int, float)) and key not in ("repeats", "mix_builds"):
             out[name] = float(value)
     return out
 
@@ -139,7 +139,9 @@ def main() -> None:
         print(f"pair {i + 1}/{args.pairs} done at {time.perf_counter() - t0:.0f} s", file=sys.stderr)
     perfbench = {}
     for workload, runs in bench.items():
-        values = {side: [{k: m["value"] for k, m in r["metrics"].items()} for r in runs[side]] for side in SIDES}
+        values = {
+            side: [{k: m["value"] for k, m in r["metrics"].items()} for r in runs[side]] for side in SIDES
+        }
         perfbench[workload] = {
             "metrics": summarize(values, better),
             "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},

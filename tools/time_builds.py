@@ -130,9 +130,8 @@ def main() -> None:
     w8 = chidensity.WeightedChiSquare.from_weights(np.linspace(1.0, 0.1, 8))
     shells = [(t, 1.05 * t) for t in QUERY_T]
     tail_us = 1e3 * median_ms(query_sweep, (chidensity.weighted_norm_tail, w8, QUERY_T), LAYER_REPEATS)
-    shell_us = 1e3 * median_ms(
-        query_sweep, (lambda w, ends: chidensity.weighted_shell_probability(w, *ends), w8, shells), LAYER_REPEATS
-    )
+    shell = lambda w, ends: chidensity.weighted_shell_probability(w, *ends)  # noqa: E731
+    shell_us = 1e3 * median_ms(query_sweep, (shell, w8, shells), LAYER_REPEATS)
     eigh_us = {
         str(d): round(1e3 * median_ms(spectral.eigh, (eigh_matrix(d),), LAYER_REPEATS), 1)
         for d in EIGH_DIMS
