@@ -152,8 +152,7 @@ def main() -> None:
         }
     build_better = {name: "higher" if name.endswith("_per_s") else "lower" for name in builds["change"][0]}
     record = {
-        "parent": {"root": str(roots["parent"]), "commit": git_commit(roots["parent"])},
-        "change": {"root": str(roots["change"]), "commit": git_commit(roots["change"])},
+        **{side: {"dir": roots[side].name, "commit": git_commit(roots[side])} for side in SIDES},
         "pairs": args.pairs,
         "seconds": args.seconds,
         "machine": {**start, "loadavg_after": list(os.getloadavg())},
