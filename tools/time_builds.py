@@ -87,9 +87,9 @@ def median_ms(f, args, repeats: int) -> float:
     return 1e3 * statistics.median(call_seconds(f, *args) for _ in range(repeats))
 
 
-def query_sweep(query, w, ts) -> None:
-    for t in ts:
-        query(w, t)
+def query_sweep(query, calls) -> None:
+    for args in calls:
+        query(*args)
 
 
 def eigh_matrix(d: int) -> np.ndarray:
@@ -128,10 +128,10 @@ def main() -> None:
     grid = chidensity._log_grid(chidensity._GRID_LO)
     spline_us = 1e3 * median_ms(grid.spline, (np.log1p(grid.z),), LAYER_REPEATS)
     w8 = chidensity.WeightedChiSquare.from_weights(np.linspace(1.0, 0.1, 8))
-    shells = [(t, 1.05 * t) for t in QUERY_T]
-    tail_us = 1e3 * median_ms(query_sweep, (chidensity.weighted_norm_tail, w8, QUERY_T), LAYER_REPEATS)
-    shell = lambda w, ends: chidensity.weighted_shell_probability(w, *ends)  # noqa: E731
-    shell_us = 1e3 * median_ms(query_sweep, (shell, w8, shells), LAYER_REPEATS)
+    tails = [(w8, t) for t in QUERY_T]
+    shells = [(w8, t, 1.05 * t) for t in QUERY_T]
+    tail_us = 1e3 * median_ms(query_sweep, (chidensity.weighted_norm_tail, tails), LAYER_REPEATS)
+    shell_us = 1e3 * median_ms(query_sweep, (chidensity.weighted_shell_probability, shells), LAYER_REPEATS)
     eigh_us = {
         str(d): round(1e3 * median_ms(spectral.eigh, (eigh_matrix(d),), LAYER_REPEATS), 1)
         for d in EIGH_DIMS
