@@ -50,15 +50,21 @@ _BLOCK_MERGE_RTOL = 1e-12
 _UNDERFLOW_X = -2.0 * (math.log(math.ulp(0.0)) - math.log(2.0))
 _TAIL_WINDOW = 60.0  # the grid runs this far past the deepest tail it serves
 # The grid starts at _GRID_LO, or, for a smallest weight w below 1e-3, at
-# 1e-3 w (not below 1e-30), so that the small-z expansion holds below it.
+# 1e-3 w (not below _GRID_FLOOR), so that the small-z expansion holds below
+# it. A weight w below _NEGLIGIBLE_WEIGHT shifts the law by O(w), which
+# moves every value at or above the floor by O(w / z) < 1e-16 relative,
+# so an engine leaves it out.
 _GRID_LO = 1e-6
+_GRID_FLOOR = 1e-30
+_NEGLIGIBLE_WEIGHT = 1e-16 * _GRID_FLOOR
 # _GRID_N_LO geometric nodes run from the start up to the break, _GRID_MID /
 # _GRID_LO times the start. A level is a power law below its turnover
 # z ~ 1/s_k, where e^{-s_k z} sets in; s_k <= (1/w - 1)/2 <= 500 on the shared
 # grid, so the break sits a decade below the earliest turnover (own grids:
 # 0.2 w against 2 w). Above it the spline's error is O(h^4) in the log step h
-# (de Boor, A Practical Guide to Splines, 2001); _GRID_LOG_STEP keeps the
-# oracle sweep's worst error, 1.2e-9, at 0.6 of the README's stated accuracy.
+# (de Boor, A Practical Guide to Splines, 2001) and adds up over the levels;
+# _GRID_LOG_STEP keeps the oracle sweep's worst error per level, 1.2e-9 at
+# eight distinct weights, at 0.6 of the README's stated accuracy.
 _GRID_MID = 2e-4
 _GRID_N_LO = 90
 _GRID_LOG_STEP = 0.0231
@@ -391,6 +397,7 @@ class _DensityEngine:
     """
 
     def __init__(self, wnorm: tuple[float, ...]):
+        wnorm = tuple(x for x in wnorm if x >= _NEGLIGIBLE_WEIGHT)
         # wnorm[0] = 1, so equal weights are grouped at absolute tolerance
         blocks = group_descending(wnorm, _BLOCK_MERGE_RTOL)
         self.block_w = np.array([v for v, _ in blocks])
@@ -398,7 +405,7 @@ class _DensityEngine:
         self.d1 = int(self.block_m[0])
         # log (2 w_i)^{-m_i/2}: block i's density constant is this over Gamma(m_i/2)
         self._log_scale = -0.5 * self.block_m * np.log(2.0 * self.block_w)
-        self.grid = _log_grid(max(min(_GRID_LO, 1e-3 * min(wnorm)), 1e-30))
+        self.grid = _log_grid(max(min(_GRID_LO, 1e-3 * min(wnorm)), _GRID_FLOOR))
         self.zs = self.grid.z
         log_k = log_zolotarev(np.asarray(wnorm[self.d1 :]))
         self._lead_const = math.exp(log_k) * chisq_norm_const(self.d1)

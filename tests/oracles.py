@@ -1,4 +1,4 @@
-"""Exact oracles for the weighted chi-square law, in mpmath at 60 digits.
+"""Exact oracles for the weighted chi-square law, in mpmath.
 
 The law is that of sum_i w_i eta_i^2 with eta_i independent standard
 normals, on the scale of its weights (no normalization). Two oracles, each
@@ -9,10 +9,11 @@ independent of the engine:
   exponential with mean 2w, so the sum is hypoexponential, with tail
   sum_i prod_{j != i} w_i / (w_i - w_j) e^{-x / 2 w_i} over the distinct
   weights (Box 1954, Ann. Math. Stat. 25:290). The terms cancel at small
-  x; 60 digits leave at least 30 of them at the vectors the tests use.
-- ``ruben_density``: Ruben's mixture series, at any multiplicity (Ruben
-  1962, Ann. Math. Stat. 33:542; Kotz, Johnson & Boyd 1967, Ann. Math.
-  Stat. 38:823). With beta = min w_i the density is
+  x and for close weights, so the sum starts at 60 digits and doubles
+  them until at least 30 survive the cancellation.
+- ``ruben_density``: Ruben's mixture series at 60 digits, at any
+  multiplicity (Ruben 1962, Ann. Math. Stat. 33:542; Kotz, Johnson & Boyd
+  1967, Ann. Math. Stat. 38:823). With beta = min w_i the density is
   sum_k a_k f_{d+2k}(x / beta) / beta, where f_nu is the chi-square(nu)
   density, a_0 = prod (beta / w_i)^{1/2} and
   a_k = (1/2k) sum_{r<k} g_{k-r} a_r with g_j = sum_i (1 - beta / w_i)^j.
@@ -30,6 +31,7 @@ from collections import Counter
 import mpmath as mp
 
 DIGITS = 60
+KEPT_DIGITS = 30  # digits the hypoexponential sums keep after cancellation
 RUBEN_MAX_TERMS = 20_000
 
 
@@ -42,30 +44,37 @@ def _hypoexp_terms(weights) -> list[tuple[mp.mpf, mp.mpf]]:
     return [(wi, mp.fprod(wi / (wi - wj) for wj in ws if wj != wi)) for wi in ws]
 
 
+def _hypoexp_sum(weights, term) -> float:
+    """sum_i term(w_i, c_i) over _hypoexp_terms, with KEPT_DIGITS left after cancellation."""
+    digits = DIGITS
+    while True:
+        with mp.workdps(digits):
+            terms = [term(w, c) for w, c in _hypoexp_terms(weights)]
+            total = mp.fsum(terms)
+            size = mp.fsum(abs(t) for t in terms)
+            if total > 0 and digits - mp.log10(size / total) >= KEPT_DIGITS:
+                return float(total)
+        digits *= 2
+
+
 def hypoexp_tail(weights, x: float) -> float:
     """P{sum w_i eta_i^2 >= x} for weights that each appear twice."""
-    with mp.workdps(DIGITS):
-        x = mp.mpf(x)
-        return float(mp.fsum(c * mp.exp(-x / (2 * w)) for w, c in _hypoexp_terms(weights)))
+    return _hypoexp_sum(weights, lambda w, c: c * mp.exp(-mp.mpf(x) / (2 * w)))
 
 
 def hypoexp_shell(weights, x_lo: float, x_hi: float) -> float:
     """P{x_lo <= sum w_i eta_i^2 <= x_hi} for weights that each appear twice.
 
-    Taken as one difference at 60 digits, so a thin shell keeps its digits.
+    Taken as one difference of the terms, so a thin shell keeps its digits.
     """
-    with mp.workdps(DIGITS):
-        lo, hi = mp.mpf(x_lo), mp.mpf(x_hi)
-        return float(
-            mp.fsum(c * (mp.exp(-lo / (2 * w)) - mp.exp(-hi / (2 * w))) for w, c in _hypoexp_terms(weights))
-        )
+    return _hypoexp_sum(
+        weights, lambda w, c: c * (mp.exp(-mp.mpf(x_lo) / (2 * w)) - mp.exp(-mp.mpf(x_hi) / (2 * w)))
+    )
 
 
 def hypoexp_density(weights, x: float) -> float:
     """Density of sum w_i eta_i^2 at x > 0 for weights that each appear twice."""
-    with mp.workdps(DIGITS):
-        x = mp.mpf(x)
-        return float(mp.fsum(c * mp.exp(-x / (2 * w)) / (2 * w) for w, c in _hypoexp_terms(weights)))
+    return _hypoexp_sum(weights, lambda w, c: c * mp.exp(-mp.mpf(x) / (2 * w)) / (2 * w))
 
 
 def ruben_density(weights, x: float) -> float:

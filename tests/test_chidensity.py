@@ -167,6 +167,19 @@ def test_density_normalizes_with_tiny_weights(weights):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def test_negligible_weights_are_left_out():
+    # a weight below 1e-46 lambda_1^2 moves the law at z >= 1e-30 lambda_1^2 by
+    # under 1e-16 relative, so (1, 1e-300, 1e-300) is built as chi^2(1) on the
+    # shared grid rather than on a grid of its own from the 1e-30 floor
+    eng = chidensity._DensityEngine((1.0, 1e-300, 1e-300))
+    assert eng.block_w.tolist() == [1.0] and eng.grid is chidensity._log_grid(1e-6)
+    assert chidensity._DensityEngine((1.0, 1e-45)).block_w.tolist() == [1.0, 1e-45]
+    w = WeightedChiSquare.from_weights([2.0, 2e-300])
+    for z in (1e-30, 1e-6, 1.0, 30.0):
+        want = chisq_density(1, z / 2.0) / 2.0
+        assert weighted_density(w, z) == pytest.approx(want, rel=1e-14)
+
+
 def test_density_rejects_nonpositive_z():
     w = WeightedChiSquare.from_weights([1.0, 0.5])
     with pytest.raises(ValidationError):
@@ -414,7 +427,8 @@ def _not_a_knot_system(x):
 
 @pytest.mark.parametrize("z_lo", [1e-9, 1e-30], ids=["own", "floor"])
 def test_spline_matches_dense_solve_on_own_grids(z_lo):
-    # a grid of its own (smallest weight < 1e-3) has more nodes below _GRID_MID
+    # a grid of its own (smallest weight < 1e-3) starts lower and puts its
+    # break lower, at 200 times its start, so it has more nodes above the break
     grid = chidensity._log_grid(z_lo)
     assert grid is not chidensity._log_grid(1e-6) and grid.z[0] == pytest.approx(z_lo, rel=1e-15)
     x = grid.log_z

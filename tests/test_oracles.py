@@ -1,11 +1,14 @@
 """The engine against the exact oracles of ``tests/oracles.py``.
 
 The sweep holds every density, tail and shell to the accuracy the README
-states for the engine, over z in [1e-6, 1e3] lambda_1^2 and t <= 37
-lambda_1, on the shared grid and on grids of their own. Its vectors repeat
+states for the engine, rel 2e-9 per convolution level, over z in [1e-6,
+1e3] lambda_1^2 and t <= 37 lambda_1, on the shared grid and on grids of
+their own, for laws of up to eight distinct weights. Its vectors repeat
 each weight, so the law has the hypoexponential closed form; small
 weights put the turnover of their levels low on the grid, where a grid
-sized by hand was least accurate.
+sized by hand was least accurate, and close weights near the top put
+large cancelling turnovers high on it, where the error per level is
+largest.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from gausslil.chidensity import (
 )
 from gausslil.spectral import eigh
 
-STATED_RTOL = 2e-9  # README, "Numerical notes": densities, tails and shells
+STATED_RTOL_PER_LEVEL = 2e-9  # README, "Numerical notes": densities, tails and shells
 
 SWEEP = [
     [1.0, 0.5],
@@ -35,8 +38,17 @@ SWEEP = [
     [1.0, 0.0011],
     [1.0, 0.7, 0.3],
     [1.0, 0.9, 0.6, 0.2, 0.08],
+    [1.0, 0.98, 0.96, 0.94, 0.92, 0.9],
+    [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3],
+    [1.0, 0.97, 0.94, 0.91, 0.88, 0.85, 0.82, 0.79],
+    [1.0, 0.99, 0.98, 0.97, 0.96, 0.95, 0.94, 0.93],
 ]
-OWN_GRID = [[1.0, 1e-4], [1.0, 0.3, 2e-5], [1.0, 0.6, 1e-7]]  # smallest weight below 1e-3
+OWN_GRID = [  # smallest weight below 1e-3
+    [1.0, 1e-4],
+    [1.0, 0.3, 2e-5],
+    [1.0, 0.6, 1e-7],
+    [1.0, 0.95, 0.9, 0.8, 0.6, 0.3, 1e-4, 5e-5],
+]
 Z_OVER_LAMBDA1_SQ = np.geomspace(1e-6, 1e3, 397)
 T_OVER_LAMBDA1 = np.geomspace(0.01, 37.0, 160)
 SHELL_RATIO = 1.05
@@ -51,6 +63,12 @@ def rel_err(got, want):
     return abs(got / want - 1.0)
 
 
+def stated_rtol(weights):
+    # one convolution level per distinct weight after the first; a single
+    # block is exact and held to one level's share
+    return STATED_RTOL_PER_LEVEL * max(1, len(set(weights)) - 1)
+
+
 @pytest.mark.parametrize("v", SWEEP + OWN_GRID, ids=lambda v: "-".join(f"{x:g}" for x in v))
 def test_engine_meets_stated_accuracy_against_hypoexponential_law(v):
     scale = 2.5  # lambda_1^2, so the sweep runs off the normalized scale too
@@ -58,17 +76,18 @@ def test_engine_meets_stated_accuracy_against_hypoexponential_law(v):
     w = WeightedChiSquare.from_weights(weights)
     lam1 = math.sqrt(scale)
     zs = Z_OVER_LAMBDA1_SQ * scale
+    rtol = stated_rtol(v)
     dens = weighted_density(w, zs)
     worst = max(rel_err(h, hypoexp_density(weights, z)) for h, z in zip(dens, zs))
-    assert worst <= STATED_RTOL, ("density", worst)
+    assert worst <= rtol, ("density", worst)
     worst_tail = worst_shell = 0.0
     for t in T_OVER_LAMBDA1 * lam1:
         t_hi = SHELL_RATIO * t
         worst_tail = max(worst_tail, rel_err(weighted_norm_tail(w, t), hypoexp_tail(weights, t * t)))
         want = hypoexp_shell(weights, t * t, t_hi * t_hi)
         worst_shell = max(worst_shell, rel_err(weighted_shell_probability(w, t, t_hi), want))
-    assert worst_tail <= STATED_RTOL, ("tail", worst_tail)
-    assert worst_shell <= STATED_RTOL, ("shell", worst_shell)
+    assert worst_tail <= rtol, ("tail", worst_tail)
+    assert worst_shell <= rtol, ("shell", worst_shell)
 
 
 @pytest.mark.parametrize("v", [[1.0, 0.5], [1.0, 0.01], [1.0, 0.7, 0.3], [1.0, 0.9, 0.6, 0.2, 0.08]])
@@ -101,4 +120,4 @@ def test_small_z_density_at_odd_multiplicities_against_ruben_series(weights):
     w1 = w.lambda1_sq
     beta = min(weights)
     for z in np.geomspace(1e-6 * w1, min(5.0 * w1, 30.0 * beta), 25):
-        assert rel_err(weighted_density(w, z), ruben_density(weights, z)) <= STATED_RTOL
+        assert rel_err(weighted_density(w, z), ruben_density(weights, z)) <= stated_rtol(weights)

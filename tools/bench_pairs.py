@@ -1,11 +1,11 @@
 """Paired before/after benchmark of two checkouts.
 
-    python tools/bench_pairs.py --parent DIR --change DIR [--pairs 10]
-        [--seconds 25] [--workloads bounds-sweep,density-cold,lil-series]
-        [--out BENCH.json]
+    python tools/bench_pairs.py --parent DIR --change DIR [--out BENCH.json]
 
-DIR is the root of a checkout (its ``src/`` and ``perfbench/``). For each
-pair i = 0..pairs-1 and each workload, the script runs
+DIR is the root of a checkout (its ``src/`` and ``perfbench/``). The
+workloads and the run length S are the change checkout's
+``BENCHMARK.json`` (``workloads``, ``run_seconds``). For each pair
+i = 0..PAIRS-1 and each workload, the script runs
 ``perfbench/run.py --workload W --seed i+1 --seconds S --trace 0`` once in
 each checkout, then ``tools/time_builds.py`` (this checkout's copy) once
 with ``--src`` on each. The side that runs first alternates from pair to
@@ -35,6 +35,7 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent
 SIDES = ("parent", "change")
+PAIRS = 10  # a gain is read as at least 9 wins in 10 pairs
 
 
 def quartiles(values: list[float]) -> dict:
@@ -114,29 +115,25 @@ def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, type=Path)
     p.add_argument("--change", required=True, type=Path)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=25.0)
-    p.add_argument("--workloads", default="bounds-sweep,density-cold,lil-series")
     p.add_argument("--out", type=Path, default=Path("BENCH.json"))
     args = p.parse_args()
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    workloads = [w for w in args.workloads.split(",") if w]
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     start = machine()
     bench = {w: {side: [] for side in SIDES} for w in workloads}
     builds = {side: [] for side in SIDES}
     t0 = time.perf_counter()
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for workload in workloads:
             for side in order:
-                bench[workload][side].append(perfbench_run(roots[side], workload, i + 1, args.seconds))
+                bench[workload][side].append(perfbench_run(roots[side], workload, i + 1, seconds))
         for side in order:
             builds[side].append(time_builds_run(roots[side]))
-        print(f"pair {i + 1}/{args.pairs} done at {time.perf_counter() - t0:.0f} s", file=sys.stderr)
+        print(f"pair {i + 1}/{PAIRS} done at {time.perf_counter() - t0:.0f} s", file=sys.stderr)
     perfbench = {}
     for workload, runs in bench.items():
         values = {
@@ -153,8 +150,8 @@ def main() -> None:
     build_better = {name: "higher" if name.endswith("_per_s") else "lower" for name in builds["change"][0]}
     record = {
         **{side: {"dir": roots[side].name, "commit": git_commit(roots[side])} for side in SIDES},
-        "pairs": args.pairs,
-        "seconds": args.seconds,
+        "pairs": PAIRS,
+        "seconds": seconds,
         "machine": {**start, "loadavg_after": list(os.getloadavg())},
         "perfbench": perfbench,
         "time_builds": summarize(builds, build_better),

@@ -11,8 +11,10 @@ Prints one JSON line:
   of [0.05, 0.999], with tied and near-tied tops), ROUNDS rounds of
   MIX_DIMS, each vector built once;
 - ``own_grid_build_ms``: the median build time, over REPEATS builds, of
-  linspace(1, 0.1, d - 1) + [1e-4] for d in OWN_GRID_DIMS; a smallest
-  weight below 1e-3 gives the engine a grid of its own, built with it;
+  linspace(1, 0.1, d - 1) + [w] for d in OWN_GRID_DIMS and w in
+  OWN_GRID_SMALLEST, keyed ``w/d``; a smallest weight below 1e-3 gives the
+  engine a grid of its own, built with it, and one below 1e-46 is left
+  out;
 - ``grid_nodes``: the number of nodes of the shared grid;
 - ``spline_us``: the median time of one level's spline solve on the shared
   grid, over LAYER_REPEATS calls;
@@ -53,6 +55,7 @@ STYLES = ("tied", "near", "generic")
 REPEATS = 7
 ROUNDS = 3
 OWN_GRID_DIMS = (2, 5, 8)
+OWN_GRID_SMALLEST = (1e-4, 1e-8, 1e-300)
 EIGH_DIMS = (2, 4, 6, 8, 16)
 LAYER_REPEATS = 51
 REPORT_KS = (200, 2000)
@@ -122,9 +125,10 @@ def main() -> None:
     vectors = mix_vectors()
     total = sum(call_seconds(engine, w) for w in vectors)
     own_ms = {}
-    for d in OWN_GRID_DIMS:
-        wnorm = tuple(np.linspace(1.0, 0.1, d - 1).tolist()) + (1e-4,)
-        own_ms[str(d)] = round(median_ms(engine, (wnorm,), REPEATS), 2)
+    for smallest in OWN_GRID_SMALLEST:
+        for d in OWN_GRID_DIMS:
+            wnorm = tuple(np.linspace(1.0, 0.1, d - 1).tolist()) + (smallest,)
+            own_ms[f"{smallest:g}/{d}"] = round(median_ms(engine, (wnorm,), REPEATS), 2)
     grid = chidensity._log_grid(chidensity._GRID_LO)
     spline_us = 1e3 * median_ms(grid.spline, (np.log1p(grid.z),), LAYER_REPEATS)
     w8 = chidensity.WeightedChiSquare.from_weights(np.linspace(1.0, 0.1, 8))
