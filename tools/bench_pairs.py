@@ -39,7 +39,7 @@ PAIRS = 10  # a gain is read as at least 9 wins in 10 pairs
 
 
 def quartiles(values: list[float]) -> dict:
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": q2, "q1": q1, "q3": q3, "values": values}
 
 
