@@ -54,13 +54,13 @@ from .sequences import (
     CovarianceSequence,
     CutoffFamily,
     DiscreteDistribution,
+    delta_k,
     limit_and_convergence_report,
     truncated_covariance,
 )
 from .spectral import (
     CovarianceMatrix,
     Spectrum,
-    delta_k,
     eigh,
     operator_norm,
     sqrt_psd,

@@ -81,7 +81,6 @@ class WeightedChiSquare:
     """Weights lambda_i^2 of the quadratic form, descending, zeros dropped."""
 
     weights: tuple[float, ...]
-    effective_dim: int
 
     @classmethod
     def from_weights(cls, weights) -> "WeightedChiSquare":
@@ -93,7 +92,7 @@ class WeightedChiSquare:
         pos = tuple(x for x in w if x > 0)
         if not pos:
             raise ValidationError("all weights are zero")
-        return cls(weights=pos, effective_dim=len(pos))
+        return cls(weights=pos)
 
     @classmethod
     def from_spectrum(cls, s: Spectrum) -> "WeightedChiSquare":

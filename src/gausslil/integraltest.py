@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ValidationError
 from .iterlog import llt, lt, max_subsequence_k, subsequence_index
 from .quadrature import kronrod_halving
-from .sequences import CovarianceSequence
-from .spectral import Spectrum, delta_k
+from .sequences import CovarianceSequence, delta_k
+from .spectral import Spectrum
 
 __all__ = [
     "PhiFamily",

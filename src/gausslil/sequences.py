@@ -9,17 +9,19 @@ and fluctuation-summability checks downstream are exact up to rounding.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .iterlog import llt, lt
+from .iterlog import llt, lt, subsequence_index
 from . import spectral
 
 _PROB_TOL = 1e-12
 _MEAN_TOL = 1e-12
+_SCAN_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -216,9 +218,9 @@ class CovarianceSequence:
             )
         return n - 1
 
-    def runs(self, ns):
+    def states(self, ns):
         """Each maximal slice of the non-decreasing indices ``ns`` (an array
-        or a range) on which Gamma_n is one matrix, with its spectrum.
+        or a range) on which Gamma_n is one matrix, with its state.
 
         The state never decreases in n, so each slice ends where a bisection
         finds the state change.
@@ -230,7 +232,12 @@ class CovarianceSequence:
         while stop < len(ns):
             start, s = stop, state(stop)
             stop = bisect.bisect_right(range(len(ns)), s, lo=start, key=state)
-            yield slice(start, stop), self._spectrum_and_root(s)[0]
+            yield slice(start, stop), s
+
+    def runs(self, ns):
+        """The slices of ``states(ns)``, each with its state's spectrum."""
+        for sl, s in self.states(ns):
+            yield sl, self._spectrum_and_root(s)[0]
 
     def check_nonzero_limit(self) -> None:
         """Reject a sequence whose limit is the zero matrix."""
@@ -283,6 +290,37 @@ class CovarianceSequence:
 
     def limit_spectrum(self) -> spectral.Spectrum:
         return self._spectrum_and_root(len(self._matrices) - 1)[0]
+
+
+def delta_k(
+    seq: CovarianceSequence, alpha: float, k: int, force_scan: bool = False
+) -> float:
+    """Delta_k(alpha) = max ||Gamma_n^2 - Gamma_m^2|| over the k-th block.
+
+    The maximum runs over all index pairs n_k <= m <= n <= n_{k+1}, that
+    is over pairs of the distinct states in the window, one matrix per
+    state of ``seq.states``. For PSD-monotone sequences the endpoint pair
+    is extremal, so the pair scan collapses to one norm; ``force_scan``
+    disables the shortcut (used to validate it).
+    """
+    lo, hi = subsequence_index(alpha, k), subsequence_index(alpha, k + 1)
+    if seq.max_index is not None and hi > seq.max_index:
+        raise ValidationError(
+            f"delta_k window [{lo}, {hi}] exceeds tabulated range "
+            f"(max index {seq.max_index})"
+        )
+    if seq.is_monotone and not force_scan:
+        return spectral.operator_norm(seq.emit(hi) - seq.emit(lo))
+    if hi - lo > _SCAN_LIMIT:
+        raise ValidationError(
+            f"delta_k pair scan over window [{lo}, {hi}] is too large "
+            f"({hi - lo} indices; limit {_SCAN_LIMIT})"
+        )
+    mats = [seq._matrix(s) for _, s in seq.states(range(lo, hi + 1))]
+    return max(
+        (spectral.operator_norm(a - b) for a, b in itertools.combinations(mats, 2)),
+        default=0.0,
+    )
 
 
 def limit_and_convergence_report(seq: CovarianceSequence, N: int) -> dict:

@@ -1,11 +1,11 @@
-"""Chi-square density and regularized incomplete gamma functions.
+"""Chi-square density and the regularized upper incomplete gamma function.
 
-The gamma functions are evaluated with the classical series / continued
+The gamma function is evaluated with the classical series / continued
 fraction pair (series for x < a + 1, modified Lentz continued fraction
-otherwise). A log-domain variant of the upper function is provided because
-Q(a, x) underflows float64 near x ~ 745 while its logarithm stays
-perfectly well conditioned; the deep-tail contracts in this package are
-stated on the log scale for that reason.
+otherwise). It is computed on the log scale only, because Q(a, x)
+underflows float64 near x ~ 745 while its logarithm stays perfectly well
+conditioned; the deep-tail contracts in this package are stated on the
+log scale for that reason, and the linear chi-square tail is its exp.
 """
 from __future__ import annotations
 
@@ -82,35 +82,6 @@ def _gamma_cf_upper(a: float, x: float) -> float:
     raise NumericError(f"incomplete gamma continued fraction failed (a={a}, x={x})")
 
 
-def gammainc_lower(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0:
-        raise ValidationError(f"shape parameter must be positive, got {a}")
-    if x < 0:
-        raise ValidationError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series_lower(a, x)
-    return 1.0 - gammainc_upper(a, x)
-
-
-def gammainc_upper(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0:
-        raise ValidationError(f"shape parameter must be positive, got {a}")
-    if x < 0:
-        raise ValidationError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series_lower(a, x)
-    log_pre = -x + a * math.log(x) - math.lgamma(a)
-    if log_pre < -745.0:
-        return 0.0
-    return math.exp(log_pre) * _gamma_cf_upper(a, x)
-
-
 def log_gammainc_upper(a: float, x: float) -> float:
     """log Q(a, x), finite for arbitrarily large x."""
     if a <= 0:
@@ -127,13 +98,10 @@ def log_gammainc_upper(a: float, x: float) -> float:
 def chisq_norm_tail(d: int, t: float) -> float:
     """P{|Z| >= t} for Z ~ N(0, I_d), i.e. Q(d/2, t^2/2).
 
-    Underflows to 0.0 near t ~ 38.6; use log_chisq_norm_tail beyond.
+    The exp of log_chisq_norm_tail, so it underflows to 0.0 near t ~ 38.6;
+    use the log form beyond.
     """
-    if d < 1:
-        raise ValidationError(f"dimension must be >= 1, got {d}")
-    if t < 0:
-        raise ValidationError(f"threshold must be >= 0, got {t}")
-    return gammainc_upper(d / 2.0, t * t / 2.0)
+    return math.exp(log_chisq_norm_tail(d, t))
 
 
 def log_chisq_norm_tail(d: int, t: float) -> float:

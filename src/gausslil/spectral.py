@@ -1,4 +1,4 @@
-"""Small dense symmetric-matrix linear algebra and covariance fluctuation.
+"""Small dense symmetric-matrix linear algebra.
 
 The eigensolver is a cyclic Jacobi sweep, chosen for unconditional
 robustness on the tiny symmetric matrices this package works with
@@ -7,16 +7,13 @@ give bit-identical results.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol
 
 import numpy as np
 
 from .errors import ValidationError
-from .iterlog import subsequence_index
 from .special import chisq_norm_const
 
 SYMMETRY_RTOL = 1e-12
@@ -24,7 +21,6 @@ EIGEN_CLAMP_RTOL = 1e-10
 GROUP_RTOL = 1e-8
 JACOBI_TOL = 1e-14
 _MAX_SWEEPS = 64
-_SCAN_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -144,20 +140,6 @@ def log_zolotarev(rho2) -> float:
     return -0.5 * float(np.sum(np.log1p(-np.asarray(rho2, dtype=float))))
 
 
-class MatrixSequence(Protocol):
-    """What delta_k needs from a covariance sequence."""
-
-    def state(self, n: int) -> int: ...
-
-    def emit(self, n: int) -> np.ndarray: ...
-
-    @property
-    def is_monotone(self) -> bool: ...
-
-    @property
-    def max_index(self) -> int | None: ...
-
-
 def check_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> None:
     """Reject matrices whose asymmetry exceeds the relative tolerance."""
     scale = float(np.max(np.abs(a))) if a.size else 0.0
@@ -227,7 +209,7 @@ def group_descending(lams, rtol: float) -> tuple[tuple[float, int], ...]:
     return tuple((g[0], len(g)) for g in groups)
 
 
-def eigh(a: CovarianceMatrix | np.ndarray, group_rtol: float = GROUP_RTOL) -> Spectrum:
+def eigh(a: CovarianceMatrix | np.ndarray) -> Spectrum:
     """Spectrum of a covariance matrix: eigenvalues of its PSD square root.
 
     Deterministic: fixed sweep order, descending stable sort, and sign
@@ -257,7 +239,7 @@ def eigh(a: CovarianceMatrix | np.ndarray, group_rtol: float = GROUP_RTOL) -> Sp
     lams = np.sqrt(mu)
     lams.setflags(write=False)
     v.setflags(write=False)
-    groups = group_descending(lams, group_rtol)
+    groups = group_descending(lams, GROUP_RTOL)
     return Spectrum(eigenvalues=lams, basis=v, groups=groups, d1=groups[0][1])
 
 
@@ -275,31 +257,3 @@ def sqrt_psd(a: CovarianceMatrix | np.ndarray) -> CovarianceMatrix:
     s = eigh(a)
     b = (s.basis * s.eigenvalues) @ s.basis.T
     return CovarianceMatrix(0.5 * (b + b.T))
-
-
-def delta_k(
-    seq: MatrixSequence, alpha: float, k: int, force_scan: bool = False
-) -> float:
-    """Delta_k(alpha) = max ||Gamma_n^2 - Gamma_m^2|| over the k-th block.
-
-    The maximum runs over all index pairs n_k <= m <= n <= n_{k+1}, that
-    is over pairs of the distinct states in the window. For PSD-monotone
-    sequences the endpoint pair is extremal, so the pair scan collapses to
-    one norm; ``force_scan`` disables the shortcut (used to validate it).
-    """
-    lo, hi = subsequence_index(alpha, k), subsequence_index(alpha, k + 1)
-    if seq.max_index is not None and hi > seq.max_index:
-        raise ValidationError(
-            f"delta_k window [{lo}, {hi}] exceeds tabulated range "
-            f"(max index {seq.max_index})"
-        )
-    if seq.is_monotone and not force_scan:
-        return operator_norm(seq.emit(hi) - seq.emit(lo))
-    if hi - lo > _SCAN_LIMIT:
-        raise ValidationError(
-            f"delta_k pair scan over window [{lo}, {hi}] is too large "
-            f"({hi - lo} indices; limit {_SCAN_LIMIT})"
-        )
-    # one index per state: indices that share a state share their matrix
-    mats = [seq.emit(n) for n in {seq.state(n): n for n in range(lo, hi + 1)}.values()]
-    return max((operator_norm(a - b) for a, b in itertools.combinations(mats, 2)), default=0.0)

@@ -38,8 +38,7 @@ from gausslil.regularize import (
     shell_width,
     upper_shift_sides,
 )
-from gausslil.sequences import CovarianceSequence, CutoffFamily, DiscreteDistribution
-from gausslil.spectral import delta_k
+from gausslil.sequences import CovarianceSequence, CutoffFamily, DiscreteDistribution, delta_k
 
 
 @contextmanager

@@ -53,7 +53,6 @@ def test_weights_validation():
         WeightedChiSquare.from_weights([])
     w = WeightedChiSquare.from_weights([0.25, 1.0, 0.0])
     assert w.weights == (1.0, 0.25)  # sorted, zero dropped
-    assert w.effective_dim == 2
 
 
 # ---- density ---------------------------------------------------------------

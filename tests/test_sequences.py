@@ -8,10 +8,11 @@ from gausslil.sequences import (
     CovarianceSequence,
     CutoffFamily,
     DiscreteDistribution,
+    delta_k,
     limit_and_convergence_report,
     truncated_covariance,
 )
-from gausslil.spectral import delta_k, eigh, operator_norm
+from gausslil.spectral import eigh, operator_norm
 
 
 @pytest.fixture

@@ -8,8 +8,6 @@ from gausslil.errors import ValidationError
 from gausslil.special import (
     chisq_density,
     chisq_norm_tail,
-    gammainc_lower,
-    gammainc_upper,
     log_chisq_norm_tail,
     log_gammainc_upper,
 )
@@ -49,10 +47,11 @@ def test_gammainc_against_scipy():
     for _ in range(300):
         a = float(rng.uniform(0.5, 9.0))
         x = float(rng.uniform(0.0, 120.0))
-        assert gammainc_upper(a, x) == pytest.approx(
+        log_q = log_gammainc_upper(a, x)
+        assert math.exp(log_q) == pytest.approx(
             float(sps.gammaincc(a, x)), rel=1e-12, abs=1e-300
         )
-        assert gammainc_lower(a, x) == pytest.approx(
+        assert -math.expm1(log_q) == pytest.approx(
             float(sps.gammainc(a, x)), rel=1e-12, abs=1e-300
         )
 
@@ -60,7 +59,7 @@ def test_gammainc_against_scipy():
 def test_log_upper_matches_linear_and_extends():
     for a in (0.5, 1.0, 1.5, 2.5, 4.0):
         for x in (0.1, 1.0, 20.0, 300.0, 700.0):
-            q = gammainc_upper(a, x)
+            q = float(sps.gammaincc(a, x))
             assert math.exp(log_gammainc_upper(a, x)) == pytest.approx(q, rel=1e-11)
     # far beyond the underflow point the log form stays finite and matches
     # the asymptotic expansion Q ~ x^{a-1} e^{-x}/Gamma(a)

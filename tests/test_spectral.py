@@ -6,14 +6,15 @@ import pytest
 from gausslil import spectral
 from gausslil.errors import ValidationError
 from gausslil.integraltest import fluctuation_diagnostic
+from gausslil.iterlog import subsequence_index
 from gausslil.sequences import (
     CovarianceSequence,
     CutoffFamily,
     DiscreteDistribution,
+    delta_k,
 )
 from gausslil.spectral import (
     CovarianceMatrix,
-    delta_k,
     eigh,
     operator_norm,
     sqrt_psd,
@@ -174,6 +175,29 @@ def test_delta_k_monotone_endpoint_shortcut_matches_scan():
         fast = delta_k(seq, 1.0, k)
         slow = delta_k(seq, 1.0, k, force_scan=True)
         assert fast == pytest.approx(slow, abs=1e-14)
+
+
+def test_delta_k_scan_walks_states_by_bisection(monkeypatch):
+    # atoms of norm 1, 2 and 50 under c_n = sqrt(n): the state changes at
+    # n = 1, 4 and 2500, so k = 25's window [2360, 2922] holds two states
+    # and k = 30's window [6771, 8328] one
+    half = np.array([[1.0, 0.0], [0.0, 2.0], [50.0, 0.0]])
+    dist = DiscreteDistribution(points=np.concatenate([half, -half]), probs=np.full(6, 1 / 6))
+    seq = CovarianceSequence.truncated(dist, CutoffFamily(kind="sqrt_n"))
+    state = seq.state
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return state(n)
+
+    monkeypatch.setattr(seq, "state", counted)
+    for k, n_states in ((25, 2), (30, 1)):
+        lo, hi = subsequence_index(1.0, k), subsequence_index(1.0, k + 1)
+        calls.clear()
+        scan = delta_k(seq, 1.0, k, force_scan=True)
+        assert calls and len(calls) <= n_states * (2 + math.log2(hi - lo + 1))
+        assert scan == delta_k(seq, 1.0, k)
 
 
 def test_delta_k_alternating_tabulated():

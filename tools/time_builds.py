@@ -30,7 +30,13 @@ Prints one JSON line:
   sequence and on a truncated d = 2 one whose states change at n = 4 and
   n = 9, over REPEATS calls;
 - ``classify_ms``: the median time of ``classify`` over 5000 terms on
-  the same two sequences, over REPEATS calls.
+  the same two sequences, over REPEATS calls;
+- ``fluctuation_ms``: the median time of one ``fluctuation_diagnostic``
+  (alpha = 1, the deltas FLUCTUATION_DELTAS), over REPEATS calls, on a
+  tabulated sequence of the truncated one's first TABLE_LEN matrices at
+  K = 10, whose Delta_k scan every state pair of each block, and on the
+  truncated sequence at K = 50, whose Delta_k take the monotone endpoint
+  shortcut.
 
 Engines are built directly, so the per-vector engine cache is bypassed;
 whatever the engine shares between vectors (a grid, say) is warmed by one
@@ -60,6 +66,8 @@ EIGH_DIMS = (2, 4, 6, 8, 16)
 LAYER_REPEATS = 51
 REPORT_KS = (200, 2000)
 QUERY_T = tuple(np.linspace(0.5, 30.0, 40).tolist())
+FLUCTUATION_DELTAS = (0.1, 0.5, 1.0)
+TABLE_LEN = 150
 
 
 def mix_vectors() -> list[tuple[float, ...]]:
@@ -151,6 +159,15 @@ def main() -> None:
         name: round(median_ms(integraltest.classify, (phi, seq, 1, 5000), REPEATS), 3)
         for name, seq in seqs.items()
     }
+    table = sequences.CovarianceSequence.tabulated(
+        [seqs["truncated"].emit(n) for n in range(1, TABLE_LEN + 1)]
+    )
+    fluctuation_ms = {
+        f"{name}_K{K}": round(
+            median_ms(integraltest.fluctuation_diagnostic, (seq, 1.0, FLUCTUATION_DELTAS, K), REPEATS), 3
+        )
+        for name, seq, K in (("tabulated", table, 10), ("truncated", seqs["truncated"], 50))
+    }
     print(
         json.dumps(
             {
@@ -167,6 +184,7 @@ def main() -> None:
                 "eigh_us": eigh_us,
                 "report_ms": report_ms,
                 "classify_ms": classify_ms,
+                "fluctuation_ms": fluctuation_ms,
             }
         )
     )
