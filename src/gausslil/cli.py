@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,23 +67,6 @@ COMMANDS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One run: a subcommand, its JSON config file, and output settings."""
-
-    command: str
-    input: str
-    output: str
-    seed: int = 0
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValidationError(f"unknown command {self.command!r}")
-        if self.format not in ("csv", "json"):
-            raise ValidationError(f"format must be csv or json, got {self.format!r}")
-
-
 def _load_config(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -104,30 +86,20 @@ def _emit_table(out: Path, name: str, header: list[str], rows, fmt: str, summary
         write_csv(path, header, rows)
         summary.setdefault("artifacts", []).append(path.name)
     else:
-        summary[name] = [dict(zip(header, (_jsonable(v) for v in row))) for row in rows]
+        summary[name] = [dict(zip(header, row)) for row in rows]
 
 
-def _jsonable(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
-
-
-def _cmd_density(cfg: dict, out: Path, config: RunConfig) -> dict:
+def _cmd_density(cfg: dict, out: Path, args: argparse.Namespace) -> dict:
     w = parse_weights_or_matrix(cfg)
     zs = parse_grid(cfg.get("z", {"min": 0.05, "max": 50.0, "count": 200}), "z")
     vals = weighted_density(w, zs)
     rows = [(float(z), float(v)) for z, v in zip(np.atleast_1d(zs), np.atleast_1d(vals))]
     summary = {"weights": list(w.weights), "count": len(rows)}
-    _emit_table(out, "density", ["z", "density"], rows, config.format, summary)
+    _emit_table(out, "density", ["z", "density"], rows, args.format, summary)
     return summary
 
 
-def _cmd_tail(cfg: dict, out: Path, config: RunConfig) -> dict:
+def _cmd_tail(cfg: dict, out: Path, args: argparse.Namespace) -> dict:
     w = parse_weights_or_matrix(cfg)
     ts = parse_grid(cfg.get("t", {"min": 0.5, "max": 8.0, "count": 40}), "t")
     samples = parse_monte_carlo(cfg)
@@ -137,17 +109,17 @@ def _cmd_tail(cfg: dict, out: Path, config: RunConfig) -> dict:
     for i, t in enumerate(np.atleast_1d(ts)):
         row = [float(t), weighted_norm_tail(w, float(t))]
         if samples:
-            est = estimate_tail(s, float(t), samples, SeededStream(config.seed, stream_id=i))
+            est = estimate_tail(s, float(t), samples, SeededStream(args.seed, stream_id=i))
             row.extend([est.p_hat, est.stderr, est.low_count])
         rows.append(tuple(row))
     if samples:
         header.extend(["mc_p_hat", "mc_stderr", "mc_low_count"])
     summary = {"weights": list(w.weights), "count": len(rows)}
-    _emit_table(out, "tail", header, rows, config.format, summary)
+    _emit_table(out, "tail", header, rows, args.format, summary)
     return summary
 
 
-def _cmd_bounds_verify(cfg: dict, out: Path, config: RunConfig) -> dict:
+def _cmd_bounds_verify(cfg: dict, out: Path, args: argparse.Namespace) -> dict:
     s = parse_spectrum(cfg)
     w = WeightedChiSquare.from_spectrum(s)
     lam1 = s.lambda1
@@ -204,7 +176,7 @@ def _cmd_bounds_verify(cfg: dict, out: Path, config: RunConfig) -> dict:
         "density_bounds",
         ["z", "density", "upper_bound", "lower_bound", "lower_threshold", "upper_ok", "lower_ok"],
         density_rows,
-        config.format,
+        args.format,
         summary,
     )
     _emit_table(
@@ -212,13 +184,13 @@ def _cmd_bounds_verify(cfg: dict, out: Path, config: RunConfig) -> dict:
         "tail_bounds",
         ["t", "tail", "lower_bound", "upper_bound", "shell", "shell_lower_bound", "sandwich_ok", "shell_ok"],
         tail_rows,
-        config.format,
+        args.format,
         summary,
     )
     return summary
 
 
-def _cmd_integral_test(cfg: dict, out: Path, config: RunConfig) -> dict:
+def _cmd_integral_test(cfg: dict, out: Path, args: argparse.Namespace) -> dict:
     if "phi" not in cfg or "sequence" not in cfg:
         raise ValidationError("integral-test config needs 'phi' and 'sequence'")
     phi = parse_phi(cfg["phi"])
@@ -253,11 +225,11 @@ def _cmd_integral_test(cfg: dict, out: Path, config: RunConfig) -> dict:
             "bracketing_high": rep.bracketing_high,
             "full_verdict": rep.full_verdict,
         }
-    _emit_table(out, "terms", ["index", "term", "partial_sum"], rows, config.format, summary)
+    _emit_table(out, "terms", ["index", "term", "partial_sum"], rows, args.format, summary)
     return summary
 
 
-def _cmd_sequence_info(cfg: dict, out: Path, config: RunConfig) -> dict:
+def _cmd_sequence_info(cfg: dict, out: Path, args: argparse.Namespace) -> dict:
     if "sequence" not in cfg:
         raise ValidationError("sequence-info config needs 'sequence'")
     seq = parse_sequence(cfg["sequence"])
@@ -301,13 +273,13 @@ def _cmd_sequence_info(cfg: dict, out: Path, config: RunConfig) -> dict:
         "limit_spectrum",
         ["index", "eigenvalue", "group_id"],
         spectrum_csv_rows(s),
-        config.format,
+        args.format,
         summary,
     )
     return summary
 
 
-def _cmd_simulate(cfg: dict, out: Path, config: RunConfig) -> dict:
+def _cmd_simulate(cfg: dict, out: Path, args: argparse.Namespace) -> dict:
     if "sequence" not in cfg:
         raise ValidationError("simulate config needs 'sequence'")
     seq = parse_sequence(cfg["sequence"])
@@ -319,7 +291,7 @@ def _cmd_simulate(cfg: dict, out: Path, config: RunConfig) -> dict:
         raise ValidationError("simulate config needs 'phi' or 'boundaries'")
     n_max = positive_int(cfg.get("n_max", 100_000), "n_max")
     reps = positive_int(cfg.get("reps", 16), "reps")
-    records = simulate_paths(seq, phis[0], n_max, reps, SeededStream(config.seed))
+    records = simulate_paths(seq, phis[0], n_max, reps, SeededStream(args.seed))
     maxima = per_rep_limsup_maxima(records)
     summary = {
         "n_max": n_max,
@@ -341,7 +313,7 @@ def _cmd_simulate(cfg: dict, out: Path, config: RunConfig) -> dict:
                 rows.append((rec.rep, n, ratio, exceeded))
         exceedance.append(int(count))
         _emit_table(
-            out, f"paths_b{b}", ["rep", "n", "ratio", "exceeded"], rows, config.format, summary
+            out, f"paths_b{b}", ["rep", "n", "ratio", "exceeded"], rows, args.format, summary
         )
     summary["exceedance_counts"] = exceedance
     return summary
@@ -380,15 +352,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig) -> int:
-    cfg = _load_config(config.input)
-    out = Path(config.output)
-    summary = _HANDLERS[config.command](cfg, out, config)
+def run(args: argparse.Namespace) -> int:
+    cfg = _load_config(args.config)
+    out = Path(args.out)
+    summary = _HANDLERS[args.command](cfg, out, args)
     payload = {
         "version": __version__,
-        "command": config.command,
-        "seed": config.seed,
-        "format": config.format,
+        "command": args.command,
+        "seed": args.seed,
+        "format": args.format,
     }
     payload.update(summary)
     write_json(out.parent / f"{out.name}.json", payload)
@@ -397,15 +369,7 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        config = RunConfig(
-            command=args.command,
-            input=args.config,
-            output=args.out,
-            seed=args.seed,
-            format=args.format,
-        )
-        return run(config)
+        return run(build_parser().parse_args(argv))
     except ValidationError as e:
         return _error_record("validation", e, 2)
     except NumericError as e:

@@ -118,8 +118,7 @@ def gamma_n(s: Spectrum, phi_n, upto: int | None = None):
     take the phi branch (a/0 read as infinity). Elementwise over an array
     of phi_n.
     """
-    if s.lambda1 <= 0:
-        raise ValidationError("largest eigenvalue must be positive")
+    s.top()
     if np.min(phi_n) <= 0:
         raise ValidationError(f"phi must be positive, got {np.min(phi_n)}")
     return np.exp(s.log_gap_product(phi_n, upto))

@@ -40,6 +40,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
 _M64 = 0xFFFFFFFFFFFFFFFF
 CHECKPOINT_RATIO = 1.05
+# Share of the longest path whose early checkpoints the limsup estimate
+# discards: iterated-log convergence is far too slow for small n to carry
+# signal.
+BURN_IN_FRACTION = 0.01
 # Largest path length: up to 2^53, float64 holds every integer n, so the
 # sqrt(n) scalings and the checkpoint schedule read each n exactly.
 MAX_N = 2**53
@@ -192,8 +196,7 @@ def _norm_blocks(s: Spectrum, stream: SeededStream, count: int):
     is requested; memory does not grow with count. The polar block holds
     at most the count * d normals asked for, so a short draw stays small.
     """
-    if s.lambda1 <= 0:
-        raise ValidationError("largest eigenvalue must be positive")
+    s.top()
     w = s.weights()
     d = s.dim
     src = _NormalSource(stream, max(1, min(_BLOCK_PAIRS, -(-count * d // 2))))
@@ -267,12 +270,12 @@ class PathRecord:
     checkpoints: tuple[tuple[int, float, float, bool], ...]
 
 
-def checkpoint_schedule(n_max: int, ratio: float = CHECKPOINT_RATIO) -> list[int]:
-    """Geometric checkpoint indices 1 = n_0 < ... <= n_max, ratio ~ 1.05."""
+def checkpoint_schedule(n_max: int) -> list[int]:
+    """Geometric checkpoint indices 1 = n_0 < ... <= n_max, ratio ~ CHECKPOINT_RATIO."""
     ns = [1]
     v = 1.0
     while ns[-1] < n_max:
-        v *= ratio
+        v *= CHECKPOINT_RATIO
         n = min(n_max, int(math.ceil(v)))
         if n > ns[-1]:
             ns.append(n)
@@ -321,16 +324,13 @@ def simulate_paths(
     return records
 
 
-def per_rep_limsup_maxima(
-    records: list[PathRecord], burn_in_fraction: float = 0.01
-) -> np.ndarray:
-    """Per replication: max over checkpoints n >= n_max * fraction of
-    ratio / sqrt(2 LLn). The early path is discarded because iterated-log
-    convergence is far too slow for small n to carry signal."""
+def per_rep_limsup_maxima(records: list[PathRecord]) -> np.ndarray:
+    """Per replication: max over checkpoints n >= n_max * BURN_IN_FRACTION
+    of ratio / sqrt(2 LLn)."""
     if not records:
         raise ValidationError("no path records")
     n_max = max(cp[0] for rec in records for cp in rec.checkpoints)
-    cut = n_max * burn_in_fraction
+    cut = n_max * BURN_IN_FRACTION
     out = []
     for rec in records:
         best = -math.inf
@@ -344,7 +344,7 @@ def per_rep_limsup_maxima(
     return vals
 
 
-def empirical_limsup(records: list[PathRecord], burn_in_fraction: float = 0.01) -> float:
+def empirical_limsup(records: list[PathRecord]) -> float:
     """Cross-replication estimate of limsup |Gamma_n T_n| / sqrt(2 n LLn).
 
     Each replication contributes the maximum checkpoint ratio past the
@@ -352,4 +352,4 @@ def empirical_limsup(records: list[PathRecord], burn_in_fraction: float = 0.01) 
     replications would grow like sqrt(log reps) without bound and cannot
     sit in any fixed window, so it estimates nothing.
     """
-    return float(np.median(per_rep_limsup_maxima(records, burn_in_fraction)))
+    return float(np.median(per_rep_limsup_maxima(records)))

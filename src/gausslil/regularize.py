@@ -94,15 +94,9 @@ def derived_constants(d: int) -> DerivedConstants:
     )
 
 
-def _require_top(s: Spectrum) -> float:
-    if s.lambda1 <= 0:
-        raise ValidationError("largest eigenvalue must be positive")
-    return s.lambda1
-
-
 def d_tilde(s: Spectrum, t: float) -> int:
     """max{1 <= i <= d : lambda_1^2 - lambda_i^2 <= 4 d^2 lambda_1^4 / t^2}."""
-    lam1 = _require_top(s)
+    lam1 = s.top()
     d = s.dim
     if t < 3 * d * lam1:
         raise ValidationError(
@@ -133,14 +127,14 @@ def log_product_factor(s: Spectrum, t: float) -> float:
     theorem; equal-eigenvalue factors take the t/lambda_1 branch (a/0 is
     read as +infinity).
     """
-    lam1 = _require_top(s)
+    lam1 = s.top()
     return s.log_gap_product(t) + math.log(lam1 / t) - t * t / (2.0 * lam1 * lam1)
 
 
 def _check_valid_t(s: Spectrum, t: float) -> DerivedConstants:
     """The validity gate t >= C1t lambda_1 (C1t = C5) of the bounds and lemmas."""
     dc = derived_constants(s.dim)
-    lam1 = _require_top(s)
+    lam1 = s.top()
     if t < dc.C1t * lam1:
         raise ValidationError(
             f"bound valid for t >= C1t*lambda_1 = {dc.C1t * lam1:.6g}, got {t}"

@@ -128,17 +128,15 @@ class CutoffFamily:
             g = self.g_table[min(n, len(self.g_table)) - 1]
         return self.scale * math.sqrt(n) * g
 
-    def window_report(
-        self, ns: list[int], eps: list[float] | None = None
-    ) -> list[dict]:
+    def window_report(self, ns: list[int]) -> list[dict]:
         """Check exp(-(Ln)^eps_n) <= c_n/sqrt(n) <= exp((Ln)^eps_n) per n.
 
-        eps defaults to 1/LLn, a choice (the window condition only asks
-        for some eps_n -> 0).
+        eps_n = 1/LLn, a choice (the window condition only asks for some
+        eps_n -> 0).
         """
         rows = []
-        for i, n in enumerate(ns):
-            e = eps[i] if eps is not None else 1.0 / llt(n)
+        for n in ns:
+            e = 1.0 / llt(n)
             ratio = self.evaluate(n) / math.sqrt(n)
             bound = math.exp(lt(n) ** e)
             rows.append(
@@ -237,7 +235,7 @@ class CovarianceSequence:
     def runs(self, ns):
         """The slices of ``states(ns)``, each with its state's spectrum."""
         for sl, s in self.states(ns):
-            yield sl, self._spectrum_and_root(s)[0]
+            yield sl, self._spectrum(s)
 
     def check_nonzero_limit(self) -> None:
         """Reject a sequence whose limit is the zero matrix."""
@@ -268,28 +266,27 @@ class CovarianceSequence:
             self._matrices[state] = truncated_covariance(self.distribution, c)
         return self._matrices[state]
 
-    def _spectrum_and_root(self, state: int) -> tuple[spectral.Spectrum, np.ndarray]:
+    def _spectrum(self, state: int) -> spectral.Spectrum:
         if self._spectra[state] is None:
-            s = spectral.eigh(self._matrix(state))
-            self._spectra[state] = (s, (s.basis * s.eigenvalues) @ s.basis.T)
+            self._spectra[state] = spectral.eigh(self._matrix(state))
         return self._spectra[state]
 
     def emit(self, n: int) -> np.ndarray:
         return self._matrix(self.state(n))
 
     def spectrum_at(self, n: int) -> spectral.Spectrum:
-        return self._spectrum_and_root(self.state(n))[0]
+        return self._spectrum(self.state(n))
 
     def root_at(self, n: int) -> np.ndarray:
         """Gamma_n, the symmetric PSD square root of the emitted Gamma_n^2."""
-        return self._spectrum_and_root(self.state(n))[1]
+        return self._spectrum(self.state(n)).root
 
     def limit(self) -> np.ndarray:
         """Exact limit matrix: the matrix of the final state."""
         return self._matrix(len(self._matrices) - 1)
 
     def limit_spectrum(self) -> spectral.Spectrum:
-        return self._spectrum_and_root(len(self._matrices) - 1)[0]
+        return self._spectrum(len(self._matrices) - 1)
 
 
 def delta_k(

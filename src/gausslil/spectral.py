@@ -72,6 +72,17 @@ class Spectrum:
     def lambda1_sq(self) -> float:
         return self.lambda1**2
 
+    def top(self) -> float:
+        """lambda_1, or a ValidationError where it is 0 (Gamma = 0)."""
+        if self.lambda1 <= 0:
+            raise ValidationError("largest eigenvalue must be positive")
+        return self.lambda1
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """V diag(lambda) V^T, the PSD square root of the input Gamma^2."""
+        return (self.basis * self.eigenvalues) @ self.basis.T
+
     def weights(self) -> np.ndarray:
         """lambda_i^2, descending."""
         return self.eigenvalues**2
@@ -140,14 +151,14 @@ def log_zolotarev(rho2) -> float:
     return -0.5 * float(np.sum(np.log1p(-np.asarray(rho2, dtype=float))))
 
 
-def check_symmetric(a: np.ndarray, rtol: float = SYMMETRY_RTOL) -> None:
-    """Reject matrices whose asymmetry exceeds the relative tolerance."""
+def check_symmetric(a: np.ndarray) -> None:
+    """Reject matrices whose asymmetry exceeds SYMMETRY_RTOL relative to max |A|."""
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     asym = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if asym > rtol * max(scale, 1e-300):
+    if asym > SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValidationError(
             f"matrix is not symmetric: max |A - A^T| = {asym:.3e} "
-            f"exceeds {rtol:.1e} * max|A| = {rtol * scale:.3e}"
+            f"exceeds {SYMMETRY_RTOL:.1e} * max|A| = {SYMMETRY_RTOL * scale:.3e}"
         )
 
 
@@ -254,6 +265,5 @@ def operator_norm(a: np.ndarray) -> float:
 
 def sqrt_psd(a: CovarianceMatrix | np.ndarray) -> CovarianceMatrix:
     """Symmetric PSD square root B with B^2 = A."""
-    s = eigh(a)
-    b = (s.basis * s.eigenvalues) @ s.basis.T
+    b = eigh(a).root
     return CovarianceMatrix(0.5 * (b + b.T))

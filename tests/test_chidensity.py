@@ -1,5 +1,6 @@
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -704,6 +705,29 @@ def test_constant_table_values():
         assert c.beta == pytest.approx(math.log(8 * c.C3) + d / 4, rel=1e-13)
         assert c.C3 > 1
         assert 0 < c.C1 <= c.C2
+
+
+def _partitions(n: int, largest: int):
+    """Every partition of n into parts <= largest, parts in descending order."""
+    if n == 0:
+        yield []
+        return
+    for k in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - k, k):
+            yield [k, *rest]
+
+
+def test_c3_recurrence_matches_partition_maximum():
+    # the brute-force maximum over every partition of d - 1 is exponential
+    # in d; the recurrence takes O(d^2) products and returns the same float
+    for d in range(2, 31):
+        want = max(math.prod(chidensity._c4(m) for m in p) for p in _partitions(d - 1, d - 1))
+        assert chidensity._c3(d) == want, d
+    chidensity._c3.cache_clear()
+    start = time.perf_counter()
+    c3 = chidensity._c3(60)
+    assert time.perf_counter() - start < 1.0
+    assert math.isfinite(c3) and c3 > 1
 
 
 def test_constants_rejects_d1():

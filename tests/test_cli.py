@@ -11,7 +11,7 @@ import pytest
 import gausslil
 from gausslil.cli import main
 from gausslil.errors import ValidationError
-from gausslil.serialize import CAPS, parse_grid, positive_int
+from gausslil.serialize import CAPS, format_cell, parse_grid, positive_int
 from gausslil.special import chisq_density
 
 
@@ -269,6 +269,7 @@ def test_json_format_embeds_tables(tmp_path):
     assert set(summary["density"][0]) == {"z", "density"}
 
 
+
 _SERIES = {
     "phi": {"kind": "parametric", "a": 4.0},
     "sequence": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 0.5]]},
@@ -307,6 +308,49 @@ def test_integral_test_zero_prefix(tmp_path):
     assert [int(r[0]) for r in rows] == list(range(1, 51))
     assert [float(r[1]) for r in rows[:3]] == [0.0] * 3
     assert all(float(r[1]) > 0 for r in rows[3:])
+
+
+@pytest.mark.parametrize(
+    "command,cfg",
+    [
+        ("density", {"weights": [1.0, 0.25], "z": [0.5, 2.0]}),
+        ("tail", {"weights": [1.0, 0.25], "t": [1.0, 3.0], "monte_carlo": {"samples": 10_000}}),
+        ("bounds-verify", {"weights": [1.0, 0.25], "z": {"min": 0.05, "max": 60, "count": 6}, "t": [7.0, 9.0]}),
+        ("integral-test", {**_SERIES, "n_terms": 40, "equivalence": {"K": 20}}),
+        ("sequence-info", {"sequence": {**_DIPPING_CUTOFF, "cutoff": {"kind": "sqrt_n"}}, "N": 1000, "alpha": 1.0, "K": 10}),
+        (
+            "simulate",
+            {
+                "sequence": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 0.25]]},
+                "boundaries": [{"kind": "parametric", "a": 0.0}, {"kind": "parametric", "a": 6.0}],
+                "n_max": 2000,
+                "reps": 2,
+            },
+        ),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_json_tables_match_csv(tmp_path, command, cfg):
+    # the JSON summary embeds each table the CSV run writes, cell for cell
+    # (its keys sorted), and is otherwise the CSV run's summary
+    (tmp_path / "csv").mkdir()
+    (tmp_path / "json").mkdir()
+    code, out_csv = run_cli(tmp_path / "csv", command, cfg, seed=5)
+    assert code == 0
+    code, out_json = run_cli(tmp_path / "json", command, cfg, fmt="json", seed=5)
+    assert code == 0
+    from_csv, from_json = read_json(out_csv), read_json(out_json)
+    tables = []
+    for artifact in from_csv.pop("artifacts"):
+        table = artifact[len("run_") : -len(".csv")]
+        header, rows = read_csv(tmp_path / "csv" / artifact)
+        embedded = from_json.pop(table)
+        assert [sorted(r) for r in embedded] == [sorted(header)] * len(rows)
+        assert [[format_cell(r[h]) for h in header] for r in embedded] == rows
+        tables.append(table)
+    assert tables
+    assert from_csv.pop("format") == "csv" and from_json.pop("format") == "json"
+    assert from_json == from_csv
 
 
 @pytest.mark.parametrize(

@@ -350,9 +350,11 @@ def test_empirical_limsup_burn_in_and_rejection():
     assert v == pytest.approx(2.0 / math.sqrt(2 * math.log(math.log(1000))), rel=1e-12)
     with pytest.raises(ValidationError):
         empirical_limsup([])
-    with pytest.raises(ValidationError):
-        # all checkpoints below the burn-in cut
-        empirical_limsup([PathRecord(rep=0, checkpoints=((5, 1.0, 1.0, False),))], burn_in_fraction=10.0)
+    with pytest.raises(ValidationError, match="no checkpoints survive the burn-in discard"):
+        # the cut is 1000 * BURN_IN_FRACTION = 10: the first record's only
+        # checkpoint falls below it
+        short = PathRecord(rep=0, checkpoints=((5, 1.0, 1.0, False),))
+        empirical_limsup([short, PathRecord(rep=1, checkpoints=((1000, 2.0, 1.0, True),))])
 
 
 def test_boundary_ordering_upper_vs_lower_class():
