@@ -57,16 +57,6 @@ from .serialize import (
     write_json,
 )
 
-COMMANDS = (
-    "density",
-    "tail",
-    "bounds-verify",
-    "integral-test",
-    "sequence-info",
-    "simulate",
-)
-
-
 def _load_config(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -343,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         "upper-lower class integral tests",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", required=True, help="output path prefix")
