@@ -310,6 +310,12 @@ def _log_grid(z_lo: float) -> _LogGrid:
     return _shared_grid() if z_lo == _GRID_LO else _LogGrid(z_lo)
 
 
+def _log_power(log_c: float, power: float, lz: np.ndarray) -> np.ndarray:
+    """log(c z^power) at lz = log z. Power 0 leaves out 0 log z, so that
+    z = 0 (an underflowed z / lambda_1^2) reads the limit there."""
+    return log_c + power * lz if power else np.full_like(lz, log_c)
+
+
 class _LogLevel:
     """L_k(z) = log hhat_k(z) of one convolution level, read on the engine grid.
 
@@ -335,7 +341,7 @@ class _LogLevel:
 
     def _small(self, z, lz):
         log_c, power, slope = self.small_z
-        return log_c + power * lz - slope * z
+        return _log_power(log_c, power, lz) - slope * z
 
     def __call__(self, z: np.ndarray, lz: np.ndarray) -> np.ndarray:
         j = self.grid.interval(lz)
@@ -407,18 +413,27 @@ class _DensityEngine:
         self.grid = _log_grid(max(min(_GRID_LO, 1e-3 * min(wnorm)), _GRID_FLOOR))
         self.zs = self.grid.z
         log_k = log_zolotarev(np.asarray(wnorm[self.d1 :]))
-        self._lead_const = math.exp(log_k) * chisq_norm_const(self.d1)
+        # hhat ~ K C0(d1) z^{d1/2 - 1}, C0(d1) = 2^{-d1/2} / Gamma(d1/2), as its log
+        log_c0 = -0.5 * self.d1 * math.log(2.0) - math.lgamma(0.5 * self.d1)
+        self._leading = (log_k + log_c0, 0.5 * self.d1 - 1.0)
         if self.block_w.size == 1:
             self._level = None
         else:
             self._level = self._build(self._small_z_terms())
         self.nodes = self.grid.nodes
-        self.pieces = self._integrals(self.nodes[:-1], self.nodes[1:])
         # past the top node h ~ K f_{d1}; that closure enters any tail asked
         # for at most e^{-30}-fold, since the top node is _TAIL_WINDOW past
-        # _UNDERFLOW_X
+        # _UNDERFLOW_X. Qhat is largest there, and hhat below it, so the
+        # table fits float64 if Qhat at the top node does.
         top = float(self.nodes[-1])
-        q_top = math.exp(log_k + log_chisq_norm_tail(self.d1, math.sqrt(top)) + 0.5 * top)
+        try:
+            q_top = math.exp(log_k + log_chisq_norm_tail(self.d1, math.sqrt(top)) + 0.5 * top)
+        except OverflowError:
+            raise NumericError(
+                f"tail table overflows float64: Q(z) e^(z/2) at normalized z = {top:.6g} "
+                f"for a top multiplicity of {self.d1}"
+            ) from None
+        self.pieces = self._integrals(self.nodes[:-1], self.nodes[1:])
         qhat = np.append(self.pieces, q_top)
         span = 1
         for table in self.grid.suffix:  # Qhat_j = I_j + e^{-(z_{j+1} - z_j)/2} Qhat_{j+1}
@@ -503,23 +518,20 @@ class _DensityEngine:
 
     # -- queries ------------------------------------------------------------
 
-    def hhat(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if self._level is None:  # one block: the leading term is exact
-            return self._leading(z)
-        out = np.exp(self._level(z, np.log(z)))
+    def log_hhat(self, z: np.ndarray, lz: np.ndarray) -> np.ndarray:
+        """log hhat at z, lz = log z: the level on the grid, and the leading
+        term log K f_{d1}(z) + z/2 past it or for a single block, where it is exact."""
+        if self._level is None:
+            return _log_power(*self._leading, lz)
+        out = self._level(z, lz)
         top = z > self.zs[-1]
-        if np.any(top):
-            out[top] = self._leading(z[top])
+        if top.any():
+            out[top] = _log_power(*self._leading, lz[top])
         return out
-
-    def _leading(self, z: np.ndarray) -> np.ndarray:
-        return self._lead_const * np.power(z, self.d1 / 2.0 - 1.0)
 
     def density(self, z: np.ndarray) -> np.ndarray:
         """Density of sum w_i eta_i^2 on the normalized scale."""
-        z = np.asarray(z, dtype=float)
-        return self.hhat(z) * np.exp(-0.5 * z)
+        return np.exp(self.log_hhat(z, np.log(z)) - 0.5 * z)
 
     def _integrals(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """int_a^b hhat(z) e^{-(z - a)/2} dz for each interval [a_i, b_i].
@@ -533,7 +545,7 @@ class _DensityEngine:
         ua, ub = np.sqrt(a), np.sqrt(b)
         u = ua[:, None] + (ub - ua)[:, None] * _GL_NODES
         z = u * u
-        f = u * self.hhat(z) * np.exp(-0.5 * (z - a[:, None]))
+        f = u * np.exp(self.log_hhat(z, np.log(z))) * np.exp(-0.5 * (z - a[:, None]))
         return 2.0 * (ub - ua) * (f @ _GL_WEIGHTS)
 
     def table_tail(self, x: float) -> float:

@@ -195,6 +195,27 @@ def test_density_rejects_non_finite_z():
             weighted_density(w, [bad, 1.0])
 
 
+def test_leading_term_is_computed_in_logs():
+    # past the grid, or for a single block, the leading term K f_{d1} is
+    # exp of its log: c z^{d1/2 - 1} alone overflows to inf at z = 1e300
+    # (inf * e^{-z/2} read NaN), and Gamma(d1/2) overflows from d1 = 344
+    assert weighted_density(WeightedChiSquare.from_weights([1.0] * 8), 1e300) == 0.0
+    assert weighted_density(WeightedChiSquare.from_weights([1.0, 0.5]), 1e300) == 0.0
+    big = WeightedChiSquare.from_weights([1.0] * 400)
+    want = mp.mpf(400) ** 199 * mp.exp(-200) / (mp.mpf(2) ** 200 * mp.gamma(200))
+    assert weighted_density(big, 400.0) == pytest.approx(float(want), rel=1e-12)
+
+
+def test_density_at_an_underflowed_z_reads_the_limit():
+    # z / lambda_1^2 rounds to 0 here; with M = 2 the density's limit at 0
+    # is finite: 1 / (4 lambda_1^2) for [2, 2], 1 / (2 sqrt(w_1 w_2)) for [2, 1]
+    z = 5e-324
+    assert weighted_density(WeightedChiSquare.from_weights([2.0, 2.0]), z) == pytest.approx(0.25, rel=1e-14)
+    assert weighted_density(WeightedChiSquare.from_weights([2.0, 1.0]), z) == pytest.approx(
+        0.5 / math.sqrt(2.0), rel=1e-12
+    )
+
+
 # ---- tails -----------------------------------------------------------------
 
 
@@ -210,6 +231,20 @@ def test_tail_trivial_and_chisq_cases():
         assert weighted_norm_tail(w5, t) == pytest.approx(
             chisq_norm_tail(5, t / math.sqrt(2.0)), rel=1e-12, abs=0
         )
+
+
+def test_one_block_tail_at_high_dimension():
+    # the table of one block of 300 read inf, its leading constant times
+    # z^{149} overflowing before e^{-z/2} took it back
+    w = WeightedChiSquare.from_weights([1.0] * 300)
+    t = math.sqrt(300.0)
+    assert weighted_norm_tail(w, t) == pytest.approx(chisq_norm_tail(300, t), rel=1e-12, abs=0)
+
+
+def test_table_overflow_raises_numeric_error():
+    # Qhat = Q(z) e^{z/2} at the top node leaves float64 near d1 = 1000
+    with pytest.raises(NumericError, match="overflows float64"):
+        weighted_norm_tail(WeightedChiSquare.from_weights([1.0] * 1000), 30.0)
 
 
 def test_tail_two_weights_against_quadrature_oracle():

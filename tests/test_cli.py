@@ -197,6 +197,15 @@ def test_validation_error_record(tmp_path, capsys):
     assert "version" in err
 
 
+def test_tail_table_overflow_is_a_numeric_record(tmp_path, capsys):
+    # one block of 1,000 equal weights: the scaled tail table leaves float64
+    code, _ = run_cli(tmp_path, "tail", {"weights": [1.0] * 1000, "t": [30.0]})
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "numeric"
+    assert "overflows float64" in err["error"]["message"]
+
+
 def test_missing_config_error_record(tmp_path, capsys):
     code = main(["tail", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
     assert code == 2
