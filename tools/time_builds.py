@@ -36,7 +36,11 @@ Prints one JSON line:
   tabulated sequence of the truncated one's first TABLE_LEN matrices at
   K = 10, whose Delta_k scan every state pair of each block, and on the
   truncated sequence at K = 50, whose Delta_k take the monotone endpoint
-  shortcut.
+  shortcut;
+- ``constants_ms``: the median time of one cold ``derived_constants(d)``
+  for each d in CONSTANTS_DIMS, over REPEATS calls, with the memo of it,
+  of ``constants`` and of ``_c3`` (C3, the largest product of C4 over the
+  partitions of d - 1) cleared before each call.
 
 Engines are built directly, so the per-vector engine cache is bypassed;
 whatever the engine shares between vectors (a grid, say) is warmed by one
@@ -68,6 +72,7 @@ REPORT_KS = (200, 2000)
 QUERY_T = tuple(np.linspace(0.5, 30.0, 40).tolist())
 FLUCTUATION_DELTAS = (0.1, 0.5, 1.0)
 TABLE_LEN = 150
+CONSTANTS_DIMS = (8, 40)
 
 
 def mix_vectors() -> list[tuple[float, ...]]:
@@ -118,12 +123,18 @@ def series_sequences(sequences) -> dict:
     }
 
 
+def cold_constants(chidensity, regularize, d: int) -> None:
+    for memo in (regularize.derived_constants, chidensity.constants, chidensity._c3):
+        memo.cache_clear()
+    regularize.derived_constants(d)
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     args = p.parse_args()
     sys.path.insert(0, args.src)
-    from gausslil import chidensity, integraltest, sequences, spectral
+    from gausslil import chidensity, integraltest, regularize, sequences, spectral
 
     engine = chidensity._DensityEngine
     build_ms = {}
@@ -168,6 +179,10 @@ def main() -> None:
         )
         for name, seq, K in (("tabulated", table, 10), ("truncated", seqs["truncated"], 50))
     }
+    constants_ms = {
+        str(d): round(median_ms(cold_constants, (chidensity, regularize, d), REPEATS), 2)
+        for d in CONSTANTS_DIMS
+    }
     print(
         json.dumps(
             {
@@ -185,6 +200,7 @@ def main() -> None:
                 "report_ms": report_ms,
                 "classify_ms": classify_ms,
                 "fluctuation_ms": fluctuation_ms,
+                "constants_ms": constants_ms,
             }
         )
     )
