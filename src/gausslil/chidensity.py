@@ -729,10 +729,8 @@ def _c4(m: int) -> float:
 def _c3(d: int) -> float:
     """C3(d), the largest product of C4(m) over the partitions m of d - 1.
 
-    Every C4(m) is positive, so the best product over the partitions of n
-    is the best over its first part k of C4(k) times the best over the
-    partitions of n - k: best[0] = 1, best[n] = max_k C4(k) best[n - k],
-    O(d^2) products.
+    Every C4 is positive, so over its first part k: best[0] = 1 and
+    best[n] = max_k C4(k) best[n - k], O(d^2) products.
     """
     c4 = [_c4(m) for m in range(1, d)]
     best = [1.0]

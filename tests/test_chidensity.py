@@ -231,20 +231,11 @@ def test_tail_trivial_and_chisq_cases():
         assert weighted_norm_tail(w5, t) == pytest.approx(
             chisq_norm_tail(5, t / math.sqrt(2.0)), rel=1e-12, abs=0
         )
-
-
-def test_one_block_tail_at_high_dimension():
-    # the table of one block of 300 read inf, its leading constant times
-    # z^{149} overflowing before e^{-z/2} took it back
-    w = WeightedChiSquare.from_weights([1.0] * 300)
+    # one block of 300: its leading term c z^{149} overflowed in linear floats
     t = math.sqrt(300.0)
-    assert weighted_norm_tail(w, t) == pytest.approx(chisq_norm_tail(300, t), rel=1e-12, abs=0)
-
-
-def test_table_overflow_raises_numeric_error():
-    # Qhat = Q(z) e^{z/2} at the top node leaves float64 near d1 = 1000
-    with pytest.raises(NumericError, match="overflows float64"):
-        weighted_norm_tail(WeightedChiSquare.from_weights([1.0] * 1000), 30.0)
+    assert weighted_norm_tail(WeightedChiSquare.from_weights([1.0] * 300), t) == pytest.approx(
+        chisq_norm_tail(300, t), rel=1e-12, abs=0
+    )
 
 
 def test_tail_two_weights_against_quadrature_oracle():

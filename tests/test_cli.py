@@ -278,7 +278,6 @@ def test_json_format_embeds_tables(tmp_path):
     assert set(summary["density"][0]) == {"z", "density"}
 
 
-
 _SERIES = {
     "phi": {"kind": "parametric", "a": 4.0},
     "sequence": {"kind": "constant", "matrix": [[1.0, 0.0], [0.0, 0.5]]},
