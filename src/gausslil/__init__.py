@@ -12,6 +12,8 @@ from .chidensity import (
     constants,
     density_lower_bound,
     density_upper_bound,
+    log_weighted_norm_tail,
+    log_weighted_shell_probability,
     weighted_density,
     weighted_norm_tail,
     weighted_shell_probability,

@@ -20,13 +20,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .quadrature import KronrodChain, gauss_legendre
-from .special import (
-    chisq_density,
-    chisq_density_scaled,
-    chisq_norm_const,
-    chisq_norm_tail,
-    log_chisq_norm_tail,
-)
+from .special import chisq_density, chisq_norm_tail, log_chisq_norm_tail
 from .spectral import Spectrum, group_descending, log_zolotarev
 
 __all__ = [
@@ -38,6 +32,8 @@ __all__ = [
     "weighted_density",
     "weighted_norm_tail",
     "weighted_shell_probability",
+    "log_weighted_norm_tail",
+    "log_weighted_shell_probability",
     "zolotarev_constant",
     "density_upper_bound",
     "density_lower_bound",
@@ -48,7 +44,7 @@ _BLOCK_MERGE_RTOL = 1e-12
 # e^{-x/2} rounds to 0.0 in float64 for every normalized x past this edge,
 # where it falls below half the smallest subnormal, math.ulp(0.0)
 _UNDERFLOW_X = -2.0 * (math.log(math.ulp(0.0)) - math.log(2.0))
-_TAIL_WINDOW = 60.0  # the grid runs this far past the deepest tail it serves
+_TAIL_WINDOW = 60.0  # the grid runs this far past the edge, where the tail table closes
 # The grid starts at _GRID_LO, or, for a smallest weight w below 1e-3, at
 # 1e-3 w (not below _GRID_FLOOR), so that the small-z expansion holds below
 # it. A weight w below _NEGLIGIBLE_WEIGHT shifts the law by O(w), which
@@ -310,6 +306,12 @@ def _log_grid(z_lo: float) -> _LogGrid:
     return _shared_grid() if z_lo == _GRID_LO else _LogGrid(z_lo)
 
 
+def _log_leading(log_k: float, d1: int) -> tuple[float, float]:
+    """(log c, p) of the leading term K f_{d1}(z) e^{z/2} = c z^p of hhat:
+    c = K C0(d1), C0(d1) = 2^{-d1/2} / Gamma(d1/2), as its log, p = d1/2 - 1."""
+    return log_k + (-0.5 * d1 * math.log(2.0) - math.lgamma(0.5 * d1)), 0.5 * d1 - 1.0
+
+
 def _log_power(log_c: float, power: float, lz: np.ndarray) -> np.ndarray:
     """log(c z^power) at lz = log z. Power 0 leaves out 0 log z, so that
     z = 0 (an underflowed z / lambda_1^2) reads the limit there."""
@@ -412,22 +414,18 @@ class _DensityEngine:
         self._log_scale = -0.5 * self.block_m * np.log(2.0 * self.block_w)
         self.grid = _log_grid(max(min(_GRID_LO, 1e-3 * min(wnorm)), _GRID_FLOOR))
         self.zs = self.grid.z
-        log_k = log_zolotarev(np.asarray(wnorm[self.d1 :]))
-        # hhat ~ K C0(d1) z^{d1/2 - 1}, C0(d1) = 2^{-d1/2} / Gamma(d1/2), as its log
-        log_c0 = -0.5 * self.d1 * math.log(2.0) - math.lgamma(0.5 * self.d1)
-        self._leading = (log_k + log_c0, 0.5 * self.d1 - 1.0)
+        self._log_k = log_zolotarev(np.asarray(wnorm[self.d1 :]))
+        self._leading = _log_leading(self._log_k, self.d1)
         if self.block_w.size == 1:
             self._level = None
         else:
             self._level = self._build(self._small_z_terms())
         self.nodes = self.grid.nodes
-        # past the top node h ~ K f_{d1}; that closure enters any tail asked
-        # for at most e^{-30}-fold, since the top node is _TAIL_WINDOW past
-        # _UNDERFLOW_X. Qhat is largest there, and hhat below it, so the
-        # table fits float64 if Qhat at the top node does.
+        # Qhat is largest at the top node, and hhat below it, so the table
+        # fits float64 if Qhat there does
         top = float(self.nodes[-1])
         try:
-            q_top = math.exp(log_k + log_chisq_norm_tail(self.d1, math.sqrt(top)) + 0.5 * top)
+            q_top = math.exp(self._log_closure(top) + 0.5 * top)
         except OverflowError:
             raise NumericError(
                 f"tail table overflows float64: Q(z) e^(z/2) at normalized z = {top:.6g} "
@@ -548,31 +546,49 @@ class _DensityEngine:
         f = u * np.exp(self.log_hhat(z, np.log(z))) * np.exp(-0.5 * (z - a[:, None]))
         return 2.0 * (ub - ua) * (f @ _GL_WEIGHTS)
 
-    def table_tail(self, x: float) -> float:
-        """P{sum w_i eta_i^2 >= x} on the normalized scale, 0 <= x < top node."""
+    def _log_closure(self, x: float) -> float:
+        """log K + log Q_{d1}(sqrt x), the tail of the leading term K f_{d1}.
+
+        Exact for a single block. The table closes with it at the top node
+        z_top (normalized 1560.1, 39.5 lambda_1), where it enters the tail
+        at x at most e^{-(z_top - x)/2}-fold, e^{-20} at 39 lambda_1; past
+        z_top it is the tail itself.
+        """
+        return self._log_k + log_chisq_norm_tail(self.d1, math.sqrt(x))
+
+    def log_tail(self, x: float) -> float:
+        """log P{sum w_i eta_i^2 >= x} on the normalized scale, x >= 0."""
         j = int(np.searchsorted(self.nodes, x, side="right"))
+        if j == self.nodes.size:
+            return self._log_closure(x)
         right = float(self.nodes[j])
         part = float(self._integrals(np.array([x]), np.array([right]))[0])
-        return math.exp(-0.5 * x) * (part + float(self.qhat[j]) * math.exp(-0.5 * (right - x)))
+        return math.log(part + float(self.qhat[j]) * math.exp(-0.5 * (right - x))) - 0.5 * x
 
-    def table_shell(self, x_lo: float, x_hi: float) -> float:
-        """P{x_lo <= sum w_i eta_i^2 <= x_hi} on the normalized scale.
+    def log_shell(self, x_lo: float, x_hi: float) -> float:
+        """log P{x_lo <= sum w_i eta_i^2 <= x_hi} on the normalized scale.
 
-        A sum of non-negative pieces, scaled by e^{-x_lo/2}: the partial
-        interval at each end and the stored interval integrals between.
+        Below the top node, the log of a sum of non-negative pieces scaled
+        by e^{-x_lo/2}: the partial interval at each end and the stored
+        interval integrals between. An upper end at or past the top node
+        takes log Q(x_lo) + log1p(-Q(x_hi)/Q(x_lo)) of the two tails.
+        -inf for an empty shell.
         """
         if x_hi <= x_lo:
-            return 0.0
+            return -math.inf
+        if x_hi >= self.nodes[-1]:
+            lo, hi = self.log_tail(x_lo), self.log_tail(x_hi)
+            return lo + math.log1p(-math.exp(hi - lo)) if hi < lo else -math.inf
         i = int(np.searchsorted(self.nodes, x_lo, side="right"))
         k = int(np.searchsorted(self.nodes, x_hi, side="right"))
         if i == k:
-            inside = float(self._integrals(np.array([x_lo]), np.array([x_hi]))[0])
-            return math.exp(-0.5 * x_lo) * inside
-        left = self.nodes[k - 1]
-        ends = self._integrals(np.array([x_lo, left]), np.array([self.nodes[i], x_hi]))
-        mid = self.pieces[i : k - 1] @ np.exp(-0.5 * (self.nodes[i : k - 1] - x_lo))
-        total = ends[0] + mid + ends[1] * math.exp(-0.5 * (left - x_lo))
-        return math.exp(-0.5 * x_lo) * float(total)
+            total = float(self._integrals(np.array([x_lo]), np.array([x_hi]))[0])
+        else:
+            left = self.nodes[k - 1]
+            ends = self._integrals(np.array([x_lo, left]), np.array([self.nodes[i], x_hi]))
+            mid = self.pieces[i : k - 1] @ np.exp(-0.5 * (self.nodes[i : k - 1] - x_lo))
+            total = float(ends[0] + mid + ends[1] * math.exp(-0.5 * (left - x_lo)))
+        return math.log(total) - 0.5 * x_lo if total > 0.0 else -math.inf
 
 
 _ENGINES: dict[tuple, _DensityEngine] = {}  # least recently used first
@@ -612,29 +628,31 @@ def weighted_density(w: WeightedChiSquare, z) -> float | np.ndarray:
     return float(out[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def weighted_norm_tail(w: WeightedChiSquare, t: float) -> float:
-    """P{|Y| >= t} where |Y|^2 has the weighted chi-square law."""
+def log_weighted_norm_tail(w: WeightedChiSquare, t: float) -> float:
+    """log P{|Y| >= t} where |Y|^2 has the weighted chi-square law; -inf at t = inf."""
     if not t >= 0:
         raise ValidationError(f"threshold must be >= 0, got {t}")
     if t == 0.0:
-        return 1.0
-    x = t * t / w.lambda1_sq
-    if x > _UNDERFLOW_X:
         return 0.0
-    return _engine(w).table_tail(x)
+    return _engine(w).log_tail(t * t / w.lambda1_sq)
 
 
-def weighted_shell_probability(w: WeightedChiSquare, t_lo: float, t_hi: float) -> float:
-    """P{t_lo <= |Y| <= t_hi}."""
+def weighted_norm_tail(w: WeightedChiSquare, t: float) -> float:
+    """P{|Y| >= t}, the exp of log_weighted_norm_tail (0.0 once that underflows)."""
+    return math.exp(log_weighted_norm_tail(w, t))
+
+
+def log_weighted_shell_probability(w: WeightedChiSquare, t_lo: float, t_hi: float) -> float:
+    """log P{t_lo <= |Y| <= t_hi}; -inf for an empty shell."""
     if not 0 <= t_lo <= t_hi:
         raise ValidationError(f"need 0 <= t_lo <= t_hi, got [{t_lo}, {t_hi}]")
     w1 = w.lambda1_sq
-    x_lo, x_hi = t_lo * t_lo / w1, t_hi * t_hi / w1
-    if x_lo > _UNDERFLOW_X:
-        return 0.0
-    if x_hi > _UNDERFLOW_X:
-        return weighted_norm_tail(w, t_lo)  # upper edge is below float range
-    return _engine(w).table_shell(x_lo, x_hi)
+    return _engine(w).log_shell(t_lo * t_lo / w1, t_hi * t_hi / w1)
+
+
+def weighted_shell_probability(w: WeightedChiSquare, t_lo: float, t_hi: float) -> float:
+    """P{t_lo <= |Y| <= t_hi}, the exp of log_weighted_shell_probability."""
+    return math.exp(log_weighted_shell_probability(w, t_lo, t_hi))
 
 
 def zolotarev_constant(s: Spectrum) -> float:
@@ -650,16 +668,19 @@ def zolotarev_constant(s: Spectrum) -> float:
 def _zolotarev_term(s: Spectrum, z: float) -> float:
     """K f_{d1}(z/l1^2)/l1^2, the leading term of the density of |Y|^2 at z > 0.
 
-    K, l1^2 and C0(d1) are held by the spectrum.
+    The engine's leading term in logs, log K held by the spectrum, minus
+    x/2 at x = z/l1^2, and its exp. At x = 0 (z / l1^2 underflowed) it reads
+    the limit, which is singular for d1 = 1.
     """
     if z <= 0:
         raise ValidationError("bound requires z > 0")
     s.top()
-    w1 = s.lambda1_sq
-    x = z / w1
-    # x = 0 (z / l1^2 underflowed) takes chisq_density's limits at 0
-    f = chisq_density_scaled(s.chisq_const_d1, s.d1, x) if x > 0 else chisq_density(s.d1, x)
-    return s.zolotarev_constant * f / w1
+    x = z / s.lambda1_sq
+    if x == 0.0 and s.d1 == 1:
+        raise ValidationError("f_1 is singular at z = 0")
+    lz = math.log(x) if x > 0.0 else -math.inf
+    log_h = _log_power(*_log_leading(s.log_zolotarev_constant, s.d1), lz)
+    return math.exp(log_h - 0.5 * x) / s.lambda1_sq
 
 
 def density_upper_bound(s: Spectrum, z: float) -> float:
@@ -698,7 +719,6 @@ class ConstantTable:
     """
 
     d: int
-    C0: float
     C1: float
     C2: float
     C3: float
@@ -707,11 +727,9 @@ class ConstantTable:
     beta: float
 
     def __post_init__(self):
-        vals = (self.C0, self.C1, self.C2, self.C3, self.C5, self.beta) + tuple(
-            self.C4_by_multiplicity
-        )
+        vals = (self.C1, self.C2, self.C3, self.C5, self.beta) + tuple(self.C4_by_multiplicity)
         if any(not math.isfinite(v) or v <= 0 for v in vals):
-            raise ValidationError("constant table entries must be positive finite")
+            raise ValidationError(f"constant table entries must be positive finite at d = {self.d}")
         if self.C3 <= 1:
             raise ValidationError(f"C3 must exceed 1, got {self.C3}")
         if self.C5 < 3 * self.d:
@@ -719,10 +737,9 @@ class ConstantTable:
 
 
 def _c4(m: int) -> float:
-    """C4(m) = sqrt(2) + sqrt(pi) (m/e)^{m/2} / Gamma((m+1)/2)."""
-    return math.sqrt(2.0) + math.sqrt(math.pi) * (m / math.e) ** (m / 2.0) / math.gamma(
-        (m + 1) / 2.0
-    )
+    """C4(m) = sqrt(2) + sqrt(pi) (m/e)^{m/2} / Gamma((m+1)/2), its second term in logs."""
+    log_term = 0.5 * math.log(math.pi) + 0.5 * m * (math.log(m) - 1.0) - math.lgamma(0.5 * (m + 1))
+    return math.sqrt(2.0) + math.exp(log_term)
 
 
 @lru_cache(maxsize=None)
@@ -764,7 +781,6 @@ def constants(d: int) -> ConstantTable:
     c2 = math.exp(float(ratios.max())) * 1.01
     return ConstantTable(
         d=d,
-        C0=chisq_norm_const(d),
         C1=c1,
         C2=c2,
         C3=c3,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,9 +18,10 @@ import numpy as np
 from . import __version__
 from .chidensity import (
     WeightedChiSquare,
+    log_weighted_norm_tail,
+    log_weighted_shell_probability,
     weighted_density,
     weighted_norm_tail,
-    weighted_shell_probability,
     density_lower_bound,
     density_upper_bound,
 )
@@ -34,10 +36,10 @@ from .montecarlo import (
 )
 from .regularize import (
     derived_constants,
-    shell_lower_bound,
+    log_shell_lower_bound,
+    log_tail_lower_bound,
+    log_tail_upper_bound,
     shell_width,
-    tail_lower_bound,
-    tail_upper_bound,
 )
 from .sequences import limit_and_convergence_report
 from .serialize import (
@@ -141,15 +143,19 @@ def _cmd_bounds_verify(cfg: dict, out: Path, args: argparse.Namespace) -> dict:
             if t < t_min:
                 skipped += 1
                 continue
-            tail = weighted_norm_tail(w, t)
-            lo = tail_lower_bound(s, t)
-            hi = tail_upper_bound(s, t)
-            shell = weighted_shell_probability(w, t, t + shell_width(s, t))
-            shell_lo = shell_lower_bound(s, t)
-            sandwich_ok = lo * (1.0 - 1e-7) <= tail <= hi * (1.0 + 1e-7)
-            shell_ok = shell >= shell_lo * (1.0 - 1e-7)
+            # the checks compare logs, so no side passes by underflowing to 0.0
+            logs = (
+                log_weighted_norm_tail(w, t),
+                log_tail_lower_bound(s, t),
+                log_tail_upper_bound(s, t),
+                log_weighted_shell_probability(w, t, t + shell_width(s, t)),
+                log_shell_lower_bound(s, t),
+            )
+            log_tail, log_lo, log_hi, log_shell, log_shell_lo = logs
+            sandwich_ok = log_lo - 1e-7 <= log_tail <= log_hi + 1e-7
+            shell_ok = log_shell >= log_shell_lo - 1e-7
             tail_viol += (not sandwich_ok) + (not shell_ok)
-            tail_rows.append((t, tail, lo, hi, shell, shell_lo, sandwich_ok, shell_ok))
+            tail_rows.append((t, *map(math.exp, logs), *logs, sandwich_ok, shell_ok))
     else:
         skipped = -1  # whole default window empty for this dimension
 
@@ -172,7 +178,9 @@ def _cmd_bounds_verify(cfg: dict, out: Path, args: argparse.Namespace) -> dict:
     _emit_table(
         out,
         "tail_bounds",
-        ["t", "tail", "lower_bound", "upper_bound", "shell", "shell_lower_bound", "sandwich_ok", "shell_ok"],
+        ["t", "tail", "lower_bound", "upper_bound", "shell", "shell_lower_bound",
+         "log_tail", "log_lower_bound", "log_upper_bound", "log_shell", "log_shell_lower_bound",
+         "sandwich_ok", "shell_ok"],
         tail_rows,
         args.format,
         summary,

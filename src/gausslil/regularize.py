@@ -20,9 +20,9 @@ import numpy as np
 from .chidensity import (
     WeightedChiSquare,
     constants,
+    log_weighted_norm_tail,
+    log_weighted_shell_probability,
     weighted_density,
-    weighted_norm_tail,
-    weighted_shell_probability,
 )
 from .errors import ValidationError
 from .spectral import Spectrum, log_zolotarev
@@ -198,9 +198,9 @@ def shifted_tail_vs_shell_log(
     dc = _check_valid_t(s, t)
     _check_gamma(s, t, gamma)
     w = WeightedChiSquare.from_spectrum(s)
-    lhs = weighted_norm_tail(w, t - gamma * s.lambda1**2 / t)
-    shell = weighted_shell_probability(w, t, t + shell_width(s, t))
-    return math.log(lhs), dc.log_C4t + gamma + math.log(shell)
+    lhs = log_weighted_norm_tail(w, t - gamma * s.lambda1**2 / t)
+    shell = log_weighted_shell_probability(w, t, t + shell_width(s, t))
+    return lhs, dc.log_C4t + gamma + shell
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +208,18 @@ def shifted_tail_vs_shell_log(
 # ---------------------------------------------------------------------------
 
 
-def merged_tail(s: Spectrum, t: float, at: float) -> float:
-    """P{|Y_t| >= at} for the regularization of s at threshold t."""
-    return weighted_norm_tail(regularized(s, t).weights(), at)
-
-
 def upper_shift_sides(s: Spectrum, t: float, delta: float) -> tuple[float, float]:
     """(log lhs, log rhs) of P{|Y_t| >= t+d} <= 4 C3 e^{d/4} e^{-td/l1^2} P{|Y_t| >= t}."""
     _check_delta(t, delta)
     w = regularized(s, t).weights()
     c3 = constants(s.dim).C3
-    lhs = weighted_norm_tail(w, t + delta)
     rhs = (
         math.log(4.0 * c3)
         + s.dim / 4.0
         - t * delta / s.lambda1**2
-        + math.log(weighted_norm_tail(w, t))
+        + log_weighted_norm_tail(w, t)
     )
-    return math.log(lhs), rhs
+    return log_weighted_norm_tail(w, t + delta), rhs
 
 
 def lower_shift_sides(s: Spectrum, t: float, delta: float) -> tuple[float, float]:
@@ -233,44 +227,37 @@ def lower_shift_sides(s: Spectrum, t: float, delta: float) -> tuple[float, float
     _check_delta(t, delta)
     w = regularized(s, t).weights()
     c3 = constants(s.dim).C3
-    lhs = weighted_norm_tail(w, t - delta)
-    rhs = (
-        math.log(6.0 * c3)
-        + t * delta / s.lambda1**2
-        + math.log(weighted_norm_tail(w, t))
-    )
-    return math.log(lhs), rhs
+    rhs = math.log(6.0 * c3) + t * delta / s.lambda1**2 + log_weighted_norm_tail(w, t)
+    return log_weighted_norm_tail(w, t - delta), rhs
 
 
 def merged_shell_sides(s: Spectrum, t: float) -> tuple[float, float]:
     """(log lhs, log rhs) of P{|Y_t| >= t} <= 2 P{t <= |Y_t| <= t + beta/t}."""
     _check_valid_t(s, t)
     w = regularized(s, t).weights()
-    lhs = weighted_norm_tail(w, t)
-    rhs = weighted_shell_probability(w, t, t + shell_width(s, t))
-    return math.log(lhs), math.log(2.0) + math.log(rhs)
+    rhs = math.log(2.0) + log_weighted_shell_probability(w, t, t + shell_width(s, t))
+    return log_weighted_norm_tail(w, t), rhs
 
 
 def orig_shift_sides(s: Spectrum, t: float, gamma: float) -> tuple[float, float]:
     """(log lhs, log rhs) of P{|Y| >= t - g l1^2/t} <= 6 C3 e^g P{|Y_t| >= t}."""
     _check_valid_t(s, t)
     _check_gamma(s, t, gamma)
-    lhs = weighted_norm_tail(
+    lhs = log_weighted_norm_tail(
         WeightedChiSquare.from_spectrum(s), t - gamma * s.lambda1**2 / t
     )
-    rhs = math.log(6.0 * constants(s.dim).C3) + gamma + math.log(merged_tail(s, t, t))
-    return math.log(lhs), rhs
+    merged = log_weighted_norm_tail(regularized(s, t).weights(), t)
+    return lhs, math.log(6.0 * constants(s.dim).C3) + gamma + merged
 
 
 def merged_vs_orig_shell_sides(s: Spectrum, t: float) -> tuple[float, float]:
     """(log lhs, log rhs) of P{|Y_t| >= t} <= 2 e^{16 d^3} P{t <= |Y| <= t + beta/t}."""
     _check_valid_t(s, t)
-    lhs = merged_tail(s, t, t)
-    shell = weighted_shell_probability(
+    lhs = log_weighted_norm_tail(regularized(s, t).weights(), t)
+    shell = log_weighted_shell_probability(
         WeightedChiSquare.from_spectrum(s), t, t + shell_width(s, t)
     )
-    rhs = math.log(2.0) + 16.0 * s.dim**3 + math.log(shell)
-    return math.log(lhs), rhs
+    return lhs, math.log(2.0) + 16.0 * s.dim**3 + shell
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +307,9 @@ def density_comparison_check(s: Spectrum, t: float, zgrid) -> ComparisonReport:
         ht = float(weighted_density(wt, z))
         factor = math.exp(-8.0 * d**3 * z / (t * t))
         lower_ok = h >= ht * factor * (1.0 - _REL_SLACK)
-        dom_ok = weighted_norm_tail(wt, math.sqrt(z)) >= weighted_norm_tail(
+        dom_ok = log_weighted_norm_tail(wt, math.sqrt(z)) >= log_weighted_norm_tail(
             w, math.sqrt(z)
-        ) * (1.0 - _REL_SLACK)
+        ) + math.log1p(-_REL_SLACK)
         rows.append(
             ComparisonRow(
                 z=float(z),

@@ -18,13 +18,8 @@ _TINY = 1e-300
 _MAX_ITER = 2000
 
 
-def chisq_norm_const(d: int) -> float:
-    """C0(d) = 2^{-d/2} / Gamma(d/2), the chi-square density constant."""
-    return 2.0 ** (-d / 2.0) / math.gamma(d / 2.0)
-
-
 def chisq_density(d: int, z: float) -> float:
-    """Density f_d(z) = C0(d) z^{d/2-1} e^{-z/2} of a chi-square with d dof.
+    """Density f_d(z) = 2^{-d/2} z^{d/2-1} e^{-z/2} / Gamma(d/2) of a chi-square with d dof.
 
     z = 0 is allowed for d >= 2 (limit value); for d = 1 the density is
     singular at 0 and z <= 0 is rejected.
@@ -36,13 +31,8 @@ def chisq_density(d: int, z: float) -> float:
     if z == 0.0:
         if d == 1:
             raise ValidationError("f_1 is singular at z = 0")
-        return chisq_norm_const(2) if d == 2 else 0.0
-    return chisq_density_scaled(chisq_norm_const(d), d, z)
-
-
-def chisq_density_scaled(c0: float, d: int, z: float) -> float:
-    """c0 z^{d/2-1} e^{-z/2} at z > 0: f_d(z) when c0 = C0(d), held by the caller."""
-    return c0 * z ** (d / 2.0 - 1.0) * math.exp(-z / 2.0)
+        return 0.5 if d == 2 else 0.0
+    return 2.0 ** (-d / 2.0) / math.gamma(d / 2.0) * z ** (d / 2.0 - 1.0) * math.exp(-z / 2.0)
 
 
 def _gamma_series_lower(a: float, x: float) -> float:
@@ -83,13 +73,15 @@ def _gamma_cf_upper(a: float, x: float) -> float:
 
 
 def log_gammainc_upper(a: float, x: float) -> float:
-    """log Q(a, x), finite for arbitrarily large x."""
+    """log Q(a, x), finite for every finite x; -inf at x = inf."""
     if a <= 0:
         raise ValidationError(f"shape parameter must be positive, got {a}")
     if x < 0:
         raise ValidationError(f"argument must be >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return -math.inf
     if x < a + 1.0:
         return math.log1p(-_gamma_series_lower(a, x))
     return -x + a * math.log(x) - math.lgamma(a) + math.log(_gamma_cf_upper(a, x))

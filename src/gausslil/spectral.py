@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .special import chisq_norm_const
 
 SYMMETRY_RTOL = 1e-12
 EIGEN_CLAMP_RTOL = 1e-10
@@ -106,11 +105,6 @@ class Spectrum:
     def zolotarev_constant(self) -> float:
         """K(Gamma^2) = exp(log K); needs lambda_1 > 0."""
         return math.exp(self.log_zolotarev_constant)
-
-    @cached_property
-    def chisq_const_d1(self) -> float:
-        """C0(d1), the constant of the chi-square density with d1 degrees of freedom."""
-        return chisq_norm_const(self.d1)
 
     @cached_property
     def density_lower_threshold(self) -> float:

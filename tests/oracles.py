@@ -4,13 +4,14 @@ The law is that of sum_i w_i eta_i^2 with eta_i independent standard
 normals, on the scale of its weights (no normalization). Two oracles, each
 independent of the engine:
 
-- ``hypoexp_tail``, ``hypoexp_shell`` and ``hypoexp_density``: the
+- ``hypoexp_log_tail``, ``hypoexp_log_shell`` and ``hypoexp_density``: the
   closed form when every distinct weight appears exactly twice. Each pair w eta^2 + w eta'^2 is
   exponential with mean 2w, so the sum is hypoexponential, with tail
   sum_i prod_{j != i} w_i / (w_i - w_j) e^{-x / 2 w_i} over the distinct
   weights (Box 1954, Ann. Math. Stat. 25:290). The terms cancel at small
   x and for close weights, so the sum starts at 60 digits and doubles
-  them until at least 30 survive the cancellation.
+  them until at least 30 survive the cancellation. Tails and shells are
+  given as logs, which stay finite where the values leave float64.
 - ``ruben_density``: Ruben's mixture series at 60 digits, at any
   multiplicity (Ruben 1962, Ann. Math. Stat. 33:542; Kotz, Johnson & Boyd
   1967, Ann. Math. Stat. 38:823). With beta = min w_i the density is
@@ -44,8 +45,9 @@ def _hypoexp_terms(weights) -> list[tuple[mp.mpf, mp.mpf]]:
     return [(wi, mp.fprod(wi / (wi - wj) for wj in ws if wj != wi)) for wi in ws]
 
 
-def _hypoexp_sum(weights, term) -> float:
-    """sum_i term(w_i, c_i) over _hypoexp_terms, with KEPT_DIGITS left after cancellation."""
+def _hypoexp_sum(weights, term, log: bool = False) -> float:
+    """sum_i term(w_i, c_i) over _hypoexp_terms, with KEPT_DIGITS left after
+    cancellation, or its log."""
     digits = DIGITS
     while True:
         with mp.workdps(digits):
@@ -53,22 +55,24 @@ def _hypoexp_sum(weights, term) -> float:
             total = mp.fsum(terms)
             size = mp.fsum(abs(t) for t in terms)
             if total > 0 and digits - mp.log10(size / total) >= KEPT_DIGITS:
-                return float(total)
+                return float(mp.log(total) if log else total)
         digits *= 2
 
 
-def hypoexp_tail(weights, x: float) -> float:
-    """P{sum w_i eta_i^2 >= x} for weights that each appear twice."""
-    return _hypoexp_sum(weights, lambda w, c: c * mp.exp(-mp.mpf(x) / (2 * w)))
+def hypoexp_log_tail(weights, x: float) -> float:
+    """log P{sum w_i eta_i^2 >= x} for weights that each appear twice."""
+    return _hypoexp_sum(weights, lambda w, c: c * mp.exp(-mp.mpf(x) / (2 * w)), log=True)
 
 
-def hypoexp_shell(weights, x_lo: float, x_hi: float) -> float:
-    """P{x_lo <= sum w_i eta_i^2 <= x_hi} for weights that each appear twice.
+def hypoexp_log_shell(weights, x_lo: float, x_hi: float) -> float:
+    """log P{x_lo <= sum w_i eta_i^2 <= x_hi} for weights that each appear twice.
 
     Taken as one difference of the terms, so a thin shell keeps its digits.
     """
     return _hypoexp_sum(
-        weights, lambda w, c: c * (mp.exp(-mp.mpf(x_lo) / (2 * w)) - mp.exp(-mp.mpf(x_hi) / (2 * w)))
+        weights,
+        lambda w, c: c * (mp.exp(-mp.mpf(x_lo) / (2 * w)) - mp.exp(-mp.mpf(x_hi) / (2 * w))),
+        log=True,
     )
 
 

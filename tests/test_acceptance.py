@@ -17,8 +17,9 @@ from gausslil.chidensity import (
     WeightedChiSquare,
     chisq_density,
     weighted_density,
+    log_weighted_norm_tail,
+    log_weighted_shell_probability,
     weighted_norm_tail,
-    weighted_shell_probability,
     zolotarev_constant,
     density_lower_bound,
     density_upper_bound,
@@ -28,13 +29,13 @@ from gausslil.integraltest import PhiFamily, classify, equivalence_report
 from gausslil.montecarlo import SeededStream, empirical_limsup, sample_norm_Y, simulate_paths
 from gausslil.regularize import (
     derived_constants,
+    log_shell_lower_bound,
     log_tail_lower_bound,
     log_tail_upper_bound,
     lower_shift_sides,
     merged_shell_sides,
     merged_vs_orig_shell_sides,
     orig_shift_sides,
-    shell_lower_bound,
     shell_width,
     upper_shift_sides,
 )
@@ -97,6 +98,11 @@ def test_criterion_2_density_bound_suite():
         assert lower_viol == 0
 
 
+# thresholds t / lambda_1 past the validity window, out to where the linear
+# tails underflow (38.6) and beyond; every side is compared in logs
+DEEP_T = (20.0, 30.0, 38.5, 39.0)
+
+
 def test_criterion_3_tail_sandwich():
     with criterion(3, "two-sided tail/shell product bounds", 300.0):
         sandwich_viol = shell_viol = 0
@@ -106,14 +112,15 @@ def test_criterion_3_tail_sandwich():
             if lo_t > hi_t:
                 continue  # validity window empty for this dimension
             w = WeightedChiSquare.from_spectrum(s)
-            for t in np.linspace(lo_t, hi_t, 6):
+            for t in [*np.linspace(lo_t, hi_t, 6), *(r * s.lambda1 for r in DEEP_T)]:
                 t = float(t)
-                logp = math.log(weighted_norm_tail(w, t))
+                logp = log_weighted_norm_tail(w, t)
+                log_shell = log_weighted_shell_probability(w, t, t + shell_width(s, t))
+                assert math.isfinite(logp) and math.isfinite(log_shell), t
                 if not (log_tail_lower_bound(s, t) - 1e-7 <= logp
                         <= log_tail_upper_bound(s, t) + 1e-7):
                     sandwich_viol += 1
-                shell = weighted_shell_probability(w, t, t + shell_width(s, t))
-                if shell_lower_bound(s, t) > shell * (1 + 1e-7):
+                if log_shell < log_shell_lower_bound(s, t) - 1e-7:
                     shell_viol += 1
         assert sandwich_viol == 0
         assert shell_viol == 0

@@ -16,6 +16,8 @@ from gausslil.chidensity import (
     constants,
     density_lower_bound,
     density_upper_bound,
+    log_weighted_norm_tail,
+    log_weighted_shell_probability,
     weighted_density,
     weighted_norm_tail,
     weighted_shell_probability,
@@ -23,7 +25,7 @@ from gausslil.chidensity import (
 )
 from gausslil.errors import NumericError, ValidationError
 from gausslil.quadrature import KronrodChain
-from gausslil.special import chisq_density, chisq_norm_const, chisq_norm_tail
+from gausslil.special import chisq_density, chisq_norm_tail, log_chisq_norm_tail
 from gausslil.spectral import log_zolotarev
 
 mp.mp.dps = 40
@@ -361,15 +363,32 @@ def test_one_engine_serves_every_threshold(monkeypatch):
     assert len(builds) == 1
 
 
-def test_underflow_edge_is_where_exp_vanishes():
+def test_deep_tail_is_the_exp_of_its_log():
+    # past the edge where e^{-x/2} is 0.0 a top block of m keeps Q(x) ~
+    # x^{m/2 - 1} e^{-x/2} a float; the tail used to be cut to 0.0 there
     edge = chidensity._UNDERFLOW_X
-    assert math.exp(-0.5 * edge) > 0.0
     assert math.exp(-0.5 * math.nextafter(edge, math.inf)) == 0.0
-    w = WeightedChiSquare.from_weights([1.0, 1.0, 1.0, 1.0])
-    t = math.sqrt(math.nextafter(edge, math.inf))
-    assert weighted_norm_tail(w, t) == 0.0
-    assert weighted_shell_probability(w, t, 2.0 * t) == 0.0
-    assert weighted_shell_probability(w, 38.0, 2.0 * t) == weighted_norm_tail(w, 38.0) > 0.0
+    cases = [(4, math.sqrt(math.nextafter(edge, math.inf))), (30, math.sqrt(1500.0)), (100, math.sqrt(1500.0))]
+    for m, t in cases:
+        w = WeightedChiSquare.from_weights([1.0] * m)
+        want = log_chisq_norm_tail(m, t)
+        assert log_weighted_norm_tail(w, t) == pytest.approx(want, rel=1e-12, abs=0)
+        assert weighted_norm_tail(w, t) == math.exp(log_weighted_norm_tail(w, t)) > 0.0
+        if m > 4:  # normal floats, 3.96e-297 and 2.53e-248
+            assert weighted_norm_tail(w, t) == pytest.approx(math.exp(want), rel=1e-9, abs=0)
+        shell = log_weighted_shell_probability(w, t, 2.0 * t)
+        assert shell == pytest.approx(want, rel=1e-12, abs=0)
+        assert weighted_shell_probability(w, t, 2.0 * t) == math.exp(shell)
+
+
+def test_infinite_threshold_gives_a_zero_tail():
+    # t^2 / lambda_1^2 overflows to inf for t = 1e200, as for t = inf
+    w = WeightedChiSquare.from_weights([1.0, 0.5])
+    for t in (math.inf, 1e200):
+        assert log_weighted_norm_tail(w, t) == -math.inf
+        assert weighted_norm_tail(w, t) == 0.0
+        assert log_weighted_shell_probability(w, t, t) == -math.inf
+        assert weighted_shell_probability(w, 3.0, t) == weighted_norm_tail(w, 3.0)
 
 
 def test_engine_cache_is_bounded_lru(monkeypatch):
@@ -637,15 +656,18 @@ def test_cached_spectrum_constants_match_their_formulas(rng):
         assert zolotarev_constant(s) == math.exp(log_k)
         thresh = math.inf if s.d1 >= s.dim else 2.0 * s.d1 * float(w.sum()) / (1.0 - w[s.d1] / w[0])
         assert density_lower_bound(s, 1.0)[1] == s.density_lower_threshold == thresh
-        # lambda_1, lambda_1^2, K and C0(d1) are held too; every bound is the
-        # float of the uncached formula
+        # lambda_1, lambda_1^2 and K are held too; every bound is the float
+        # of the uncached formula, the leading term K f_{d1} in logs
         lam1 = float(s.eigenvalues[0])
         assert s.lambda1 == lam1 and s.lambda1_sq == lam1**2
         assert s.zolotarev_constant == math.exp(log_k)
-        assert s.chisq_const_d1 == chisq_norm_const(s.d1)
         c3 = 1.0 if s.d1 >= 2 or s.dim == 1 else constants(s.dim).C3
+        log_c = log_k + (-0.5 * s.d1 * math.log(2.0) - math.lgamma(0.5 * s.d1))
+        power = 0.5 * s.d1 - 1.0
         for z in (1e-9, 0.3, 1.0, 7.5, 60.0, 900.0):
-            term = math.exp(log_k) * chisq_density(s.d1, z / lam1**2) / lam1**2
+            x = z / lam1**2
+            log_h = log_c + power * math.log(x) if power else log_c
+            term = math.exp(log_h - 0.5 * x) / lam1**2
             assert density_upper_bound(s, z) == (term if c3 == 1.0 else c3 * term)
             assert density_lower_bound(s, z) == (0.25 * term, thresh)
 
@@ -711,7 +733,6 @@ def test_density_bounds_sandwich_random(rng):
 
 def test_constant_table_values():
     c2 = constants(2)
-    assert c2.C0 == pytest.approx(0.5, rel=1e-14)
     c4_1 = math.sqrt(2) + math.sqrt(math.pi / math.e)
     assert c2.C4_by_multiplicity[0] == pytest.approx(c4_1, rel=1e-13)
     assert c2.C3 == pytest.approx(c4_1, rel=1e-13)
@@ -754,6 +775,20 @@ def test_c3_recurrence_matches_partition_maximum():
     c3 = chidensity._c3(60)
     assert time.perf_counter() - start < 1.0
     assert math.isfinite(c3) and c3 > 1
+
+
+def test_constants_at_high_dimension():
+    # C4(m) in logs: (m/e)^{m/2} overflowed float64 from m = 302, and with it
+    # every table from d = 303
+    for m in (302, 400):
+        half = mp.mpf(m) / 2
+        want = mp.sqrt(2) + mp.sqrt(mp.pi) * (m / mp.e) ** half / mp.gamma(half + mp.mpf(1) / 2)
+        assert chidensity._c4(m) == pytest.approx(float(want), rel=1e-12)
+    c = constants(303)
+    assert math.isfinite(c.C3) and c.C3 > 1 and c.C1 > 0.0
+    # the calibrated C1 underflows from d ~ 310; the record names d
+    with pytest.raises(ValidationError, match="d = 320"):
+        constants(320)
 
 
 def test_constants_rejects_d1():

@@ -81,6 +81,36 @@ def test_bounds_verify_zero_violations(tmp_path):
     assert all(r[-2] == "true" and r[-1] == "true" for r in rows)
 
 
+def test_bounds_verify_compares_logs_past_the_underflow_edge(tmp_path):
+    # the tails at 45 and 60 lambda_1 are 0.0; the checks read their logs
+    cfg = {"weights": [1.0, 0.5], "z": [1.0], "t": [38.8, 45.0, 60.0]}
+    code, out = run_cli(tmp_path, "bounds-verify", cfg)
+    assert code == 0
+    assert read_json(out)["tail_violations"] == 0
+    header, rows = read_csv(tmp_path / "run_tail_bounds.csv")
+    logs = ["log_tail", "log_lower_bound", "log_upper_bound", "log_shell", "log_shell_lower_bound"]
+    assert [h for h in header if h.startswith("log_")] == logs
+    table = [dict(zip(header, r)) for r in rows]
+    for row in table:
+        assert all(math.isfinite(float(row[h])) for h in logs)
+        assert row["sandwich_ok"] == row["shell_ok"] == "true"
+        assert float(row["tail"]) == math.exp(float(row["log_tail"]))
+    assert [float(row["tail"]) for row in table[1:]] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("dim,code", [(260, 0), (320, 2)])
+def test_bounds_verify_at_high_dimension(tmp_path, capsys, dim, code):
+    # 260 equal weights: z^{d1/2 - 1} of the density bound overflowed float64
+    # (exit 1); from d ~ 310 the calibrated C1 underflows, a validation record
+    cfg = {"weights": [1.0] * dim, "z": [200.0, 260.0, 330.0]}
+    got, out = run_cli(tmp_path, "bounds-verify", cfg)
+    assert got == code
+    if code == 0:
+        assert read_json(out)["density_violations"] == 0
+    else:
+        assert f"d = {dim}" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+
 def test_integral_test_opposite_verdicts(tmp_path):
     _, out_c = run_cli(
         tmp_path,

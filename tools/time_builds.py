@@ -23,6 +23,9 @@ Prints one JSON line:
   ``weighted_shell_probability`` on [t, 1.05 t], averaged over the
   QUERY_T thresholds t / lambda_1 in one sweep; the median over
   LAYER_REPEATS sweeps;
+- ``deep_tail_us`` and ``deep_shell_us``: the same over the DEEP_T
+  thresholds, t / lambda_1 in [38.6, 50], where the linear tail
+  underflows and the query reads the log tail at its top node or past it;
 - ``eigh_us``: the median time of ``eigh`` on a fixed seeded positive
   definite matrix for each d in EIGH_DIMS, over LAYER_REPEATS calls;
 - ``report_ms``: the median time of one ``equivalence_report`` (a = 4,
@@ -70,6 +73,7 @@ EIGH_DIMS = (2, 4, 6, 8, 16)
 LAYER_REPEATS = 51
 REPORT_KS = (200, 2000)
 QUERY_T = tuple(np.linspace(0.5, 30.0, 40).tolist())
+DEEP_T = tuple(np.linspace(38.6, 50.0, 40).tolist())
 FLUCTUATION_DELTAS = (0.1, 0.5, 1.0)
 TABLE_LEN = 150
 CONSTANTS_DIMS = (8, 40)
@@ -151,10 +155,14 @@ def main() -> None:
     grid = chidensity._log_grid(chidensity._GRID_LO)
     spline_us = 1e3 * median_ms(grid.spline, (np.log1p(grid.z),), LAYER_REPEATS)
     w8 = chidensity.WeightedChiSquare.from_weights(np.linspace(1.0, 0.1, 8))
-    tails = [(w8, t) for t in QUERY_T]
-    shells = [(w8, t, 1.05 * t) for t in QUERY_T]
-    tail_us = 1e3 * median_ms(query_sweep, (chidensity.weighted_norm_tail, tails), LAYER_REPEATS)
-    shell_us = 1e3 * median_ms(query_sweep, (chidensity.weighted_shell_probability, shells), LAYER_REPEATS)
+    query_us = {}
+    for prefix, ts in (("", QUERY_T), ("deep_", DEEP_T)):
+        for kind, query, calls in (
+            ("tail", chidensity.weighted_norm_tail, [(w8, t) for t in ts]),
+            ("shell", chidensity.weighted_shell_probability, [(w8, t, 1.05 * t) for t in ts]),
+        ):
+            sweep_ms = median_ms(query_sweep, (query, calls), LAYER_REPEATS)
+            query_us[f"{prefix}{kind}_us"] = round(1e3 * sweep_ms / len(ts), 1)
     eigh_us = {
         str(d): round(1e3 * median_ms(spectral.eigh, (eigh_matrix(d),), LAYER_REPEATS), 1)
         for d in EIGH_DIMS
@@ -194,8 +202,7 @@ def main() -> None:
                 "own_grid_build_ms": own_ms,
                 "grid_nodes": int(grid.z.size),
                 "spline_us": round(spline_us, 1),
-                "tail_us": round(tail_us / len(QUERY_T), 1),
-                "shell_us": round(shell_us / len(QUERY_T), 1),
+                **query_us,
                 "eigh_us": eigh_us,
                 "report_ms": report_ms,
                 "classify_ms": classify_ms,
