@@ -365,7 +365,8 @@ def test_one_engine_serves_every_threshold(monkeypatch):
 
 def test_deep_tail_is_the_exp_of_its_log():
     # past the edge where e^{-x/2} is 0.0 a top block of m keeps Q(x) ~
-    # x^{m/2 - 1} e^{-x/2} a float; the tail used to be cut to 0.0 there
+    # x^{m/2 - 1} e^{-x/2} a float: the tail is the exp of its log, with no
+    # cut on x
     edge = chidensity._UNDERFLOW_X
     assert math.exp(-0.5 * math.nextafter(edge, math.inf)) == 0.0
     cases = [(4, math.sqrt(math.nextafter(edge, math.inf))), (30, math.sqrt(1500.0)), (100, math.sqrt(1500.0))]
@@ -672,6 +673,19 @@ def test_cached_spectrum_constants_match_their_formulas(rng):
             assert density_lower_bound(s, z) == (0.25 * term, thresh)
 
 
+def test_density_bounds_at_an_underflowed_z_read_the_limit():
+    # z / lambda_1^2 rounds to 0: the leading term's limit at 0 is K / 2
+    # (over lambda_1^2) for d1 = 2 and 0 for d1 >= 3; f_1 is singular there
+    z = 5e-324
+    s = spectrum_from_weights([4.0, 4.0, 1.0])
+    want = 0.5 * zolotarev_constant(s) / 4.0
+    assert density_upper_bound(s, z) == pytest.approx(want, rel=1e-14)
+    assert density_lower_bound(s, z)[0] == pytest.approx(0.25 * want, rel=1e-14)
+    assert density_upper_bound(spectrum_from_weights([4.0, 4.0, 4.0]), z) == 0.0
+    with pytest.raises(ValidationError, match="singular"):
+        density_upper_bound(spectrum_from_weights([4.0, 1.0]), z)
+
+
 def test_density_upper_bound_equality_case():
     # equal eigenvalues with d1 = d >= 2: bound equals the exact density
     s = spectrum_from_weights([1.0, 1.0, 1.0])
@@ -778,8 +792,8 @@ def test_c3_recurrence_matches_partition_maximum():
 
 
 def test_constants_at_high_dimension():
-    # C4(m) in logs: (m/e)^{m/2} overflowed float64 from m = 302, and with it
-    # every table from d = 303
+    # C4(m) in logs: (m/e)^{m/2} alone leaves float64 from m = 302, which
+    # every table from d = 303 needs
     for m in (302, 400):
         half = mp.mpf(m) / 2
         want = mp.sqrt(2) + mp.sqrt(mp.pi) * (m / mp.e) ** half / mp.gamma(half + mp.mpf(1) / 2)

@@ -100,8 +100,9 @@ def test_bounds_verify_compares_logs_past_the_underflow_edge(tmp_path):
 
 @pytest.mark.parametrize("dim,code", [(260, 0), (320, 2)])
 def test_bounds_verify_at_high_dimension(tmp_path, capsys, dim, code):
-    # 260 equal weights: z^{d1/2 - 1} of the density bound overflowed float64
-    # (exit 1); from d ~ 310 the calibrated C1 underflows, a validation record
+    # 260 equal weights: z^{d1/2 - 1} of the density bound alone leaves
+    # float64, so the bound is computed in logs; from d ~ 310 the calibrated
+    # C1 underflows, a validation record that names d
     cfg = {"weights": [1.0] * dim, "z": [200.0, 260.0, 330.0]}
     got, out = run_cli(tmp_path, "bounds-verify", cfg)
     assert got == code
