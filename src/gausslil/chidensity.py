@@ -10,6 +10,7 @@ which also makes the public functions scale-equivariant to rounding.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -136,8 +137,9 @@ class _LogGrid:
     of every convolution level (see _DensityEngine._build) integrates over
     abscissas that depend on the nodes alone, so those, their logs and
     their grid positions are kept here too, as are the decay tables of the
-    node table's suffix tails (see _DensityEngine). Engines on the _GRID_LO
-    grid share one (_log_grid).
+    node table's suffix tails (see _DensityEngine), and the table's nodes as
+    a list, which a scalar query bisects. Engines on the _GRID_LO grid share
+    one (_log_grid).
     """
 
     def __init__(self, z_lo: float):
@@ -156,6 +158,7 @@ class _LogGrid:
         # the node table's suffix tails run x_j += e^{-(z_{j+1} - z_j)/2} x_{j+1}
         # down from the top node over z_0 = 0, z_1, ...; no term is dropped
         self.nodes = np.concatenate([[0.0], self.z])
+        self.node_list = self.nodes.tolist()  # a scalar query bisects this list
         self.suffix = _scan_tables(np.exp(-0.5 * np.diff(self.nodes)), floor=0.0)
         self._factor()
         # each row i integrates over u in [0, sqrt(z_i / 2)]
@@ -400,7 +403,11 @@ class _DensityEngine:
     Tails and shells come from a node table built once: the interval
     integrals I_j = int_{z_j}^{z_{j+1}} hhat(z) e^{-(z - z_j)/2} dz and the
     scaled suffix tails Qhat_j = Q(z_j) e^{z_j/2} on the nodes 0 = z_0 <
-    z_1 < ... A query adds one partial interval to the table.
+    z_1 < ... A query adds one partial interval to the table. Both read
+    log hhat on a node interval from that interval's own local form
+    (_form), so one integral (_integrals) serves the table and the
+    queries; log_hhat, which locates each point on the grid, serves
+    densities.
     """
 
     def __init__(self, wnorm: tuple[float, ...]):
@@ -431,7 +438,7 @@ class _DensityEngine:
                 f"tail table overflows float64: Q(z) e^(z/2) at normalized z = {top:.6g} "
                 f"for a top multiplicity of {self.d1}"
             ) from None
-        self.pieces = self._integrals(self.nodes[:-1], self.nodes[1:])
+        self.pieces = self._integrals(self.nodes[:-1, None], self.nodes[1:, None], self._table_form())[0]
         qhat = np.append(self.pieces, q_top)
         span = 1
         for table in self.grid.suffix:  # Qhat_j = I_j + e^{-(z_{j+1} - z_j)/2} Qhat_{j+1}
@@ -517,8 +524,9 @@ class _DensityEngine:
     # -- queries ------------------------------------------------------------
 
     def log_hhat(self, z: np.ndarray, lz: np.ndarray) -> np.ndarray:
-        """log hhat at z, lz = log z: the level on the grid, and the leading
-        term log K f_{d1}(z) + z/2 past it or for a single block, where it is exact."""
+        """log hhat at z, lz = log z, for densities: the level on the grid,
+        and the leading term log K f_{d1}(z) + z/2 past it or for a single
+        block, where it is exact."""
         if self._level is None:
             return _log_power(*self._leading, lz)
         out = self._level(z, lz)
@@ -529,22 +537,70 @@ class _DensityEngine:
 
     def density(self, z: np.ndarray) -> np.ndarray:
         """Density of sum w_i eta_i^2 on the normalized scale."""
-        return np.exp(self.log_hhat(z, np.log(z)) - 0.5 * z)
+        with np.errstate(divide="ignore"):  # z = 0 reads the limit there
+            lz = np.log(z)
+        return np.exp(self.log_hhat(z, lz) - 0.5 * z)
 
-    def _integrals(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """int_a^b hhat(z) e^{-(z - a)/2} dz for each interval [a_i, b_i].
+    def _form(self, k: int) -> tuple:
+        """Local form (x, y, b, c, d, s) of log hhat on node interval k.
 
-        One fixed 16-point Gauss-Legendre rule in u = sqrt(z), which
-        leaves a smooth integrand at z = 0 for every power law z^{m/2 - 1}.
-        Sixteen points hold the exact two-weight tail (criterion 1) to
-        2e-13 out to 37 lambda_1 on the grid's intervals; ten points miss it
-        by 1.9e-9 there.
+        On [nodes[k], nodes[k+1]], log hhat(z) = y + t (b + t (c + t d)) - s z
+        with t = log z - x: the level's spline row k - 1 on the grid, and the
+        small-z terms below it (k = 0; x = c = d = 0, b = M/2 - 1, s = s_k).
+        A single block has the leading term on every interval (s = 0).
         """
+        if self._level is None:
+            log_c, power = self._leading
+            return 0.0, log_c, power, 0.0, 0.0, 0.0
+        if k == 0:
+            log_c, power, slope = self._level.small_z
+            return 0.0, log_c, power, 0.0, 0.0, slope
+        sp = self._level.spline
+        k -= 1
+        return sp.x[k], sp.y[k], sp.b[k], sp.c[k], sp.d[k], 0.0
+
+    def _table_form(self) -> tuple:
+        """The local forms of every node interval, as (rows, 1) columns."""
+        if self._level is None:
+            return self._form(0)
+        sp = self._level.spline
+        rows = (sp.x[:-1], sp.y[:-1], sp.b, sp.c, sp.d, np.zeros(sp.b.size))
+        return tuple(np.append(first, row)[:, None] for first, row in zip(self._form(0), rows))
+
+    @staticmethod
+    def _integrals(a, b, form: tuple):
+        """int_a^b hhat(z) e^{-(z - a)/2} dz over [a, b] in one node interval.
+
+        log hhat is read from that interval's local form (see _form). A
+        scalar query passes floats and gets a float; the table passes
+        (rows, 1) columns, a form of columns too, and gets a (1, rows) row
+        (width.T). One fixed 16-point Gauss-Legendre rule in u = sqrt(z),
+        which leaves a smooth integrand at z = 0 for every power law
+        z^{m/2 - 1}. Sixteen points hold the exact two-weight tail
+        (criterion 1) to 2e-13 out to 37 lambda_1 on the grid's intervals;
+        ten points miss it by 1.9e-9 there.
+        """
+        x, y, b1, c, d, s = form
         ua, ub = np.sqrt(a), np.sqrt(b)
-        u = ua[:, None] + (ub - ua)[:, None] * _GL_NODES
+        width = ub - ua
+        u = width * _GL_NODES
+        u += ua
         z = u * u
-        f = u * np.exp(self.log_hhat(z, np.log(z))) * np.exp(-0.5 * (z - a[:, None]))
-        return 2.0 * (ub - ua) * (f @ _GL_WEIGHTS)
+        t = np.log(z)
+        t -= x
+        log_h = t * d
+        log_h += c
+        log_h *= t
+        log_h += b1
+        log_h *= t
+        log_h += y
+        log_h -= s * z
+        f = np.exp(log_h, out=log_h)
+        f *= u
+        z -= a
+        z *= -0.5
+        f *= np.exp(z, out=z)
+        return 2.0 * width.T * (f @ _GL_WEIGHTS)
 
     def _log_closure(self, x: float) -> float:
         """log K + log Q_{d1}(sqrt x), the tail of the leading term K f_{d1}.
@@ -558,12 +614,13 @@ class _DensityEngine:
 
     def log_tail(self, x: float) -> float:
         """log P{sum w_i eta_i^2 >= x} on the normalized scale, x >= 0."""
-        j = int(np.searchsorted(self.nodes, x, side="right"))
-        if j == self.nodes.size:
+        nodes = self.grid.node_list
+        j = bisect.bisect_right(nodes, x)
+        if j == len(nodes):
             return self._log_closure(x)
-        right = float(self.nodes[j])
-        part = float(self._integrals(np.array([x]), np.array([right]))[0])
-        return math.log(part + float(self.qhat[j]) * math.exp(-0.5 * (right - x))) - 0.5 * x
+        right = nodes[j]
+        part = self._integrals(x, right, self._form(j - 1))
+        return math.log(part + self.qhat[j] * math.exp(-0.5 * (right - x))) - 0.5 * x
 
     def log_shell(self, x_lo: float, x_hi: float) -> float:
         """log P{x_lo <= sum w_i eta_i^2 <= x_hi} on the normalized scale.
@@ -576,18 +633,22 @@ class _DensityEngine:
         """
         if x_hi <= x_lo:
             return -math.inf
-        if x_hi >= self.nodes[-1]:
+        nodes = self.grid.node_list
+        if x_hi >= nodes[-1]:
             lo, hi = self.log_tail(x_lo), self.log_tail(x_hi)
             return lo + math.log1p(-math.exp(hi - lo)) if hi < lo else -math.inf
-        i = int(np.searchsorted(self.nodes, x_lo, side="right"))
-        k = int(np.searchsorted(self.nodes, x_hi, side="right"))
+        i = bisect.bisect_right(nodes, x_lo)
+        k = bisect.bisect_right(nodes, x_hi)
         if i == k:
-            total = float(self._integrals(np.array([x_lo]), np.array([x_hi]))[0])
+            total = self._integrals(x_lo, x_hi, self._form(i - 1))
         else:
-            left = self.nodes[k - 1]
-            ends = self._integrals(np.array([x_lo, left]), np.array([self.nodes[i], x_hi]))
+            left = nodes[k - 1]
             mid = self.pieces[i : k - 1] @ np.exp(-0.5 * (self.nodes[i : k - 1] - x_lo))
-            total = float(ends[0] + mid + ends[1] * math.exp(-0.5 * (left - x_lo)))
+            total = (
+                self._integrals(x_lo, nodes[i], self._form(i - 1))
+                + mid
+                + self._integrals(left, x_hi, self._form(k - 1)) * math.exp(-0.5 * (left - x_lo))
+            )
         return math.log(total) - 0.5 * x_lo if total > 0.0 else -math.inf
 
 

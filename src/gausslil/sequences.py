@@ -22,6 +22,9 @@ from . import spectral
 _PROB_TOL = 1e-12
 _MEAN_TOL = 1e-12
 _SCAN_LIMIT = 200_000
+# distinct states of one window whose pairs delta_k scans; the scan grows
+# with the square of their number (372 states took 3.8 s on a 2-vCPU host)
+_SCAN_STATES = 64
 
 
 @dataclass(frozen=True)
@@ -298,7 +301,8 @@ def delta_k(
     is over pairs of the distinct states in the window, one matrix per
     state of ``seq.states``. For PSD-monotone sequences the endpoint pair
     is extremal, so the pair scan collapses to one norm; ``force_scan``
-    disables the shortcut (used to validate it).
+    disables the shortcut (used to validate it). The scan takes at most
+    _SCAN_STATES distinct states.
     """
     lo, hi = subsequence_index(alpha, k), subsequence_index(alpha, k + 1)
     if seq.max_index is not None and hi > seq.max_index:
@@ -313,7 +317,13 @@ def delta_k(
             f"delta_k pair scan over window [{lo}, {hi}] is too large "
             f"({hi - lo} indices; limit {_SCAN_LIMIT})"
         )
-    mats = [seq._matrix(s) for _, s in seq.states(range(lo, hi + 1))]
+    states = [s for _, s in seq.states(range(lo, hi + 1))]
+    if len(states) > _SCAN_STATES:
+        raise ValidationError(
+            f"delta_k pair scan over window [{lo}, {hi}] is too large "
+            f"({len(states)} distinct states; limit {_SCAN_STATES})"
+        )
+    mats = [seq._matrix(s) for s in states]
     return max(
         (spectral.operator_norm(a - b) for a, b in itertools.combinations(mats, 2)),
         default=0.0,

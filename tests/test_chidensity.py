@@ -208,6 +208,7 @@ def test_leading_term_is_computed_in_logs():
     assert weighted_density(big, 400.0) == pytest.approx(float(want), rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")  # no log of the z = 0 that it reads
 def test_density_at_an_underflowed_z_reads_the_limit():
     # z / lambda_1^2 rounds to 0 here; with M = 2 the density's limit at 0
     # is finite: 1 / (4 lambda_1^2) for [2, 2], 1 / (2 sqrt(w_1 w_2)) for [2, 1]
@@ -390,6 +391,49 @@ def test_infinite_threshold_gives_a_zero_tail():
         assert weighted_norm_tail(w, t) == 0.0
         assert log_weighted_shell_probability(w, t, t) == -math.inf
         assert weighted_shell_probability(w, 3.0, t) == weighted_norm_tail(w, 3.0)
+
+
+# A query integrates its partial interval from that interval's local form;
+# one block, a law on the shared grid and one on a grid of its own
+LOCAL_FORM_LAWS = {"one-block": (1.0, 1.0, 1.0), "shared-grid": (1.0, 0.7, 0.3, 0.3), "own-grid": (1.0, 0.5, 1e-4)}
+
+
+@pytest.fixture(scope="module", params=list(LOCAL_FORM_LAWS.values()), ids=list(LOCAL_FORM_LAWS))
+def local_form_engine(request):
+    return chidensity._DensityEngine(request.param)
+
+
+def test_local_form_is_log_hhat_inside_each_node_interval(local_form_engine):
+    eng = local_form_engine
+    lo, hi = eng.nodes[:-1], eng.nodes[1:]
+    z = np.where(lo > 0.0, np.sqrt(lo * hi), 0.5 * hi)
+    lz = np.log(z)
+    local = []
+    for k in range(z.size):
+        x, y, b, c, d, s = eng._form(k)
+        t = lz[k] - x
+        local.append(y + t * (b + t * (c + t * d)) - s * z[k])
+    np.testing.assert_allclose(local, eng.log_hhat(z, lz), rtol=0, atol=1e-13)
+
+
+def test_scalar_interval_integral_is_the_table_piece(local_form_engine):
+    eng = local_form_engine
+    nodes = eng.grid.node_list
+    scalar = [eng._integrals(nodes[k], nodes[k + 1], eng._form(k)) for k in range(len(nodes) - 1)]
+    np.testing.assert_allclose(scalar, eng.pieces, rtol=1e-14, atol=0)
+
+
+def test_log_tail_is_continuous_across_nodes(local_form_engine):
+    # nodes[j] and the float below it lie in neighbouring node intervals,
+    # read from different local forms: under the grid and its first node,
+    # the lower segment, the break, the upper segment, the top node
+    eng = local_form_engine
+    nodes = eng.grid.node_list
+    n_lo = chidensity._GRID_N_LO
+    assert nodes[n_lo + 1] == pytest.approx(eng.grid.z[0] * chidensity._GRID_MID / chidensity._GRID_LO)
+    for j in (1, n_lo // 2, n_lo + 1, (n_lo + len(nodes)) // 2, len(nodes) - 1):
+        x = nodes[j]
+        assert eng.log_tail(math.nextafter(x, 0.0)) == pytest.approx(eng.log_tail(x), rel=0, abs=1e-12)
 
 
 def test_engine_cache_is_bounded_lru(monkeypatch):

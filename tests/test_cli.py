@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 
 import gausslil
 from gausslil.cli import main
+from gausslil import sequences
 from gausslil.errors import ValidationError
+from gausslil.iterlog import subsequence_index
 from gausslil.serialize import CAPS, format_cell, parse_grid, positive_int
 from gausslil.special import chisq_density
 
@@ -474,6 +477,26 @@ def test_malformed_config_exits_2(tmp_path, command, cfg):
     assert proc.returncode == 2, proc.stderr
     err = json.loads(proc.stderr)
     assert err["error"]["type"] == "validation"
+
+
+def test_sequence_info_caps_the_states_of_a_pair_scan(tmp_path, capsys):
+    # a tabulated sequence is not PSD-monotone, so delta_k scans every pair
+    # of states in each window; at alpha = 1 a 2,000-matrix table fits
+    # K = 23, whose windows reach 372 states, and the first window past
+    # the cap, [254, 320], stops the run
+    table = [[[1.0 + 1.0 / n, 0.0], [0.0, 1.0 + (n % 3) / n]] for n in range(1, 2001)]
+    K = max(k for k in range(1, 40) if subsequence_index(1.0, k + 1) <= len(table))
+    assert K == 23
+    cfg = {"sequence": {"kind": "tabulated", "matrices": table}, "alpha": 1.0, "K": K}
+    start = time.perf_counter()
+    code, _ = run_cli(tmp_path, "sequence-info", cfg)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "validation"
+    cap = sequences._SCAN_STATES
+    assert f"window [254, 320] is too large (67 distinct states; limit {cap})" in err["error"]["message"]
+    assert elapsed < 1.0
 
 
 def test_capped_fields_name_their_cap():

@@ -26,6 +26,11 @@ Prints one JSON line:
 - ``deep_tail_us`` and ``deep_shell_us``: the same over the DEEP_T
   thresholds, t / lambda_1 in [38.6, 50], where the linear tail
   underflows and the query reads the log tail at its top node or past it;
+- ``lemma_us``: the median time of one warm ``upper_shift_sides`` call
+  (delta = t / 16) and of one warm ``merged_shell_sides`` call, at
+  t = C5 lambda_1 on diag(linspace(1, 0.1, LEMMA_DIM)^2), over
+  LAYER_REPEATS calls; with the rows' tail and shell queries, these are
+  the bounds-sweep benchmark's median jobs;
 - ``eigh_us``: the median time of ``eigh`` on a fixed seeded positive
   definite matrix for each d in EIGH_DIMS, over LAYER_REPEATS calls;
 - ``report_ms``: the median time of one ``equivalence_report`` (a = 4,
@@ -70,6 +75,7 @@ ROUNDS = 3
 OWN_GRID_DIMS = (2, 5, 8)
 OWN_GRID_SMALLEST = (1e-4, 1e-8, 1e-300)
 EIGH_DIMS = (2, 4, 6, 8, 16)
+LEMMA_DIM = 6
 LAYER_REPEATS = 51
 REPORT_KS = (200, 2000)
 QUERY_T = tuple(np.linspace(0.5, 30.0, 40).tolist())
@@ -163,6 +169,15 @@ def main() -> None:
         ):
             sweep_ms = median_ms(query_sweep, (query, calls), LAYER_REPEATS)
             query_us[f"{prefix}{kind}_us"] = round(1e3 * sweep_ms / len(ts), 1)
+    lemma_s = spectral.eigh(np.diag(np.linspace(1.0, 0.1, LEMMA_DIM) ** 2))
+    lemma_t = chidensity.constants(LEMMA_DIM).C5 * lemma_s.lambda1
+    lemma_us = {
+        name: round(1e3 * median_ms(side, (lemma_s, lemma_t, *args), LAYER_REPEATS), 1)
+        for name, side, args in (
+            ("upper_shift_sides", regularize.upper_shift_sides, (lemma_t / 16,)),
+            ("merged_shell_sides", regularize.merged_shell_sides, ()),
+        )
+    }
     eigh_us = {
         str(d): round(1e3 * median_ms(spectral.eigh, (eigh_matrix(d),), LAYER_REPEATS), 1)
         for d in EIGH_DIMS
@@ -203,6 +218,7 @@ def main() -> None:
                 "grid_nodes": int(grid.z.size),
                 "spline_us": round(spline_us, 1),
                 **query_us,
+                "lemma_us": lemma_us,
                 "eigh_us": eigh_us,
                 "report_ms": report_ms,
                 "classify_ms": classify_ms,
