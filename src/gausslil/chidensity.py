@@ -583,23 +583,10 @@ class _DensityEngine:
         x, y, b1, c, d, s = form
         ua, ub = np.sqrt(a), np.sqrt(b)
         width = ub - ua
-        u = width * _GL_NODES
-        u += ua
+        u = ua + width * _GL_NODES
         z = u * u
-        t = np.log(z)
-        t -= x
-        log_h = t * d
-        log_h += c
-        log_h *= t
-        log_h += b1
-        log_h *= t
-        log_h += y
-        log_h -= s * z
-        f = np.exp(log_h, out=log_h)
-        f *= u
-        z -= a
-        z *= -0.5
-        f *= np.exp(z, out=z)
+        t = np.log(z) - x
+        f = u * np.exp(y + t * (b1 + t * (c + t * d)) - s * z) * np.exp(-0.5 * (z - a))
         return 2.0 * width.T * (f @ _GL_WEIGHTS)
 
     def _log_closure(self, x: float) -> float:

@@ -11,7 +11,6 @@ import pytest
 
 import gausslil
 from gausslil.cli import main
-from gausslil import sequences
 from gausslil.errors import ValidationError
 from gausslil.iterlog import subsequence_index
 from gausslil.serialize import CAPS, format_cell, parse_grid, positive_int
@@ -494,8 +493,7 @@ def test_sequence_info_caps_the_states_of_a_pair_scan(tmp_path, capsys):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "validation"
-    cap = sequences._SCAN_STATES
-    assert f"window [254, 320] is too large (67 distinct states; limit {cap})" in err["error"]["message"]
+    assert "window [254, 320] is too large (67 distinct states; limit 64)" in err["error"]["message"]
     assert elapsed < 1.0
 
 
