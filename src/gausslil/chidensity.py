@@ -58,8 +58,9 @@ _NEGLIGIBLE_WEIGHT = 1e-16 * _GRID_FLOOR
 # _GRID_LO times the start. A level is a power law below its turnover
 # z ~ 1/s_k, where e^{-s_k z} sets in; s_k <= (1/w - 1)/2 <= 500 on the shared
 # grid, so the break sits a decade below the earliest turnover (own grids:
-# 0.2 w against 2 w). Above it the spline's error is O(h^4) in the log step h
-# (de Boor, A Practical Guide to Splines, 2001) and adds up over the levels;
+# 0.2 w against 2 w). Above it a level's cubic Hermite error is O(h^4) in the
+# log step h (de Boor, A Practical Guide to Splines, 2001; its stencil slopes
+# are O(h^6) off) and adds up over the levels;
 # _GRID_LOG_STEP keeps the oracle sweep's worst error per level, 1.2e-9 at
 # eight distinct weights, at 0.6 of the README's stated accuracy.
 _GRID_MID = 2e-4
@@ -110,9 +111,9 @@ class WeightedChiSquare:
 
 
 class _CubicSpline(NamedTuple):
-    """Cubic spline coefficients on the nodes x.
+    """Piecewise cubic coefficients on the nodes x.
 
-    On [x_j, x_{j+1}] the spline is y_j + t (b_j + t (c_j + t d_j)), t = x - x_j.
+    On [x_j, x_{j+1}] the cubic is y_j + t (b_j + t (c_j + t d_j)), t = x - x_j.
     """
 
     x: np.ndarray
@@ -131,9 +132,9 @@ class _LogGrid:
     778 nodes on the shared grid. On each segment the interval index is
     affine in log z, so it is computed rather than searched.
 
-    Every level's spline on these nodes solves one not-a-knot system,
-    which is factored here once (_factor); a level's solve is two
-    recursive-doubling scans over tables of the factors. The right half
+    Every level is a cubic Hermite interpolant on these nodes whose node
+    slopes come from fixed seven-point stencils, so each node's stencil
+    and slope weights are kept here (_slope_stencils). The right half
     of every convolution level (see _DensityEngine._build) integrates over
     abscissas that depend on the nodes alone, so those, their logs and
     their grid positions are kept here too, as are the decay tables of the
@@ -159,8 +160,9 @@ class _LogGrid:
         # down from the top node over z_0 = 0, z_1, ...; no term is dropped
         self.nodes = np.concatenate([[0.0], self.z])
         self.node_list = self.nodes.tolist()  # a scalar query bisects this list
-        self.suffix = _scan_tables(np.exp(-0.5 * np.diff(self.nodes)), floor=0.0)
-        self._factor()
+        self.suffix = _scan_tables(np.exp(-0.5 * np.diff(self.nodes)))
+        self._h = np.diff(self.log_z)
+        self._stencil, self._weights = _slope_stencils(self.log_z)
         # each row i integrates over u in [0, sqrt(z_i / 2)]
         self.u_hi = np.sqrt(0.5 * self.z)
         self.u_max = float(self.u_hi[-1])
@@ -185,84 +187,60 @@ class _LogGrid:
         np.clip(j, 0.0, self.z.size - 2, out=j)
         return j.astype(np.intp)
 
-    def _factor(self) -> None:
-        """Factor the not-a-knot system once: T = L U, kept as doubling tables.
-
-        Rows 1..n-2 are tridiagonal in the second-derivative coefficients
-        c; the not-a-knot rows give c_0 and c_{n-1} in terms of their two
-        neighbours, which folds them into the first and last of these
-        rows. Row i reads sub[i] c[i-1] + diag[i] c[i] + sup[i] c[i+1];
-        the rows are diagonally dominant, so no pivoting is needed.
-
-        The pivots u_i = diag[i] - (sub[i] / u_{i-1}) sup[i-1] are the fixed
-        point of that map applied to every row at once: row i is exact
-        after i passes and a pass shrinks the error of the others about
-        14-fold, so the first pass that changes nothing (about 17 here)
-        leaves the floats of the sequential elimination. A solve is then
-        f_i = r_i + alpha_i f_{i-1} and z_i = f_i + gamma_i z_{i+1}, c = z / u,
-        with alpha_i = -sub[i]/u_{i-1} and gamma_i = -sup[i]/u_{i+1}; see
-        _scan_tables for how each recurrence runs.
-        """
-        h = np.diff(self.log_z)
-        sub = h[:-1].copy()
-        diag = 2.0 * (h[:-1] + h[1:])
-        sup = h[1:].copy()
-        diag[0] += h[0] * (h[0] + h[1]) / h[1]
-        sup[0] -= h[0] * h[0] / h[1]
-        diag[-1] += h[-1] * (h[-2] + h[-1]) / h[-2]
-        sub[-1] -= h[-1] * h[-1] / h[-2]
-        u = diag.copy()
-        for _ in range(u.size):  # row i is exact after i passes
-            mult = sub[1:] / u[:-1]
-            pivots = diag[1:] - mult * sup[:-1]
-            if np.array_equal(pivots, u[1:]):
-                break
-            u[1:] = pivots
-        self._h = h
-        self._pivots = u
-        self._forward = _scan_tables(-mult)
-        self._backward = _scan_tables(-sup[:-1] / u[1:])
-
     def spline(self, y: np.ndarray) -> _CubicSpline:
-        """Not-a-knot cubic spline of y against log z on the nodes."""
+        """Cubic Hermite interpolant of y against log z, with stencil slopes.
+
+        On each interval the cubic takes y and the stencil slope m at both
+        ends (see _slope_stencils), so it is C^1, and its coefficients
+        depend on y only at the nodes of its two ends' stencils, eight at
+        most: there is no global solve.
+        """
+        m = np.einsum("ik,ik->i", self._weights, y[self._stencil])
         h = self._h
         slope = np.diff(y) / h
-        inner = 3.0 * np.diff(slope)
-        span = 1
-        for table in self._forward:  # f_i += alpha_i f_{i-1}, 2^j rows at a time
-            inner[span:] += table * inner[:-span]
-            span *= 2
-        span = 1
-        for table in self._backward:  # z_i += gamma_i z_{i+1}
-            inner[:-span] += table * inner[span:]
-            span *= 2
-        inner /= self._pivots
-        c = np.empty(y.size)
-        c[1:-1] = inner
-        c[0] = ((h[0] + h[1]) * inner[0] - h[0] * inner[1]) / h[1]
-        c[-1] = ((h[-2] + h[-1]) * inner[-1] - h[-1] * inner[-2]) / h[-2]
-        b = slope - h / 3.0 * (2.0 * c[:-1] + c[1:])
-        return _CubicSpline(self.log_z, y, b, c[:-1], (c[1:] - c[:-1]) / (3.0 * h))
+        m0, m1 = m[:-1], m[1:]
+        c = (3.0 * slope - 2.0 * m0 - m1) / h
+        d = (m0 + m1 - 2.0 * slope) / (h * h)
+        return _CubicSpline(self.log_z, y, m0, c, d)
 
 
-def _scan_tables(coef: np.ndarray, floor: float = 2.0**-60) -> list[np.ndarray]:
+def _slope_stencils(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's seven-point stencil and its slope weights, as (n, 7) arrays.
+
+    Node i's stencil is nodes i-3..i+3, moved inward at the two ends (it
+    may straddle the break). Its weights are row i of the stencil's
+    Lagrange differentiation matrix (Berrut & Trefethen, SIAM Review 46,
+    2004): D_ik = (a_i / a_k) / (x_i - x_k), a_k = prod_{l != k} (x_k - x_l),
+    and D_ii = -sum_{k != i} D_ik, so the slope of y at node i is
+    sum_k D_ik y_k, exact for a sextic and O(h^6) off for a smooth y.
+    """
+    n = x.size
+    rows = np.arange(n)
+    stencil = np.clip(rows - 3, 0, n - 7)[:, None] + np.arange(7)
+    own = rows - stencil[:, 0]  # node i's place in its stencil
+    xs = x[stencil]
+    gaps = xs[:, :, None] - xs[:, None, :]  # x_k - x_l, 1 on the diagonal
+    gaps[:, range(7), range(7)] = 1.0
+    a = gaps.prod(axis=2)
+    weights = a[rows, own, None] / a / gaps[rows, own]
+    weights[rows, own] = 0.0
+    weights[rows, own] = -weights.sum(axis=1)
+    return stencil, weights
+
+
+def _scan_tables(coef: np.ndarray) -> list[np.ndarray]:
     """Products of 1, 2, 4, ... consecutive coefficients of a linear recurrence.
 
-    For x_i += coef_i x_{i-1} (or x_i += coef_i x_{i+1}), table j holds at
-    k the product of coef_k .. coef_{k+2^j-1}, the weight with which x at
-    one end of that run reaches x at the other. Pass j of a recursive
-    doubling scan adds table j times x 2^j rows away, so after passes
-    0..j-1 each x_i holds the terms of its 2^j - 1 nearest predecessors.
-    The tables stop at the first product below ``floor`` in size
-    everywhere (with floor = 0, when they cover every row). The spline's
-    coefficients are below 1 in size (2 - sqrt(3) = 0.268 on evenly spaced
-    rows, 0.40 at most where the spacing changes at the break), so every
-    term left out, a longer product, weighs under 2^-60 of x_i's own
-    coefficient, 1: five tables each way, 31 predecessors.
+    For x_i += coef_i x_{i+1}, table j holds at k the product of
+    coef_k .. coef_{k+2^j-1}, the weight with which x at one end of that
+    run reaches x at the other. Pass j of a recursive doubling scan adds
+    table j times x 2^j rows away, so after passes 0..j-1 each x_i holds
+    the terms of its 2^j - 1 nearest successors; the tables cover every
+    row, so no term is dropped.
     """
     tables = []
     span = 1
-    while coef.size and np.abs(coef).max() >= floor:
+    while coef.size:
         tables.append(coef)
         coef = coef[:-span] * coef[span:]
         span *= 2
@@ -324,10 +302,11 @@ def _log_power(log_c: float, power: float, lz: np.ndarray) -> np.ndarray:
 class _LogLevel:
     """L_k(z) = log hhat_k(z) of one convolution level, read on the engine grid.
 
-    On the grid it is the not-a-knot spline of log hhat_k against log z;
-    below it, the small-z form log c_k + (M_k/2 - 1) log z - s_k z. Calls
-    pass z and log z, which every caller has at hand; ``at`` reads at
-    the right half's points, which the grid located once.
+    On the grid it is the cubic Hermite interpolant of log hhat_k against
+    log z with stencil slopes (_LogGrid.spline); below it, the small-z
+    form log c_k + (M_k/2 - 1) log z - s_k z. Calls pass z and log z,
+    which every caller has at hand; ``at`` reads at the right half's
+    points, which the grid located once.
     """
 
     def __init__(self, grid: _LogGrid, spline: _CubicSpline, small_z: tuple[float, float, float]):
@@ -394,7 +373,7 @@ def _left_chain(grid: _LogGrid, delta: float, mk: int) -> KronrodChain:
 class _DensityEngine:
     """Scaled density hhat(z) = h(z) e^{z/2} of sum w_i chi^2(m_i), w_1 = 1.
 
-    hhat grows at most polynomially, so a cubic spline of log hhat against
+    hhat grows at most polynomially, so a piecewise cubic of log hhat against
     log z carries full relative accuracy from z ~ 0 into the far tail.
     Below the grid the small-z expansion, exact to first order, takes over, and
     beyond it the leading term K(G^2) f_{d1}. The grid reaches past the
@@ -511,9 +490,11 @@ class _DensityEngine:
             v_right, e_right = right.chain.reduce(right.rows, np.exp(s, out=s), right.width)
             vals += v_right
             err += e_right
-            bad = ~(err <= _KRONROD_RTOL * vals)  # also catches NaN
+            bad = ~((err <= _KRONROD_RTOL * vals) & (vals > 0.0))  # also catches NaN
             if np.any(bad):
                 j = int(np.nonzero(bad)[0][0])
+                if vals[j] <= 0.0:
+                    raise NumericError(f"convolution level {k} underflows at normalized z = {zs[j]:.6g}")
                 raise NumericError(
                     f"convolution level {k} unresolved at normalized z = {zs[j]:.6g}: "
                     f"Kronrod error {err[j]:.3e} on {vals[j]:.3e}"

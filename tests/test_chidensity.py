@@ -483,86 +483,77 @@ def test_unresolved_level_raises(monkeypatch):
         chidensity._DensityEngine((1.0, 1e-4))
 
 
-def test_banded_spline_matches_dense_solve():
-    # the grid's factored not-a-knot system against a dense solve on its nodes
-    grid = chidensity._log_grid(1e-6)
+# one law per grid start: the shared grid, a grid of its own and the floor
+GRID_LAWS = {1e-6: (1.0, 0.9, 0.6, 0.3), 1e-9: (1.0, 0.5, 1e-6), 1e-30: (1.0, 0.5, 1e-30)}
+GRID_IDS = ["shared", "own", "floor"]
+
+
+def _node_slopes(spline):
+    """The slope at every node: b, and the last interval's slope at its end."""
+    h = spline.x[-1] - spline.x[-2]
+    return np.append(spline.b, spline.b[-1] + h * (2.0 * spline.c[-1] + 3.0 * h * spline.d[-1]))
+
+
+@pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
+def test_node_slope_is_the_stencil_polynomials(z_lo):
+    # node i's slope is that of the sextic through nodes i-3..i+3, moved
+    # inward at the ends, read on a real level's log hhat
+    level = chidensity._DensityEngine(GRID_LAWS[z_lo])._level
+    assert level.grid.z[0] == pytest.approx(z_lo, rel=1e-15)
+    x, y = level.spline.x, level.spline.y
+    n = x.size
+    stencils = np.clip(np.arange(n) - 3, 0, n - 7)[:, None] + np.arange(7)
+    want = [np.polyfit(x[s] - x[i], y[s], 6)[-2] for i, s in enumerate(stencils)]
+    # slopes are at most 1 in size; a stencil one node off moves them by 1e-10
+    np.testing.assert_allclose(_node_slopes(level.spline), want, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
+def test_spline_is_exact_on_a_cubic_and_c1_on_a_level(z_lo):
+    grid = chidensity._log_grid(z_lo)
     x = grid.log_z
-    y = np.exp(0.3 * x) + x * x
-    spline = grid.spline(y)
-    # not-a-knot system for the coefficients c, solved densely
-    n, h = x.size, np.diff(x)
-    A = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for i in range(1, n - 1):
-        A[i, i - 1 : i + 2] = h[i - 1], 2.0 * (h[i - 1] + h[i]), h[i]
-        rhs[i] = 3.0 * ((y[i + 1] - y[i]) / h[i] - (y[i] - y[i - 1]) / h[i - 1])
-    A[0, :3] = h[1], -(h[0] + h[1]), h[0]
-    A[-1, -3:] = h[-1], -(h[-2] + h[-1]), h[-2]
-    c = np.linalg.solve(A, rhs)
-    # b and d are fixed formulas of c; the last c is read back from d
-    c_last = spline.c[-1] + 3.0 * h[-1] * spline.d[-1]
-    np.testing.assert_allclose(np.append(spline.c, c_last), c, rtol=1e-12, atol=0)
-
-
-def _not_a_knot_system(x):
-    """The inner rows of the not-a-knot system on nodes x, end rows folded in, dense."""
     h = np.diff(x)
-    sub, diag, sup = h[:-1].copy(), 2.0 * (h[:-1] + h[1:]), h[1:].copy()
-    diag[0] += h[0] * (h[0] + h[1]) / h[1]
-    sup[0] -= h[0] * h[0] / h[1]
-    diag[-1] += h[-1] * (h[-2] + h[-1]) / h[-2]
-    sub[-1] -= h[-1] * h[-1] / h[-2]
-    return np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
+    u = (x - x.mean()) / np.ptp(x)  # within [-1/2, 1/2]
+    p = np.polynomial.Polynomial([1.0, 0.5, -0.3, 0.2])
+    du = 1.0 / np.ptp(x)
+    spline = grid.spline(p(u))
+    xj = u[:-1]
+    want = (p.deriv(1)(xj) * du, p.deriv(2)(xj) * du**2 / 2, np.full(xj.size, p.coef[3] * du**3))
+    # each coefficient's share of the value across its interval, against y ~ 1
+    for k, (got, coef) in enumerate(zip((spline.b, spline.c, spline.d), want), start=1):
+        assert np.abs((got - coef) * h**k).max() < 1e-13, k
+    # a real level: each cubic meets the next in value and slope at their node
+    spline = chidensity._DensityEngine(GRID_LAWS[z_lo])._level.spline
+    b, c, d, y = spline.b, spline.c, spline.d, spline.y
+    end_value = y[:-1] + h * (b + h * (c + h * d))
+    end_slope = b + h * (2.0 * c + 3.0 * h * d)
+    np.testing.assert_allclose(end_value, y[1:], rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(end_slope[:-1], b[1:], rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("z_lo", [1e-9, 1e-30], ids=["own", "floor"])
-def test_spline_matches_dense_solve_on_own_grids(z_lo):
-    # a grid of its own (smallest weight < 1e-3) starts lower and puts its
-    # break lower, at 200 times its start, so it has more nodes above the break
+@pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
+def test_a_node_moves_only_the_intervals_within_four_nodes(z_lo):
+    # no global solve: y at node q reaches the slopes of the nodes whose
+    # stencils hold it, and so, to the bit, the cubics on the intervals
+    # that end at one of them and no others; away from the grid's ends,
+    # intervals q-4..q+3
     grid = chidensity._log_grid(z_lo)
-    assert grid is not chidensity._log_grid(1e-6) and grid.z[0] == pytest.approx(z_lo, rel=1e-15)
-    x = grid.log_z
-    y = np.exp(0.3 * x) + x * x
-    spline = grid.spline(y)
-    # the full not-a-knot system for c, its end rows unfolded, solved densely
-    n, h = x.size, np.diff(x)
-    A = np.zeros((n, n))
-    rhs = np.zeros(n)
-    for i in range(1, n - 1):
-        A[i, i - 1 : i + 2] = h[i - 1], 2.0 * (h[i - 1] + h[i]), h[i]
-        rhs[i] = 3.0 * ((y[i + 1] - y[i]) / h[i] - (y[i] - y[i - 1]) / h[i - 1])
-    A[0, :3] = h[1], -(h[0] + h[1]), h[0]
-    A[-1, -3:] = h[-1], -(h[-2] + h[-1]), h[-2]
-    c = np.linalg.solve(A, rhs)
-    c_last = spline.c[-1] + 3.0 * h[-1] * spline.d[-1]
-    np.testing.assert_allclose(np.append(spline.c, c_last), c, rtol=1e-12, atol=0)
-
-
-@pytest.mark.parametrize("z_lo", [1e-6, 1e-9, 1e-30], ids=["shared", "own", "floor"])
-def test_spline_solve_drops_only_factor_inverse_entries_below_2_to_minus_60(z_lo):
-    # T = L U from the sequential Thomas elimination; the grid's pivots are
-    # its floats, and the doubling tables leave out only entries of the
-    # unit-diagonal inverses of L and of U diag(1/u) below 2^-60
-    grid = chidensity._log_grid(z_lo)
-    t = _not_a_knot_system(grid.log_z)
-    n = t.shape[0]
-    sub, diag, sup = np.diag(t, -1), np.diag(t).copy(), np.diag(t, 1)
-    mult = np.empty(n - 1)
-    for i in range(1, n):
-        mult[i - 1] = sub[i - 1] / diag[i - 1]
-        diag[i] -= mult[i - 1] * sup[i - 1]
-    assert np.array_equal(grid._pivots, diag)
-    unit_lower = np.eye(n) + np.diag(mult, -1)
-    unit_upper = np.eye(n) + np.diag(sup / diag[1:], 1)
-    np.testing.assert_allclose(
-        unit_lower @ unit_upper * diag, t, rtol=1e-14, atol=1e-14 * np.abs(t).max()
-    )
-    for factor, tables, side in ((unit_lower, grid._forward, -1), (unit_upper, grid._backward, 1)):
-        inv = np.linalg.inv(factor)
-        span = 2 ** len(tables)  # predecessors the scan reaches: 1..span-1
-        dist = side * (np.arange(n)[None, :] - np.arange(n)[:, None])
-        assert np.all(np.abs(inv[dist >= span]) < 2.0**-60)
-        assert np.abs(inv[dist == span // 2]).max() >= 2.0**-60  # the last table is needed
+    n = grid.z.size
+    starts = np.clip(np.arange(n) - 3, 0, n - 7)
+    y = np.log1p(grid.z)
+    base = grid.spline(y)
+    for q in (0, 2, 5, 6, 7, 89, 90, n // 2, n - 8, n - 6, n - 1):
+        bumped = y.copy()
+        bumped[q] += 1e-3
+        spline = grid.spline(bumped)
+        moved = np.zeros(n - 1, dtype=bool)
+        for got, was in zip(spline[2:], base[2:]):
+            moved |= got != was
+        reached = (starts <= q) & (q < starts + 7)
+        want = np.flatnonzero(reached[:-1] | reached[1:])
+        assert np.array_equal(np.flatnonzero(moved), want), q
+        if 6 < q < n - 7:  # every stencil that holds q is centred
+            assert np.array_equal(want, np.arange(q - 4, q + 4)), q
 
 
 def test_engines_on_one_grid_start_share_one_grid():

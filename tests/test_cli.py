@@ -239,6 +239,29 @@ def test_tail_table_overflow_is_a_numeric_record(tmp_path, capsys):
     assert "overflows float64" in err["error"]["message"]
 
 
+def test_underflowing_level_is_the_only_output(tmp_path):
+    # 100 weights: level 90's value at the grid's bottom node underflows to
+    # 0.0, and the build must stop there, before any log of it warns; in a
+    # subprocess, so that a numpy warning would reach stderr
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"weights": np.linspace(1.0, 0.1, 100).tolist(), "t": [5.0]}))
+    src = str(Path(gausslil.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONWARNINGS", None)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "gausslil.cli", "tail", "--config", str(cfg_path),
+         "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    err = json.loads(proc.stderr)  # the record and nothing else
+    assert err["error"]["type"] == "numeric"
+    assert err["error"]["message"] == "convolution level 90 underflows at normalized z = 1e-06"
+    assert elapsed < 5.0
+
+
 def test_missing_config_error_record(tmp_path, capsys):
     code = main(["tail", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")])
     assert code == 2

@@ -16,8 +16,11 @@ Prints one JSON line:
   engine a grid of its own, built with it, and one below 1e-46 is left
   out;
 - ``grid_nodes``: the number of nodes of the shared grid;
-- ``spline_us``: the median time of one level's spline solve on the shared
-  grid, over LAYER_REPEATS calls;
+- ``grid_ms``: the median time of building the grid of its own that
+  starts at OWN_GRID_START (1,077 nodes), over LAYER_REPEATS builds;
+- ``spline_us``: the median time of one level's cubic Hermite build on the
+  shared grid (each node's slope from its seven-point stencil, then the
+  interval coefficients), over LAYER_REPEATS calls;
 - ``tail_us`` and ``shell_us``: the time of one warm scalar query on
   linspace(1, 0.1, 8), ``weighted_norm_tail`` at t and
   ``weighted_shell_probability`` on [t, 1.05 t], averaged over the
@@ -74,6 +77,7 @@ REPEATS = 7
 ROUNDS = 3
 OWN_GRID_DIMS = (2, 5, 8)
 OWN_GRID_SMALLEST = (1e-4, 1e-8, 1e-300)
+OWN_GRID_START = 1e-9
 EIGH_DIMS = (2, 4, 6, 8, 16)
 LEMMA_DIM = 6
 LAYER_REPEATS = 51
@@ -159,6 +163,7 @@ def main() -> None:
             wnorm = tuple(np.linspace(1.0, 0.1, d - 1).tolist()) + (smallest,)
             own_ms[f"{smallest:g}/{d}"] = round(median_ms(engine, (wnorm,), REPEATS), 2)
     grid = chidensity._log_grid(chidensity._GRID_LO)
+    grid_ms = median_ms(chidensity._LogGrid, (OWN_GRID_START,), LAYER_REPEATS)
     spline_us = 1e3 * median_ms(grid.spline, (np.log1p(grid.z),), LAYER_REPEATS)
     w8 = chidensity.WeightedChiSquare.from_weights(np.linspace(1.0, 0.1, 8))
     query_us = {}
@@ -216,6 +221,7 @@ def main() -> None:
                 "mix_builds_per_s": round(len(vectors) / total, 1),
                 "own_grid_build_ms": own_ms,
                 "grid_nodes": int(grid.z.size),
+                "grid_ms": round(grid_ms, 3),
                 "spline_us": round(spline_us, 1),
                 **query_us,
                 "lemma_us": lemma_us,
