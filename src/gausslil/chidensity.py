@@ -197,10 +197,10 @@ class _LogGrid:
         """
         m = np.einsum("ik,ik->i", self._weights, y[self._stencil])
         h = self._h
-        slope = np.diff(y) / h
+        secant = np.diff(y) / h
         m0, m1 = m[:-1], m[1:]
-        c = (3.0 * slope - 2.0 * m0 - m1) / h
-        d = (m0 + m1 - 2.0 * slope) / (h * h)
+        c = (3.0 * secant - 2.0 * m0 - m1) / h
+        d = (m0 + m1 - 2.0 * secant) / (h * h)
         return _CubicSpline(self.log_z, y, m0, c, d)
 
 
