@@ -15,7 +15,6 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -110,19 +109,6 @@ class WeightedChiSquare:
 # ---------------------------------------------------------------------------
 
 
-class _CubicSpline(NamedTuple):
-    """Piecewise cubic coefficients on the nodes x.
-
-    On [x_j, x_{j+1}] the cubic is y_j + t (b_j + t (c_j + t d_j)), t = x - x_j.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-
-
 class _LogGrid:
     """The engine's nodes, and everything that depends on them alone.
 
@@ -187,13 +173,14 @@ class _LogGrid:
         np.clip(j, 0.0, self.z.size - 2, out=j)
         return j.astype(np.intp)
 
-    def spline(self, y: np.ndarray) -> _CubicSpline:
+    def spline(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cubic Hermite interpolant of y against log z, with stencil slopes.
 
-        On each interval the cubic takes y and the stencil slope m at both
-        ends (see _slope_stencils), so it is C^1, and its coefficients
-        depend on y only at the nodes of its two ends' stencils, eight at
-        most: there is no global solve.
+        On [log z_j, log z_{j+1}] the cubic is y_j + t (b_j + t (c_j + t d_j)),
+        t = log z - log z_j; returns the columns (b, c, d). It takes y and
+        the stencil slope m at both ends (see _slope_stencils), so it is
+        C^1, and its coefficients depend on y only at the nodes of its two
+        ends' stencils, eight at most: there is no global solve.
         """
         m = np.einsum("ik,ik->i", self._weights, y[self._stencil])
         h = self._h
@@ -201,7 +188,7 @@ class _LogGrid:
         m0, m1 = m[:-1], m[1:]
         c = (3.0 * secant - 2.0 * m0 - m1) / h
         d = (m0 + m1 - 2.0 * secant) / (h * h)
-        return _CubicSpline(self.log_z, y, m0, c, d)
+        return m0, c, d
 
 
 def _slope_stencils(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,36 +287,56 @@ def _log_power(log_c: float, power: float, lz: np.ndarray) -> np.ndarray:
 
 
 class _LogLevel:
-    """L_k(z) = log hhat_k(z) of one convolution level, read on the engine grid.
+    """L_k(z) = log hhat_k(z) of one convolution level, as a table of local forms.
 
-    On the grid it is the cubic Hermite interpolant of log hhat_k against
-    log z with stencil slopes (_LogGrid.spline); below it, the small-z
-    form log c_k + (M_k/2 - 1) log z - s_k z. Calls pass z and log z,
-    which every caller has at hand; ``at`` reads at the right half's
-    points, which the grid located once.
+    Row r of the six ``columns`` (x, y, b, c, d, s) is the form
+    y + t (b + t (c + t d)) - s z, t = log z - x, of L_k on node interval r
+    of (0, z_0, z_1, ...): row 0 the small-z form, c_k z^{M_k/2 - 1}
+    e^{-s_k z} in logs, and rows 1.. the cubic Hermite rows on the grid
+    (_LogGrid.spline). A single block is its leading term on every row.
+    A read gathers the cubic from rows 1.. and takes row 0 only under the
+    grid. Calls pass z and log z, which every caller has at hand; ``at``
+    reads at the right half's points, which the grid located once.
     """
 
-    def __init__(self, grid: _LogGrid, spline: _CubicSpline, small_z: tuple[float, float, float]):
+    def __init__(self, grid: _LogGrid, columns: np.ndarray):
         self.grid = grid
-        self.spline = spline
-        self.small_z = small_z  # (log c_k, M_k/2 - 1, s_k)
-        self._coefs = (spline.c, spline.b, spline.y[:-1])
+        self.columns = x, y, b, c, d, _ = tuple(columns)
+        self._x, self._d, self._coefs = x[1:], d[1:], (c[1:], b[1:], y[1:])
+
+    @classmethod
+    def on_nodes(cls, grid: _LogGrid, y: np.ndarray, small_z: tuple[float, float, float]) -> "_LogLevel":
+        """L_k = y at the nodes, with small-z terms (log c_k, M_k/2 - 1, s_k)."""
+        log_c, power, slope = small_z
+        columns = np.zeros((6, y.size))
+        columns[:, 0] = 0.0, log_c, power, 0.0, 0.0, slope
+        columns[0, 1:] = grid.log_z[:-1]
+        columns[1, 1:] = y[:-1]
+        columns[2:5, 1:] = grid.spline(y)
+        return cls(grid, columns)
+
+    @classmethod
+    def power_law(cls, grid: _LogGrid, log_c: float, power: float) -> "_LogLevel":
+        """L = log c + power log z on every row."""
+        columns = np.zeros((6, grid.z.size))
+        columns[1], columns[2] = log_c, power
+        return cls(grid, columns)
 
     def _cubic(self, j: np.ndarray, t: np.ndarray) -> np.ndarray:
         # one coefficient gathered at a time keeps two arrays of j's size alive
-        out = np.take(self.spline.d, j)
+        out = np.take(self._d, j)
         for coef in self._coefs:
             out *= t
             out += np.take(coef, j)
         return out
 
     def _small(self, z, lz):
-        log_c, power, slope = self.small_z
-        return _log_power(log_c, power, lz) - slope * z
+        _, y, b, _, _, s = self.columns
+        return _log_power(y[0], b[0], lz) - s[0] * z
 
     def __call__(self, z: np.ndarray, lz: np.ndarray) -> np.ndarray:
         j = self.grid.interval(lz)
-        out = self._cubic(j, lz - np.take(self.spline.x, j))
+        out = self._cubic(j, lz - np.take(self._x, j))
         below = lz < self.grid.log_lo
         if below.any():
             out[below] = self._small(z[below], lz[below])
@@ -403,7 +410,7 @@ class _DensityEngine:
         self._log_k = log_zolotarev(np.asarray(wnorm[self.d1 :]))
         self._leading = _log_leading(self._log_k, self.d1)
         if self.block_w.size == 1:
-            self._level = None
+            self._level = _LogLevel.power_law(self.grid, *self._leading)
         else:
             self._level = self._build(self._small_z_terms())
         self.nodes = self.grid.nodes
@@ -499,17 +506,15 @@ class _DensityEngine:
                     f"convolution level {k} unresolved at normalized z = {zs[j]:.6g}: "
                     f"Kronrod error {err[j]:.3e} on {vals[j]:.3e}"
                 )
-            prev = _LogLevel(grid, grid.spline(np.log(vals)), small_z[k])
+            prev = _LogLevel.on_nodes(grid, np.log(vals), small_z[k])
         return prev
 
     # -- queries ------------------------------------------------------------
 
     def log_hhat(self, z: np.ndarray, lz: np.ndarray) -> np.ndarray:
-        """log hhat at z, lz = log z, for densities: the level on the grid,
-        and the leading term log K f_{d1}(z) + z/2 past it or for a single
-        block, where it is exact."""
-        if self._level is None:
-            return _log_power(*self._leading, lz)
+        """log hhat at z, lz = log z, for densities: the level, and past the
+        grid the leading term log K f_{d1}(z) + z/2, which is exact for a
+        single block."""
         out = self._level(z, lz)
         top = z > self.zs[-1]
         if top.any():
@@ -518,35 +523,22 @@ class _DensityEngine:
 
     def density(self, z: np.ndarray) -> np.ndarray:
         """Density of sum w_i eta_i^2 on the normalized scale."""
-        with np.errstate(divide="ignore"):  # z = 0 reads the limit there
-            lz = np.log(z)
-        return np.exp(self.log_hhat(z, lz) - 0.5 * z)
+        # z = 0 (an underflowed z / lambda_1^2) has log -inf, which lies under
+        # the grid: row 0 reads the limit there, after the cubic rows have
+        # read it as NaN wherever d = 0 (a single block)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_h = self.log_hhat(z, np.log(z))
+        return np.exp(log_h - 0.5 * z)
 
     def _form(self, k: int) -> tuple:
-        """Local form (x, y, b, c, d, s) of log hhat on node interval k.
-
-        On [nodes[k], nodes[k+1]], log hhat(z) = y + t (b + t (c + t d)) - s z
-        with t = log z - x: the level's spline row k - 1 on the grid, and the
-        small-z terms below it (k = 0; x = c = d = 0, b = M/2 - 1, s = s_k).
-        A single block has the leading term on every interval (s = 0).
-        """
-        if self._level is None:
-            log_c, power = self._leading
-            return 0.0, log_c, power, 0.0, 0.0, 0.0
-        if k == 0:
-            log_c, power, slope = self._level.small_z
-            return 0.0, log_c, power, 0.0, 0.0, slope
-        sp = self._level.spline
-        k -= 1
-        return sp.x[k], sp.y[k], sp.b[k], sp.c[k], sp.d[k], 0.0
+        """Local form (x, y, b, c, d, s) of log hhat on node interval k: the
+        level's row k (see _LogLevel)."""
+        x, y, b, c, d, s = self._level.columns
+        return x[k], y[k], b[k], c[k], d[k], s[k]
 
     def _table_form(self) -> tuple:
         """The local forms of every node interval, as (rows, 1) columns."""
-        if self._level is None:
-            return self._form(0)
-        sp = self._level.spline
-        rows = (sp.x[:-1], sp.y[:-1], sp.b, sp.c, sp.d, np.zeros(sp.b.size))
-        return tuple(np.append(first, row)[:, None] for first, row in zip(self._form(0), rows))
+        return tuple(col[:, None] for col in self._level.columns)
 
     @staticmethod
     def _integrals(a, b, form: tuple):

@@ -217,6 +217,9 @@ def test_density_at_an_underflowed_z_reads_the_limit():
     assert weighted_density(WeightedChiSquare.from_weights([2.0, 1.0]), z) == pytest.approx(
         0.5 / math.sqrt(2.0), rel=1e-12
     )
+    # M = 1 is singular at 0 and M >= 3 vanishes there, one block or several
+    for weights, want in (([2.0], math.inf), ([2.0, 2.0, 2.0], 0.0), ([2.0, 1.0, 0.5], 0.0)):
+        assert weighted_density(WeightedChiSquare.from_weights(weights), z) == want, weights
 
 
 # ---- tails -----------------------------------------------------------------
@@ -488,10 +491,21 @@ GRID_LAWS = {1e-6: (1.0, 0.9, 0.6, 0.3), 1e-9: (1.0, 0.5, 1e-6), 1e-30: (1.0, 0.
 GRID_IDS = ["shared", "own", "floor"]
 
 
-def _node_slopes(spline):
-    """The slope at every node: b, and the last interval's slope at its end."""
-    h = spline.x[-1] - spline.x[-2]
-    return np.append(spline.b, spline.b[-1] + h * (2.0 * spline.c[-1] + 3.0 * h * spline.d[-1]))
+def _grid_rows(level):
+    """The level's cubic rows 1.. (x, y, b, c, d), one per grid interval, and their widths."""
+    x, y, b, c, d, s = level.columns
+    assert np.all(s[1:] == 0.0)
+    np.testing.assert_array_equal(x[1:], level.grid.log_z[:-1])
+    return (x[1:], y[1:], b[1:], c[1:], d[1:]), np.diff(level.grid.log_z)
+
+
+def _node_values_and_slopes(level):
+    """log hhat_k and its slope at every node: y and b of the row that
+    starts there, and the last row's value and slope at its end."""
+    (_, y, b, c, d), h = _grid_rows(level)
+    h, c, d = h[-1], c[-1], d[-1]
+    y_end = y[-1] + h * (b[-1] + h * (c + h * d))
+    return np.append(y, y_end), np.append(b, b[-1] + h * (2.0 * c + 3.0 * h * d))
 
 
 @pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
@@ -500,12 +514,13 @@ def test_node_slope_is_the_stencil_polynomials(z_lo):
     # inward at the ends, read on a real level's log hhat
     level = chidensity._DensityEngine(GRID_LAWS[z_lo])._level
     assert level.grid.z[0] == pytest.approx(z_lo, rel=1e-15)
-    x, y = level.spline.x, level.spline.y
+    x = level.grid.log_z
+    y, slopes = _node_values_and_slopes(level)
     n = x.size
     stencils = np.clip(np.arange(n) - 3, 0, n - 7)[:, None] + np.arange(7)
     want = [np.polyfit(x[s] - x[i], y[s], 6)[-2] for i, s in enumerate(stencils)]
     # slopes are at most 1 in size; a stencil one node off moves them by 1e-10
-    np.testing.assert_allclose(_node_slopes(level.spline), want, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(slopes, want, rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
@@ -516,18 +531,16 @@ def test_spline_is_exact_on_a_cubic_and_c1_on_a_level(z_lo):
     u = (x - x.mean()) / np.ptp(x)  # within [-1/2, 1/2]
     p = np.polynomial.Polynomial([1.0, 0.5, -0.3, 0.2])
     du = 1.0 / np.ptp(x)
-    spline = grid.spline(p(u))
     xj = u[:-1]
     want = (p.deriv(1)(xj) * du, p.deriv(2)(xj) * du**2 / 2, np.full(xj.size, p.coef[3] * du**3))
     # each coefficient's share of the value across its interval, against y ~ 1
-    for k, (got, coef) in enumerate(zip((spline.b, spline.c, spline.d), want), start=1):
+    for k, (got, coef) in enumerate(zip(grid.spline(p(u)), want), start=1):
         assert np.abs((got - coef) * h**k).max() < 1e-13, k
-    # a real level: each cubic meets the next in value and slope at their node
-    spline = chidensity._DensityEngine(GRID_LAWS[z_lo])._level.spline
-    b, c, d, y = spline.b, spline.c, spline.d, spline.y
-    end_value = y[:-1] + h * (b + h * (c + h * d))
+    # a real level: each cubic row meets the next in value and slope at their node
+    (_, y, b, c, d), h = _grid_rows(chidensity._DensityEngine(GRID_LAWS[z_lo])._level)
+    end_value = y + h * (b + h * (c + h * d))
     end_slope = b + h * (2.0 * c + 3.0 * h * d)
-    np.testing.assert_allclose(end_value, y[1:], rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(end_value[:-1], y[1:], rtol=1e-13, atol=1e-13)
     np.testing.assert_allclose(end_slope[:-1], b[1:], rtol=0, atol=1e-12)
 
 
@@ -547,7 +560,7 @@ def test_a_node_moves_only_the_intervals_within_four_nodes(z_lo):
         bumped[q] += 1e-3
         spline = grid.spline(bumped)
         moved = np.zeros(n - 1, dtype=bool)
-        for got, was in zip(spline[2:], base[2:]):
+        for got, was in zip(spline, base):
             moved |= got != was
         reached = (starts <= q) & (q < starts + 7)
         want = np.flatnonzero(reached[:-1] | reached[1:])
@@ -602,8 +615,9 @@ def test_truncated_left_chain_matches_full_chain(weights, monkeypatch):
     monkeypatch.setattr(chidensity, "_LEFT_CUT", math.inf)
     full = chidensity._DensityEngine(wnorm)
     z = np.geomspace(1e-12, 1e3, 200)
+    nodes = cut.grid.z, cut.grid.log_z  # the level at every node, the top one read from its last row
     for got, want in (
-        (np.exp(cut._level.spline.y), np.exp(full._level.spline.y)),
+        (np.exp(cut._level(*nodes)), np.exp(full._level(*nodes))),
         (cut.qhat, full.qhat),
         (cut.density(z), full.density(z)),
     ):
@@ -612,15 +626,13 @@ def test_truncated_left_chain_matches_full_chain(weights, monkeypatch):
 
 
 def _searched_level(level, z, lz):
-    """log hhat_k from the level's coefficients at a searched interval."""
-    sp = level.spline
-    j = np.clip(np.searchsorted(sp.x, lz) - 1, 0, sp.x.size - 2)
-    t = lz - sp.x[j]
-    out = sp.y[j] + t * (sp.b[j] + t * (sp.c[j] + t * sp.d[j]))
-    log_c, power, slope = level.small_z
-    below = lz < sp.x[0]
-    out[below] = (log_c + power * lz - slope * z)[below]
-    return out
+    """log hhat_k from the level's row at a searched node interval of
+    (0, z_0, z_1, ...): row 0 under the grid, row j + 1 on [z_j, z_{j+1}]."""
+    x, y, b, c, d, s = level.columns
+    log_z = level.grid.log_z
+    r = np.where(lz < log_z[0], 0, np.clip(np.searchsorted(log_z, lz), 1, log_z.size - 1))
+    t = lz - x[r]
+    return y[r] + t * (b[r] + t * (c[r] + t * d[r])) - s[r] * z
 
 
 @pytest.mark.parametrize(
