@@ -735,21 +735,22 @@ def density_lower_bound(s: Spectrum, z: float) -> tuple[float, float]:
 class ConstantTable:
     """Dimension-dependent constants of the tail-bound machinery.
 
-    beta is the coefficient of lambda_1^2, i.e. beta(lambda_1) =
-    lambda_1^2 * (log(8 C3) + d/4).
+    C1 and C2 are kept as their logs, which stay finite where C1 leaves
+    float64 (d ~ 310). beta is the coefficient of lambda_1^2, i.e.
+    beta(lambda_1) = lambda_1^2 * (log(8 C3) + d/4).
     """
 
     d: int
-    C1: float
-    C2: float
+    log_C1: float
+    log_C2: float
     C3: float
     C4_by_multiplicity: tuple[float, ...]
     C5: float
     beta: float
 
     def __post_init__(self):
-        vals = (self.C1, self.C2, self.C3, self.C5, self.beta) + tuple(self.C4_by_multiplicity)
-        if any(not math.isfinite(v) or v <= 0 for v in vals):
+        vals = (self.C3, self.C5, self.beta) + tuple(self.C4_by_multiplicity)
+        if not all(math.isfinite(v) for v in (self.log_C1, self.log_C2, *vals)) or min(vals) <= 0:
             raise ValidationError(f"constant table entries must be positive finite at d = {self.d}")
         if self.C3 <= 1:
             raise ValidationError(f"C3 must exceed 1, got {self.C3}")
@@ -788,7 +789,9 @@ def constants(d: int) -> ConstantTable:
 
     C1 and C2 envelope the exact ratio P{|Z| >= t} / (t^{d-2} e^{-t^2/2})
     over t in [2d, 200] with a 1% outward margin; only their existence is
-    guaranteed analytically, so the stored values are a calibration.
+    guaranteed analytically, so the stored values are a calibration. C3
+    is linear and leaves float64 from d ~ 780, where the table raises a
+    ValidationError that names d.
     """
     if d < 2:
         raise ValidationError(f"constant table requires d >= 2, got {d}")
@@ -798,12 +801,10 @@ def constants(d: int) -> ConstantTable:
     beta = math.log(8.0 * c3) + d / 4.0
     ts = np.geomspace(2 * d, 200.0, 2000)
     ratios = np.array([_tail_ratio_log(d, float(t)) for t in ts])
-    c1 = math.exp(float(ratios.min())) * 0.99
-    c2 = math.exp(float(ratios.max())) * 1.01
     return ConstantTable(
         d=d,
-        C1=c1,
-        C2=c2,
+        log_C1=float(ratios.min()) + math.log(0.99),
+        log_C2=float(ratios.max()) + math.log(1.01),
         C3=c3,
         C4_by_multiplicity=c4,
         C5=c5,

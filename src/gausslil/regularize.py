@@ -78,9 +78,9 @@ class DerivedConstants:
 @lru_cache(maxsize=None)
 def derived_constants(d: int) -> DerivedConstants:
     c = constants(d)
-    log_c2t = math.log(c.C2) + math.log(c.C3) + (d - 1) * math.log(2 * d)
+    log_c2t = c.log_C2 + math.log(c.C3) + (d - 1) * math.log(2 * d)
     log_c3t = (
-        math.log(c.C1 / 4.0) - d * math.log(2.0) - d * math.log(d) - 16.0 * d**3 - math.log(2.0)
+        c.log_C1 - math.log(4.0) - d * math.log(2.0) - d * math.log(d) - 16.0 * d**3 - math.log(2.0)
     )
     log_c4t = math.log(12.0) + math.log(c.C3) + 16.0 * d**3
     return DerivedConstants(

@@ -812,7 +812,7 @@ def test_constant_table_values():
         )
         assert c.beta == pytest.approx(math.log(8 * c.C3) + d / 4, rel=1e-13)
         assert c.C3 > 1
-        assert 0 < c.C1 <= c.C2
+        assert c.log_C1 <= c.log_C2
 
 
 def _partitions(n: int, largest: int):
@@ -846,10 +846,16 @@ def test_constants_at_high_dimension():
         want = mp.sqrt(2) + mp.sqrt(mp.pi) * (m / mp.e) ** half / mp.gamma(half + mp.mpf(1) / 2)
         assert chidensity._c4(m) == pytest.approx(float(want), rel=1e-12)
     c = constants(303)
-    assert math.isfinite(c.C3) and c.C3 > 1 and c.C1 > 0.0
-    # the calibrated C1 underflows from d ~ 310; the record names d
-    with pytest.raises(ValidationError, match="d = 320"):
-        constants(320)
+    assert math.isfinite(c.C3) and c.C3 > 1 and math.isfinite(c.log_C1)
+    # C1 and C2 are kept in logs: C1 itself underflows from d ~ 310
+    for d in (320, 770):
+        c = constants(d)
+        assert math.exp(c.log_C1) == 0.0 and math.isfinite(c.log_C1) and c.log_C1 <= c.log_C2
+    # C3 is linear: it overflows from d = 780, and the table (C5 and beta
+    # take log 8 C3) a little before; the record names d
+    assert math.isfinite(chidensity._c3(779))
+    with pytest.raises(ValidationError, match="d = 780"):
+        constants(780)
 
 
 def test_constants_rejects_d1():
@@ -866,7 +872,7 @@ def test_tail_ratio_sandwich_on_grid():
         for t in np.geomspace(2 * d, 40.0, 200):
             logp = log_chisq_norm_tail(d, float(t))
             shape = (d - 2) * math.log(t) - t * t / 2
-            assert math.log(c.C1) + shape <= logp <= math.log(c.C2) + shape
+            assert c.log_C1 + shape <= logp <= c.log_C2 + shape
 
 
 def test_tail_ratio_monotone_beyond_grid():
@@ -880,4 +886,4 @@ def test_tail_ratio_monotone_beyond_grid():
         diffs = np.diff(r)
         assert np.all(diffs <= 1e-12) or np.all(diffs >= -1e-12)
         c = constants(d)
-        assert math.log(c.C1) <= r[-1] <= math.log(c.C2)
+        assert c.log_C1 <= r[-1] <= c.log_C2
