@@ -223,17 +223,28 @@ class CovarianceSequence:
         """Each maximal slice of the non-decreasing indices ``ns`` (an array
         or a range) on which Gamma_n is one matrix, with its state.
 
-        The state never decreases in n, so each slice ends where a bisection
-        finds the state change.
+        The state never decreases in n, so a slice in the last index's
+        state runs to the end. Any other ends at the first state change
+        past its start: probes at start + 1, 2, 4, ... bracket it and a
+        bisection of the last bracket finds it, O(log L) state calls for a
+        slice of L indices, and the probe that ends a slice gives the next
+        one's state.
         """
         def state(i: int) -> int:
             return self.state(int(ns[i]))
 
-        stop = 0
-        while stop < len(ns):
-            start, s = stop, state(stop)
-            stop = bisect.bisect_right(range(len(ns)), s, lo=start, key=state)
+        if not len(ns):
+            return
+        end = len(ns) - 1
+        last, start, s = state(end), 0, state(0)
+        while s != last:
+            lo, hi = start, start + 1
+            while (after := state(hi)) == s:
+                lo, hi = hi, min(2 * hi - start, end)
+            stop = bisect.bisect_right(range(hi), s, lo=lo + 1, key=state)
             yield slice(start, stop), s
+            start, s = stop, after if stop == hi else state(stop)
+        yield slice(start, len(ns)), s
 
     def runs(self, ns):
         """The slices of ``states(ns)``, each with its state's spectrum."""

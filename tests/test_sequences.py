@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -156,6 +157,47 @@ def test_runs_partition_the_indices_by_state(cross_dist):
     ns = np.arange(2, 301)
     assert [(ns[sl][0], ns[sl][-1]) for sl, _ in seqs[0].runs(ns)] == [(2, 11), (12, 44), (45, 300)]
     assert list(seqs[1].runs(range(3, 3))) == []
+
+
+def _bisected_states(seq, ns):
+    """The slices of states(ns) by a bisection from each start to the end of ns."""
+    def state(i):
+        return seq.state(int(ns[i]))
+
+    stop = 0
+    while stop < len(ns):
+        start, s = stop, state(stop)
+        stop = bisect.bisect_right(range(len(ns)), s, lo=start, key=state)
+        yield slice(start, stop), s
+
+
+def test_states_gallop_to_each_state_change(cross_dist, monkeypatch):
+    # a table of 2,000 matrices changes state at every index: the probe at
+    # start + 1 ends each slice and reads the next one's state, where a
+    # bisection to the end of ns took about 11 state calls per index
+    table = CovarianceSequence.tabulated([np.eye(2) * (k + 1) for k in range(2000)])
+    calls = []
+    state = table.state
+    monkeypatch.setattr(table, "state", lambda n: calls.append(n) or state(n))
+    ns = range(1, 2001)
+    assert list(table.states(ns)) == [(slice(i, i + 1), i) for i in range(2000)]
+    assert len(calls) <= 2 * len(ns)
+    monkeypatch.undo()
+    truncated = [
+        CovarianceSequence.truncated(cross_dist, CutoffFamily(kind="sqrt_n", scale=scale))
+        for scale in (0.3, 1.0, 0.01)
+    ]
+    steps = CovarianceSequence.tabulated([np.eye(2) * (k // 37 + 1) for k in range(500)])
+    cases = [
+        (CovarianceSequence.constant(np.eye(2)), [range(5, 10**9 + 1), np.arange(1, 2), range(3, 3)]),
+        *((seq, [np.arange(2, 301), range(1, 5000), np.unique(np.geomspace(1, 10**6, 300).astype(int))])
+          for seq in truncated),
+        (table, [range(1, 2001), np.arange(7, 1200, 13)]),
+        (steps, [range(1, 501), np.arange(3, 500, 5), range(40, 75)]),
+    ]
+    for seq, index_sets in cases:
+        for ns in index_sets:
+            assert list(seq.states(ns)) == list(_bisected_states(seq, ns))
 
 
 def test_cutoff_window_report(cross_dist):
