@@ -18,7 +18,11 @@ the number of pairs the change won (strictly better, in the metric's own
 direction: ``BENCHMARK.json``'s for perfbench, higher for ``*_per_s``
 rows of time_builds and lower for the rest). Each perfbench side also
 records whether every run was ``correct`` and the failed share of its
-jobs. ``machine`` records the host, and the load average before and after.
+jobs. ``time_builds_vs_control`` holds each time_builds timing as its
+ratio to CONTROL in the same run (times divided by it, ``*_per_s`` rows
+multiplied by it), summarized the same way: a switch of the host's speed
+between runs moves a row and CONTROL alike, and so cancels in the ratio.
+``machine`` records the host, and the load average before and after.
 Needs only the standard library and the checkouts' own requirements.
 """
 from __future__ import annotations
@@ -36,6 +40,7 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent
 SIDES = ("parent", "change")
 PAIRS = 10  # a gain is read as at least 9 wins in 10 pairs
+CONTROL = "eigh_us.8"  # a time_builds row that neither the engine nor the series code reaches
 
 
 def quartiles(values: list[float]) -> dict:
@@ -52,6 +57,19 @@ def flatten(record: dict, prefix: str = "") -> dict[str, float]:
             out.update(flatten(value, name + "."))
         elif isinstance(value, (int, float)) and key not in ("repeats", "mix_builds"):
             out[name] = float(value)
+    return out
+
+
+def versus_control(run: dict[str, float]) -> dict[str, float]:
+    """The run's timing rows, each in units of its CONTROL row."""
+    control = run[CONTROL]
+    out = {}
+    for name, value in run.items():
+        kind = name.split(".")[0]
+        if kind.endswith("_per_s"):
+            out[name] = value * control
+        elif kind.endswith(("_ms", "_us")) and name != CONTROL:
+            out[name] = value / control
     return out
 
 
@@ -148,6 +166,7 @@ def main() -> None:
             },
         }
     build_better = {name: "higher" if name.endswith("_per_s") else "lower" for name in builds["change"][0]}
+    versus = {side: [versus_control(r) for r in builds[side]] for side in SIDES}
     record = {
         **{side: {"dir": roots[side].name, "commit": git_commit(roots[side])} for side in SIDES},
         "pairs": PAIRS,
@@ -155,6 +174,7 @@ def main() -> None:
         "machine": {**start, "loadavg_after": list(os.getloadavg())},
         "perfbench": perfbench,
         "time_builds": summarize(builds, build_better),
+        "time_builds_vs_control": {"control": CONTROL, "rows": summarize(versus, build_better)},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
