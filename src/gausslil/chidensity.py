@@ -312,7 +312,7 @@ class _LogLevel:
         columns[:, 0] = 0.0, log_c, power, 0.0, 0.0, slope
         columns[0, 1:] = grid.log_z[:-1]
         columns[1, 1:] = y[:-1]
-        columns[2:5, 1:] = grid.spline(y)
+        columns[2, 1:], columns[3, 1:], columns[4, 1:] = grid.spline(y)
         return cls(grid, columns)
 
     @classmethod
@@ -523,9 +523,9 @@ class _DensityEngine:
 
     def density(self, z: np.ndarray) -> np.ndarray:
         """Density of sum w_i eta_i^2 on the normalized scale."""
-        # z = 0 (an underflowed z / lambda_1^2) has log -inf, which lies under
-        # the grid: row 0 reads the limit there, after the cubic rows have
-        # read it as NaN wherever d = 0 (a single block)
+        # z = 0 (an underflowed z / lambda_1^2) has log -inf, under the grid:
+        # row 0 gives the limit there, over the NaN that the cubic rows read
+        # wherever d = 0 (a single block)
         with np.errstate(divide="ignore", invalid="ignore"):
             log_h = self.log_hhat(z, np.log(z))
         return np.exp(log_h - 0.5 * z)
@@ -790,7 +790,8 @@ def constants(d: int) -> ConstantTable:
     C1 and C2 envelope the exact ratio P{|Z| >= t} / (t^{d-2} e^{-t^2/2})
     over t in [2d, 200] with a 1% outward margin; only their existence is
     guaranteed analytically, so the stored values are a calibration. C3
-    is linear and leaves float64 from d ~ 780, where the table raises a
+    is linear: 8 C3, whose log C5 and beta take, leaves float64 from
+    d = 778 (C3 itself from 780), and there the table raises a
     ValidationError that names d.
     """
     if d < 2:

@@ -848,14 +848,15 @@ def test_constants_at_high_dimension():
     c = constants(303)
     assert math.isfinite(c.C3) and c.C3 > 1 and math.isfinite(c.log_C1)
     # C1 and C2 are kept in logs: C1 itself underflows from d ~ 310
-    for d in (320, 770):
+    for d in (320, 777):
         c = constants(d)
         assert math.exp(c.log_C1) == 0.0 and math.isfinite(c.log_C1) and c.log_C1 <= c.log_C2
-    # C3 is linear: it overflows from d = 780, and the table (C5 and beta
-    # take log 8 C3) a little before; the record names d
+    # C3 is linear: 8 C3, which C5 and beta take the log of, overflows from
+    # d = 778 and C3 itself from 780; the record names d
     assert math.isfinite(chidensity._c3(779))
-    with pytest.raises(ValidationError, match="d = 780"):
-        constants(780)
+    for d in (778, 780):
+        with pytest.raises(ValidationError, match=f"d = {d}"):
+            constants(d)
 
 
 def test_constants_rejects_d1():

@@ -104,8 +104,8 @@ def test_bounds_verify_compares_logs_past_the_underflow_edge(tmp_path):
 def test_bounds_verify_at_high_dimension(tmp_path, capsys, dim, code):
     # 260 equal weights: z^{d1/2 - 1} of the density bound alone leaves
     # float64, so the bound is computed in logs; so are C1 and C2, which
-    # leave it from d ~ 310; from d = 780 C3 overflows, a validation record
-    # that names d
+    # leave it from d ~ 310; from d = 778 the linear C3 overflows the table,
+    # a validation record that names d
     cfg = {"weights": [1.0] * dim, "z": [200.0, 260.0, 330.0]}
     got, out = run_cli(tmp_path, "bounds-verify", cfg)
     assert got == code
