@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -350,7 +351,7 @@ def _count_builds(monkeypatch, size):
             builds.append(wnorm)
             super().__init__(wnorm)
 
-    monkeypatch.setattr(chidensity, "_ENGINES", {})
+    monkeypatch.setattr(chidensity, "_ENGINES", OrderedDict())
     monkeypatch.setattr(chidensity, "_ENGINE_CACHE_SIZE", size)
     monkeypatch.setattr(chidensity, "_DensityEngine", Counting)
     return builds
@@ -386,6 +387,33 @@ def test_deep_tail_is_the_exp_of_its_log():
         assert weighted_shell_probability(w, t, 2.0 * t) == math.exp(shell)
 
 
+@pytest.mark.filterwarnings("error")
+def test_many_equal_weights_give_a_finite_tail_or_numeric_error():
+    # one block of m: the table holds hhat e^{-(z - z_j)/2} in one exp, so
+    # it stays finite up to the top node's Q e^{z/2}, which leaves float64
+    # from m = 962 (953..961 once read inf, after two RuntimeWarnings)
+    for m in range(940, 963):
+        w = WeightedChiSquare.from_weights([1.0] * m)
+        if m == 962:
+            with pytest.raises(NumericError, match="overflows float64"):
+                log_weighted_norm_tail(w, 31.0)
+            continue
+        got = log_weighted_norm_tail(w, 31.0)
+        assert math.isfinite(got) and got <= 0.0, m
+        assert got == pytest.approx(log_chisq_norm_tail(m, 31.0), rel=0, abs=1e-12), m
+
+
+def test_a_non_finite_tail_table_is_refused(monkeypatch):
+    integrals = chidensity._DensityEngine._integrals
+
+    def overflowing(a, b, form):  # the top intervals' pieces leave float64
+        return integrals(a, b, form) * np.where(np.ravel(a) > 1e3, np.inf, 1.0)
+
+    monkeypatch.setattr(chidensity._DensityEngine, "_integrals", staticmethod(overflowing))
+    with pytest.raises(NumericError, match="tail table overflows float64"):
+        chidensity._DensityEngine((1.0, 0.5))
+
+
 def test_infinite_threshold_gives_a_zero_tail():
     # t^2 / lambda_1^2 overflows to inf for t = 1e200, as for t = inf
     w = WeightedChiSquare.from_weights([1.0, 0.5])
@@ -413,9 +441,8 @@ def test_local_form_is_log_hhat_inside_each_node_interval(local_form_engine):
     lz = np.log(z)
     local = []
     for k in range(z.size):
-        x, y, b, c, d, s = eng._form(k)
-        t = lz[k] - x
-        local.append(y + t * (b + t * (c + t * d)) - s * z[k])
+        x, a, s = eng._form(k)
+        local.append(np.polynomial.polynomial.polyval(lz[k] - x, a) - s * z[k])
     np.testing.assert_allclose(local, eng.log_hhat(z, lz), rtol=0, atol=1e-13)
 
 
@@ -491,82 +518,80 @@ GRID_LAWS = {1e-6: (1.0, 0.9, 0.6, 0.3), 1e-9: (1.0, 0.5, 1e-6), 1e-30: (1.0, 0.
 GRID_IDS = ["shared", "own", "floor"]
 
 
-def _grid_rows(level):
-    """The level's cubic rows 1.. (x, y, b, c, d), one per grid interval, and their widths."""
-    x, y, b, c, d, s = level.columns
-    assert np.all(s[1:] == 0.0)
-    np.testing.assert_array_equal(x[1:], level.grid.log_z[:-1])
-    return (x[1:], y[1:], b[1:], c[1:], d[1:]), np.diff(level.grid.log_z)
-
-
-def _node_values_and_slopes(level):
-    """log hhat_k and its slope at every node: y and b of the row that
-    starts there, and the last row's value and slope at its end."""
-    (_, y, b, c, d), h = _grid_rows(level)
-    h, c, d = h[-1], c[-1], d[-1]
-    y_end = y[-1] + h * (b[-1] + h * (c + h * d))
-    return np.append(y, y_end), np.append(b, b[-1] + h * (2.0 * c + 3.0 * h * d))
+def _stencils(n):
+    """Interval j's eight stencil nodes: j-3..j+4, moved inward at the grid's ends."""
+    return np.clip(np.arange(n - 1) - 3, 0, n - 8)[:, None] + np.arange(8)
 
 
 @pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
-def test_node_slope_is_the_stencil_polynomials(z_lo):
-    # node i's slope is that of the sextic through nodes i-3..i+3, moved
-    # inward at the ends, read on a real level's log hhat
+def test_interval_coefficients_are_the_polyfit_through_its_stencil(z_lo):
+    # a real level's rows 1..: y_j and a_1..a_7 are the coefficients, in
+    # t = log z - log z_j, of the degree-7 polynomial through its stencil's
+    # node values of log hhat
     level = chidensity._DensityEngine(GRID_LAWS[z_lo])._level
-    assert level.grid.z[0] == pytest.approx(z_lo, rel=1e-15)
-    x = level.grid.log_z
-    y, slopes = _node_values_and_slopes(level)
-    n = x.size
-    stencils = np.clip(np.arange(n) - 3, 0, n - 7)[:, None] + np.arange(7)
-    want = [np.polyfit(x[s] - x[i], y[s], 6)[-2] for i, s in enumerate(stencils)]
-    # slopes are at most 1 in size; a stencil one node off moves them by 1e-10
-    np.testing.assert_allclose(slopes, want, rtol=0, atol=1e-11)
+    grid = level.grid
+    assert grid.z[0] == pytest.approx(z_lo, rel=1e-15)
+    x = grid.log_z
+    np.testing.assert_array_equal(grid.x[1:], x[:-1])
+    y = level(grid.z, x)  # the top node is read from the last row's end
+    h = np.diff(x)
+    want = np.array([np.polyfit(x[s] - x[j], y[s], 7)[::-1] for j, s in enumerate(_stencils(x.size))]).T
+    np.testing.assert_allclose(level.coefs[0, 1:], y[:-1], rtol=0, atol=1e-13)
+    # each coefficient's share of the value across its interval, against
+    # |y| up to 15; a stencil one node off moves some share by 1e-9 or more
+    for m in range(1, 8):
+        np.testing.assert_allclose(level.coefs[m, 1:] * h**m, want[m] * h**m, rtol=0, atol=1e-12, err_msg=m)
 
 
 @pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
-def test_spline_is_exact_on_a_cubic_and_c1_on_a_level(z_lo):
+def test_level_is_exact_on_a_degree_7_polynomial(z_lo):
     grid = chidensity._log_grid(z_lo)
     x = grid.log_z
     h = np.diff(x)
-    u = (x - x.mean()) / np.ptp(x)  # within [-1/2, 1/2]
-    p = np.polynomial.Polynomial([1.0, 0.5, -0.3, 0.2])
-    du = 1.0 / np.ptp(x)
-    xj = u[:-1]
-    want = (p.deriv(1)(xj) * du, p.deriv(2)(xj) * du**2 / 2, np.full(xj.size, p.coef[3] * du**3))
-    # each coefficient's share of the value across its interval, against y ~ 1
-    for k, (got, coef) in enumerate(zip(grid.spline(p(u)), want), start=1):
-        assert np.abs((got - coef) * h**k).max() < 1e-13, k
-    # a real level: each cubic row meets the next in value and slope at their node
-    (_, y, b, c, d), h = _grid_rows(chidensity._DensityEngine(GRID_LAWS[z_lo])._level)
-    end_value = y + h * (b + h * (c + h * d))
-    end_slope = b + h * (2.0 * c + 3.0 * h * d)
-    np.testing.assert_allclose(end_value[:-1], y[1:], rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(end_slope[:-1], b[1:], rtol=0, atol=1e-12)
+    p = np.polynomial.Polynomial(1.0 / np.array([math.factorial(m) for m in range(8)]))
+    du = 10.0 / np.ptp(x)
+    u = du * (x - x.mean())  # within [-5, 5], so every power counts
+    coefs = grid.coefficients(p(u))
+    for m in range(1, 8):  # the Taylor coefficients of p(u(log z)) at each interval's start
+        want = p.deriv(m)(u[:-1]) * du**m / math.factorial(m)
+        assert np.abs((coefs[m - 1] - want) * h**m).max() < 1e-11, m
+    # the level reads p to rounding inside every interval, on both segments
+    level = chidensity._LogLevel.on_nodes(grid, p(u), (0.0, 0.0, 0.0))
+    lz = (x[:-1, None] + h[:, None] * np.array([0.1, 0.5, 0.9])).ravel()
+    np.testing.assert_allclose(level(np.exp(lz), lz), p(du * (lz - x.mean())), rtol=1e-13, atol=1e-14)
 
 
 @pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
-def test_a_node_moves_only_the_intervals_within_four_nodes(z_lo):
-    # no global solve: y at node q reaches the slopes of the nodes whose
-    # stencils hold it, and so, to the bit, the cubics on the intervals
-    # that end at one of them and no others; away from the grid's ends,
-    # intervals q-4..q+3
+def test_a_node_moves_only_the_intervals_whose_stencil_holds_it(z_lo):
+    # no global solve: y at node q reaches, to the bit, the polynomials of
+    # the intervals whose stencils hold it and no others; away from the
+    # grid's ends, intervals q-4..q+3
     grid = chidensity._log_grid(z_lo)
     n = grid.z.size
-    starts = np.clip(np.arange(n) - 3, 0, n - 7)
+    holds = _stencils(n)
     y = np.log1p(grid.z)
-    base = grid.spline(y)
-    for q in (0, 2, 5, 6, 7, 89, 90, n // 2, n - 8, n - 6, n - 1):
+    base = grid.coefficients(y)
+    for q in (0, 2, 3, 6, 7, 8, 29, 30, 31, n // 2, n - 9, n - 8, n - 7, n - 2, n - 1):
         bumped = y.copy()
         bumped[q] += 1e-3
-        spline = grid.spline(bumped)
-        moved = np.zeros(n - 1, dtype=bool)
-        for got, was in zip(spline, base):
-            moved |= got != was
-        reached = (starts <= q) & (q < starts + 7)
-        want = np.flatnonzero(reached[:-1] | reached[1:])
-        assert np.array_equal(np.flatnonzero(moved), want), q
-        if 6 < q < n - 7:  # every stencil that holds q is centred
+        moved = np.flatnonzero((grid.coefficients(bumped) != base).any(axis=0))
+        want = np.flatnonzero((holds == q).any(axis=1))
+        assert np.array_equal(moved, want), q
+        if 8 <= q <= n - 9:  # every stencil that holds q is centred
             assert np.array_equal(want, np.arange(q - 4, q + 4)), q
+
+
+def test_lower_segment_steps_above_the_upper_segment():
+    # _LogGrid.interval takes the larger of the two segments' affine maps,
+    # which is the right one only while the lower segment has the longer step
+    lower = math.log(chidensity._GRID_MID / chidensity._GRID_LO) / chidensity._GRID_N_LO
+    assert lower > chidensity._GRID_LOG_STEP
+    n_lo = chidensity._GRID_N_LO
+    for z_lo in GRID_LAWS:
+        h = np.diff(chidensity._log_grid(z_lo).log_z)
+        assert h[:n_lo].min() > 2.0 * h[n_lo:].max()
+    grid = chidensity._log_grid(1e-6)
+    assert grid.z.size == 263 and grid.nodes[-1] == grid.z[-1 - chidensity._GRID_PAST_TOP]
 
 
 def test_engines_on_one_grid_start_share_one_grid():
@@ -628,11 +653,11 @@ def test_truncated_left_chain_matches_full_chain(weights, monkeypatch):
 def _searched_level(level, z, lz):
     """log hhat_k from the level's row at a searched node interval of
     (0, z_0, z_1, ...): row 0 under the grid, row j + 1 on [z_j, z_{j+1}]."""
-    x, y, b, c, d, s = level.columns
     log_z = level.grid.log_z
     r = np.where(lz < log_z[0], 0, np.clip(np.searchsorted(log_z, lz), 1, log_z.size - 1))
-    t = lz - x[r]
-    return y[r] + t * (b[r] + t * (c[r] + t * d[r])) - s[r] * z
+    t = lz - level.grid.x[r]
+    a = level.coefs[:, r]
+    return sum(a[m] * t**m for m in range(8)) - np.where(r == 0, level.slope, 0.0) * z
 
 
 @pytest.mark.parametrize(

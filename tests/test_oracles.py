@@ -1,15 +1,16 @@
 """The engine against the exact oracles of ``tests/oracles.py``.
 
 The sweep holds every density, tail and shell to the accuracy the README
-states for the engine, rel 2e-9 per convolution level, over z in [1e-6,
+states for the engine, rel 5e-10 per convolution level, over z in [1e-6,
 1e3] lambda_1^2 and t <= 39 lambda_1 (tails and shells in logs, which
-stay finite where the values underflow past 38.6 lambda_1), on the shared grid and on grids of
-their own, for laws of up to eight distinct weights. Its vectors repeat
-each weight, so the law has the hypoexponential closed form; small
-weights put the turnover of their levels low on the grid, where a grid
-sized by hand was least accurate, and close weights near the top put
-large cancelling turnovers high on it, where the error per level is
-largest.
+stay finite where the values underflow past 38.6 lambda_1), on the shared
+grid and on grids of their own, for laws of up to 32 distinct weights.
+Its vectors repeat each weight, so the law has the hypoexponential closed
+form; small weights put the turnover of their levels low on the grid,
+where a grid sized by hand was least accurate, and close weights near the
+top put large cancelling turnovers high on it, where the error per level
+is largest. The 16- and 32-weight laws run on every fourth z and t, which
+keeps the mpmath sums of their closed form to a few seconds.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from gausslil.chidensity import (
 )
 from gausslil.spectral import eigh
 
-STATED_RTOL_PER_LEVEL = 2e-9  # README, "Numerical notes": densities, tails and shells
+STATED_RTOL_PER_LEVEL = 5e-10  # README, "Numerical notes": densities, tails and shells
 
 SWEEP = [
     [1.0, 0.5],
@@ -50,6 +51,7 @@ OWN_GRID = [  # smallest weight below 1e-3
     [1.0, 0.6, 1e-7],
     [1.0, 0.95, 0.9, 0.8, 0.6, 0.3, 1e-4, 5e-5],
 ]
+WIDE = [np.linspace(1.0, 0.1, 16).tolist(), np.linspace(1.0, 0.1, 32).tolist()]
 Z_OVER_LAMBDA1_SQ = np.geomspace(1e-6, 1e3, 397)
 T_OVER_LAMBDA1 = np.geomspace(0.01, 39.0, 160)
 SHELL_RATIO = 1.05
@@ -76,19 +78,18 @@ def stated_rtol(weights):
     return STATED_RTOL_PER_LEVEL * max(1, len(set(weights)) - 1)
 
 
-@pytest.mark.parametrize("v", SWEEP + OWN_GRID, ids=lambda v: "-".join(f"{x:g}" for x in v))
-def test_engine_meets_stated_accuracy_against_hypoexponential_law(v):
+def _assert_stated_accuracy(v, z_over_lambda1_sq, t_over_lambda1):
     scale = 2.5  # lambda_1^2, so the sweep runs off the normalized scale too
     weights = [scale * x for x in doubled(v)]
     w = WeightedChiSquare.from_weights(weights)
     lam1 = math.sqrt(scale)
-    zs = Z_OVER_LAMBDA1_SQ * scale
+    zs = z_over_lambda1_sq * scale
     rtol = stated_rtol(v)
     dens = weighted_density(w, zs)
     worst = max(rel_err(h, hypoexp_density(weights, z)) for h, z in zip(dens, zs))
     assert worst <= rtol, ("density", worst)
     worst_tail = worst_shell = 0.0
-    for t in T_OVER_LAMBDA1 * lam1:
+    for t in t_over_lambda1 * lam1:
         t_hi = SHELL_RATIO * t
         want = hypoexp_log_tail(weights, t * t)
         worst_tail = max(worst_tail, log_rel_err(log_weighted_norm_tail(w, t), want))
@@ -96,6 +97,17 @@ def test_engine_meets_stated_accuracy_against_hypoexponential_law(v):
         worst_shell = max(worst_shell, log_rel_err(log_weighted_shell_probability(w, t, t_hi), want))
     assert worst_tail <= rtol, ("tail", worst_tail)
     assert worst_shell <= rtol, ("shell", worst_shell)
+
+
+@pytest.mark.parametrize("v", SWEEP + OWN_GRID, ids=lambda v: "-".join(f"{x:g}" for x in v))
+def test_engine_meets_stated_accuracy_against_hypoexponential_law(v):
+    _assert_stated_accuracy(v, Z_OVER_LAMBDA1_SQ, T_OVER_LAMBDA1)
+
+
+@pytest.mark.parametrize("v", WIDE, ids=["d16", "d32"])
+def test_wide_laws_meet_stated_accuracy(v):
+    # every fourth point, with both ends of each range
+    _assert_stated_accuracy(v, Z_OVER_LAMBDA1_SQ[::4], np.append(T_OVER_LAMBDA1[::4], T_OVER_LAMBDA1[-1]))
 
 
 @pytest.mark.parametrize("v", [[1.0, 0.5], [1.0, 0.01], [1.0, 0.7, 0.3], [1.0, 0.9, 0.6, 0.2, 0.08]])

@@ -19,9 +19,11 @@ direction: ``BENCHMARK.json``'s for perfbench, higher for ``*_per_s``
 rows of time_builds and lower for the rest). Each perfbench side also
 records whether every run was ``correct`` and the failed share of its
 jobs. ``time_builds_vs_control`` holds each time_builds timing as its
-ratio to CONTROL in the same run (times divided by it, ``*_per_s`` rows
-multiplied by it), summarized the same way: a switch of the host's speed
-between runs moves a row and CONTROL alike, and so cancels in the ratio.
+ratio to the geometric mean of the CONTROL rows in the same run (times
+divided by it, ``*_per_s`` rows multiplied by it), summarized the same
+way: a switch of the host's speed between runs moves a row and the
+control alike, and so cancels in the ratio, and a mean of several rows
+spreads less than any one of them.
 ``machine`` records the host, and the load average before and after.
 Needs only the standard library and the checkouts' own requirements.
 """
@@ -40,7 +42,7 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parent
 SIDES = ("parent", "change")
 PAIRS = 10  # a gain is read as at least 9 wins in 10 pairs
-CONTROL = "eigh_us.8"  # a time_builds row that neither the engine nor the series code reaches
+CONTROL = "eigh_us"  # time_builds rows that neither the engine nor the series code reaches
 
 
 def quartiles(values: list[float]) -> dict:
@@ -61,14 +63,14 @@ def flatten(record: dict, prefix: str = "") -> dict[str, float]:
 
 
 def versus_control(run: dict[str, float]) -> dict[str, float]:
-    """The run's timing rows, each in units of its CONTROL row."""
-    control = run[CONTROL]
+    """The run's timing rows, each in units of the geometric mean of its CONTROL rows."""
+    control = statistics.geometric_mean(v for k, v in run.items() if k.split(".")[0] == CONTROL)
     out = {}
     for name, value in run.items():
         kind = name.split(".")[0]
         if kind.endswith("_per_s"):
             out[name] = value * control
-        elif kind.endswith(("_ms", "_us")) and name != CONTROL:
+        elif kind.endswith(("_ms", "_us")) and kind != CONTROL:
             out[name] = value / control
     return out
 

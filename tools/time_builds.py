@@ -17,10 +17,15 @@ Prints one JSON line:
   out;
 - ``grid_nodes``: the number of nodes of the shared grid;
 - ``grid_ms``: the median time of building the grid of its own that
-  starts at OWN_GRID_START (1,077 nodes), over LAYER_REPEATS builds;
-- ``spline_us``: the median time of one level's cubic Hermite build on the
-  shared grid (each node's slope from its seven-point stencil, then the
-  interval coefficients), over LAYER_REPEATS calls;
+  starts at OWN_GRID_START (363 nodes), over LAYER_REPEATS builds;
+- ``level_us``: the median time of one level's coefficient fill on the
+  shared grid (each interval's degree-7 coefficients from its eight-node
+  stencil, one matrix product per interval), over LAYER_REPEATS calls;
+- ``engine_bytes``: the bytes of the arrays that an engine of
+  linspace(1, 0.1, 8) holds of its own, outside its shared grid (the
+  level's table of local forms, the node table's interval integrals and
+  suffix tails, the block arrays), each array counted once however many
+  views of it the engine keeps;
 - ``tail_us`` and ``shell_us``: the time of one warm scalar query on
   linspace(1, 0.1, 8), ``weighted_norm_tail`` at t and
   ``weighted_shell_probability`` on [t, 1.05 t], averaged over the
@@ -137,6 +142,20 @@ def series_sequences(sequences) -> dict:
     }
 
 
+def own_bytes(engine) -> int:
+    """Bytes of the arrays that an engine and its top level hold, less its grid's."""
+
+    def arrays(obj):
+        for value in vars(obj).values():
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    yield a if a.base is None else a.base
+
+    shared = {id(a) for a in arrays(engine.grid)}
+    own = {id(a): a for obj in (engine, engine._level) for a in arrays(obj) if id(a) not in shared}
+    return sum(a.nbytes for a in own.values())
+
+
 def cold_constants(chidensity, regularize, d: int) -> None:
     for memo in (regularize.derived_constants, chidensity.constants, chidensity._c3):
         memo.cache_clear()
@@ -164,8 +183,10 @@ def main() -> None:
             own_ms[f"{smallest:g}/{d}"] = round(median_ms(engine, (wnorm,), REPEATS), 2)
     grid = chidensity._log_grid(chidensity._GRID_LO)
     grid_ms = median_ms(chidensity._LogGrid, (OWN_GRID_START,), LAYER_REPEATS)
-    spline_us = 1e3 * median_ms(grid.spline, (np.log1p(grid.z),), LAYER_REPEATS)
+    fill = (grid, np.log1p(grid.z), (0.0, 0.0, 0.0))
+    level_us = 1e3 * median_ms(chidensity._LogLevel.on_nodes, fill, LAYER_REPEATS)
     w8 = chidensity.WeightedChiSquare.from_weights(np.linspace(1.0, 0.1, 8))
+    engine_bytes = own_bytes(engine(w8.normalized()))
     query_us = {}
     for prefix, ts in (("", QUERY_T), ("deep_", DEEP_T)):
         for kind, query, calls in (
@@ -222,7 +243,8 @@ def main() -> None:
                 "own_grid_build_ms": own_ms,
                 "grid_nodes": int(grid.z.size),
                 "grid_ms": round(grid_ms, 3),
-                "spline_us": round(spline_us, 1),
+                "level_us": round(level_us, 1),
+                "engine_bytes": engine_bytes,
                 **query_us,
                 "lemma_us": lemma_us,
                 "eigh_us": eigh_us,
