@@ -62,8 +62,8 @@ _NEGLIGIBLE_WEIGHT = 1e-16 * _GRID_FLOOR
 # above the upper one (see _LogGrid.interval). On each node interval a level
 # is the degree-7 polynomial through its eight nearest nodes, O(h^8) off in
 # the log step h (de Boor, A Practical Guide to Splines, 2001), and the error
-# adds up over the levels; _GRID_LOG_STEP keeps the oracle sweep's worst
-# error per level, 2.4e-10 to 32 distinct weights, at 0.5 of the README's.
+# adds up over the levels; _GRID_LOG_STEP keeps the worst error per level
+# seen, 3.4e-10 (32 weights in [0.7, 1]), at 0.7 of the README's bound.
 _GRID_MID = 2e-4
 _GRID_N_LO = 30
 _GRID_LOG_STEP = 0.0693
