@@ -589,7 +589,7 @@ def test_lower_segment_steps_above_the_upper_segment():
     n_lo = chidensity._GRID_N_LO
     for z_lo in GRID_LAWS:
         h = np.diff(chidensity._log_grid(z_lo).log_z)
-        assert h[:n_lo].min() > 2.0 * h[n_lo:].max()
+        assert h[:n_lo].min() > h[n_lo:].max()
     grid = chidensity._log_grid(1e-6)
     assert grid.z.size == 263 and grid.nodes[-1] == grid.z[-1 - chidensity._GRID_PAST_TOP]
 
