@@ -16,13 +16,14 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .quadrature import KronrodChain, gauss_legendre
+from .quadrature import KronrodChain, gauss_legendre, kronrod_panel, kronrod_reduce
 from .special import chisq_density, chisq_norm_tail, log_chisq_norm_tail
-from .spectral import Spectrum, group_descending, log_zolotarev
+from .spectral import Spectrum, group_descending, log_leading, log_zolotarev
 
 __all__ = [
     "WeightedChiSquare",
@@ -73,8 +74,8 @@ _GRID_HI = _UNDERFLOW_X + _TAIL_WINDOW  # the table's top node is the first at o
 _GRID_PAST_TOP = 3
 _KRONROD_RTOL = 1e-6  # largest accepted error estimate of a convolution level
 _ENGINE_CACHE_SIZE = 32  # engines kept, least recently used dropped first
-# The left half of level k stops where delta_k u^2 reaches _LEFT_CUT + 2 m_k
-# (see _left_chain).
+# The left half of level k stops at the first knot of its chain where
+# delta_k u^2 reaches _LEFT_CUT + 2 m_k (see _left_chain).
 _LEFT_CUT = 60.0
 
 
@@ -130,10 +131,11 @@ class _LogGrid:
 
     Kept here: each interval's stencil and coefficient matrix
     (_local_stencils) and x, the origin of each row's local form (see
-    _LogLevel); the right half's Kronrod points, which depend on the nodes
-    alone (see _DensityEngine._build); and the node table's nodes, also as
-    a list for a scalar query's bisection, with the decay tables of its
-    suffix tails. Engines on the _GRID_LO grid share one (_log_grid).
+    _LogLevel); the node table's nodes, also as a list for a scalar
+    query's bisection, with the decay tables of its suffix tails; and, on
+    the shared grid only, the Kronrod points of both halves of a level,
+    which depend on the nodes alone (``kronrod``, see _KronrodPoints).
+    Engines on the _GRID_LO grid share one (_log_grid).
     """
 
     def __init__(self, z_lo: float):
@@ -159,7 +161,7 @@ class _LogGrid:
         # each row i integrates over u in [0, sqrt(z_i / 2)]
         self.u_hi = np.sqrt(0.5 * self.z)
         self.u_max = float(self.u_hi[-1])
-        self.right = _RightHalf(self)
+        self.kronrod: _KronrodPoints | None = None
 
     def interval(self, lz: np.ndarray) -> np.ndarray:
         """Index j of the interval [log z_j, log z_{j+1}] that holds lz.
@@ -231,33 +233,153 @@ def _scan_tables(coef: np.ndarray) -> list[np.ndarray]:
     return tables
 
 
+def _locate(grid: _LogGrid, z: np.ndarray, lz: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Where a level is read at z, lz = log z, as _LogLevel.at takes it:
+    interval j (as int32) at t = lz - log z_j, and the flat indices below
+    the grid with their z and lz."""
+    j = grid.interval(lz)
+    below = np.flatnonzero(lz < grid.log_lo)
+    return j.astype(np.int32), lz - grid.log_z[j], below, z.flat[below], lz.flat[below]
+
+
 class _RightHalf:
     """The right half's Kronrod points on a grid, shared by every level.
 
     Row i takes v = z_i - u^2 over u in [0, sqrt(z_i / 2)] on the chain
     [0, s], [s, 2s], [2s, 4s], s = u_max / 4. Kept per point: log u, v,
-    log v, and where y = u^2 lies on the grid (read at log y = 2 log u):
-    interval j at t = log y - log z_j, or, for the flat indices ``below``,
-    under the grid at below_y and below_ly.
+    log v, and where y = u^2 lies on the grid (read at log y = 2 log u).
     """
 
     def __init__(self, grid: _LogGrid):
-        self.chain = KronrodChain(0.25 * grid.u_max, grid.u_hi)
-        self.rows, u, self.width = self.chain.points()
+        self.rows, u, self.width = KronrodChain(0.25 * grid.u_max, grid.u_hi).points()
         self.log_u = np.log(u)
         y = u * u
         self.v = grid.z[self.rows, None] - y
         self.log_v = np.log(self.v)
-        ly = 2.0 * self.log_u
-        self.j = grid.interval(ly)
-        self.t = ly - grid.log_z[self.j]
-        self.below = np.flatnonzero(ly < grid.log_lo)
-        self.below_y, self.below_ly = y.flat[self.below], ly.flat[self.below]
+        self.j, self.t, self.below, self.below_z, self.below_lz = _locate(grid, y, 2.0 * self.log_u)
+
+
+class _LeftPiece(NamedTuple):
+    """Left-half Kronrod points: per (row, panel) pair its row, abscissa
+    row ``which`` and width; per abscissa row y = u^2 and log u; per point
+    where v = z_i - u^2 lies on the grid (see _locate)."""
+
+    rows: np.ndarray
+    which: np.ndarray
+    width: np.ndarray
+    y: np.ndarray
+    log_u: np.ndarray
+    j: np.ndarray
+    t: np.ndarray
+    below: np.ndarray
+    below_z: np.ndarray
+    below_lz: np.ndarray
+
+
+class _LeftPanels:
+    """Panels of the left half in u, laid out in one table, panel by panel.
+
+    Each panel is a ``kronrod_panel`` (or a part of one): its whole rows
+    first, on one abscissa row, then each clipped row on one of its own.
+    So ``which`` never falls along the pairs, and any run of pairs reads
+    as one _LeftPiece (``piece``); ``starts`` holds where each panel's
+    pairs start. Each panel is located on the grid in turn, into arrays
+    made once, so that the build never holds the whole table twice.
+    """
+
+    def __init__(self, grid: _LogGrid, panels: list[tuple[np.ndarray, ...]]):
+        self.starts = np.cumsum([0] + [rows.size for rows, _, _, _ in panels])
+        shift = np.cumsum([0] + [width.size for _, _, _, width in panels])
+        rows = np.concatenate([rows for rows, _, _, _ in panels])
+        which = np.concatenate([which + k for (_, which, _, _), k in zip(panels, shift)])
+        u = np.concatenate([u for _, _, u, _ in panels])
+        y = u * u
+        j = np.empty((rows.size, 21), dtype=np.int32)
+        t = np.empty((rows.size, 21))
+        below = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
+        for a, b in zip(self.starts[:-1], self.starts[1:]):
+            v = grid.z[rows[a:b], None] - y[which[a:b]]
+            j[a:b], t[a:b], flat, v, lv = _locate(grid, v, np.log(v))
+            below.append((flat + 21 * a, v, lv))
+        widths = np.concatenate([width for _, _, _, width in panels])
+        self.all = _LeftPiece(
+            rows, which, widths[which], y, np.log(u), j, t, *(np.concatenate(part) for part in zip(*below))
+        )
+
+    def piece(self, a: int, b: int) -> _LeftPiece:
+        """Pairs a..b-1, which index their own abscissa rows and points."""
+        p = self.all
+        ua, ub = p.which[a], p.which[b - 1] + 1
+        ba, bb = np.searchsorted(p.below, (21 * a, 21 * b))
+        return _LeftPiece(
+            p.rows[a:b], p.which[a:b] - ua, p.width[a:b], p.y[ua:ub], p.log_u[ua:ub], p.j[a:b], p.t[a:b],
+            p.below[ba:bb] - 21 * a, p.below_z[ba:bb], p.below_lz[ba:bb],
+        )
+
+
+class _KronrodPoints:
+    """Both halves' Kronrod points on one grid.
+
+    The right half's (_RightHalf), and the left half's chains (see
+    _left_chain) in three kinds of table, each built when a chain first
+    needs it. A head [0, s_M] is whole for the rows with u_hi >= s_M, one
+    table per M; every row below takes [0, u_hi] whatever M, so those rows
+    are one table, row by row, whose first rows serve every head. The
+    dyadic panels [u_max 2^-(m+1), u_max 2^-m] are one table, m ascending,
+    that spans every m asked so far, so a chain's panels are one slice of
+    it. The shared grid keeps its points; any other grid's are built for
+    one build and dropped with it, so an engine in the cache holds none.
+    """
+
+    def __init__(self, grid: _LogGrid):
+        self.grid = grid
+        self.right = _RightHalf(grid)
+        self._whole: dict[int, _LeftPanels] = {}
+        self._clipped: _LeftPanels | None = None
+        self._dyadic: tuple[int, int, _LeftPanels | None] = (0, 0, None)
+
+    def left(self, chains: list[tuple[int, int]]) -> list[list[_LeftPiece]]:
+        """The pieces of each chain (M, c): its head [0, s_M] for the rows
+        that take it whole, the rows that end below s_M (if any), and its
+        dyadic panels m = M - c .. M - 1 as one slice (if c > 0)."""
+        grid = self.grid
+        u_hi, u_max = grid.u_hi, grid.u_max
+        heads = {m: kronrod_panel(0.0, math.ldexp(u_max, -m), u_hi) for m, _ in chains if m not in self._whole}
+        clipped = {m: int(np.searchsorted(u_hi, math.ldexp(u_max, -m))) for m, _ in chains}
+        for m, (rows, which, u, width) in heads.items():
+            whole = rows.size - clipped[m]
+            self._whole[m] = _LeftPanels(grid, [(rows[:whole], which[:whole], u[:1], width[:1])])
+        if self._clipped is None or clipped[min(clipped)] > self._clipped.starts[-1]:
+            rows, which, u, width = kronrod_panel(0.0, math.ldexp(u_max, -min(clipped)), u_hi)
+            whole = rows.size - clipped[min(clipped)]
+            self._clipped = _LeftPanels(grid, [(rows[whole:], which[whole:] - 1, u[1:], width[1:])])
+        lo, hi, table = self._dyadic
+        spans = [(m - c, m) for m, c in chains if c]
+        if spans:
+            need_lo, need_hi = min(a for a, _ in spans), max(b for _, b in spans)
+            if table is None or need_lo < lo or need_hi > hi:
+                if table is not None:
+                    need_lo, need_hi = min(lo, need_lo), max(hi, need_hi)
+                lo, hi = need_lo, need_hi
+                bounds = [(math.ldexp(u_max, -m - 1), math.ldexp(u_max, -m)) for m in range(lo, hi)]
+                table = _LeftPanels(grid, [kronrod_panel(a, b, u_hi) for a, b in bounds])
+                self._dyadic = lo, hi, table
+        out = []
+        for m, c in chains:
+            pieces = [self._whole[m].all]  # the top row, u_hi = u_max, is whole in every head
+            if clipped[m]:
+                pieces.append(self._clipped.piece(0, clipped[m]))
+            if c:
+                pieces.append(table.piece(table.starts[m - c - lo], table.starts[m - lo]))
+            out.append(pieces)
+        return out
 
 
 @lru_cache(maxsize=1)
 def _shared_grid() -> _LogGrid:
-    return _LogGrid(_GRID_LO)
+    grid = _LogGrid(_GRID_LO)
+    grid.kronrod = _KronrodPoints(grid)
+    return grid
 
 
 def _log_grid(z_lo: float) -> _LogGrid:
@@ -271,16 +393,13 @@ def _log_grid(z_lo: float) -> _LogGrid:
     return _shared_grid() if z_lo == _GRID_LO else _LogGrid(z_lo)
 
 
-def _log_leading(log_k: float, d1: int) -> tuple[float, float]:
-    """(log c, p) of the leading term K f_{d1}(z) e^{z/2} = c z^p of hhat:
-    c = K C0(d1), C0(d1) = 2^{-d1/2} / Gamma(d1/2), as its log, p = d1/2 - 1."""
-    return log_k + (-0.5 * d1 * math.log(2.0) - math.lgamma(0.5 * d1)), 0.5 * d1 - 1.0
-
-
-def _log_power(log_c: float, power: float, lz: np.ndarray) -> np.ndarray:
-    """log(c z^power) at lz = log z. Power 0 leaves out 0 log z, so that
-    z = 0 (an underflowed z / lambda_1^2) reads the limit there."""
-    return log_c + power * lz if power else np.full_like(lz, log_c)
+def _log_power(log_c: float, power: float, lz):
+    """log(c z^power) at lz = log z, an array or a float. Power 0 leaves
+    out 0 log z, so that z = 0 (an underflowed z / lambda_1^2) reads the
+    limit there."""
+    if power:
+        return log_c + power * lz
+    return np.full_like(lz, log_c) if isinstance(lz, np.ndarray) else log_c
 
 
 class _LogLevel:
@@ -293,15 +412,15 @@ class _LogLevel:
     row. The table is held once: a_m of every row is ``coefs[m]``, x_r is
     the grid's ``x[r]``, and s is ``slope`` on row 0 and 0 after it. A read
     takes rows 1.. by Horner's rule, gathering each a_m from one array, and
-    row 0 only under the grid; ``at`` reads at the right half's points,
-    which the grid located once.
+    row 0 only under the grid; ``at`` reads at Kronrod points that the
+    grid located once (see _locate). A power law reads a_1 and a_0 alone.
     """
 
-    def __init__(self, grid: _LogGrid, coefs: np.ndarray, slope: float = 0.0):
+    def __init__(self, grid: _LogGrid, coefs: np.ndarray, slope: float = 0.0, degree: int = 7):
         self.grid = grid
         self.coefs = coefs
         self.slope = slope
-        self._horner = coefs[::-1, 1:]  # a_7 .. a_0 of rows 1..
+        self._horner = coefs[degree::-1, 1:]  # a_degree .. a_0 of rows 1..
 
     @classmethod
     def on_nodes(cls, grid: _LogGrid, y: np.ndarray, small_z: tuple[float, float, float]) -> "_LogLevel":
@@ -318,14 +437,16 @@ class _LogLevel:
         """L = log c + power log z on every row."""
         coefs = np.zeros((8, grid.z.size))
         coefs[0], coefs[1] = log_c + power * grid.x, power
-        return cls(grid, coefs)
+        return cls(grid, coefs, degree=1)
 
     def _read(self, j: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # one coefficient gathered at a time keeps two arrays of j's size alive
+        # one coefficient gathered at a time into one buffer keeps two arrays
+        # of j's size alive; j is in range, and "clip" gathers unbuffered
         out = self._horner[0].take(j)
+        gathered = np.empty_like(out)
         for coef in self._horner[1:]:
             out *= t
-            out += coef.take(j)
+            out += coef.take(j, out=gathered, mode="clip")
         return out
 
     def _small(self, z, lz):
@@ -339,21 +460,27 @@ class _LogLevel:
             out[below] = self._small(z[below], lz[below])
         return out
 
-    def at(self, p: _RightHalf) -> np.ndarray:
-        out = self._read(p.j, p.t)
-        out.flat[p.below] = self._small(p.below_y, p.below_ly)
+    def at(self, p: _RightHalf | _LeftPiece) -> np.ndarray:
+        out = self._read(p.j.astype(np.intp), p.t)
+        out.flat[p.below] = self._small(p.below_z, p.below_lz)
         return out
 
 
 _GL_NODES, _GL_WEIGHTS = gauss_legendre(20)
 
 
-def _left_chain(grid: _LogGrid, delta: float, mk: int) -> KronrodChain:
-    """Panels of level k's left half, u in [0, sqrt(z_i / 2)] with y = u^2.
+def _left_chain(grid: _LogGrid, delta: float, mk: int) -> tuple[int, int]:
+    """Level k's left half, u in [0, sqrt(z_i / 2)] with y = u^2, as (M, c).
 
-    The first panel resolves the block's decay e^{-delta u^2}. Each row
-    stops where delta y reaches C = _LEFT_CUT + 2 m_k; what that drops is
-    below 2^-82 of hhat_k(z_i), whatever the other blocks:
+    The chain is the head [0, s_M], s_M = u_max 2^-M, then the dyadic
+    panels [s_M 2^(i-1), s_M 2^i] for i = 1..c, each clipped at the row's
+    end; its points depend on the grid alone (see _KronrodPoints). s_M is
+    the largest such knot at or below 0.25 min(delta^-1/2, u_max), so the
+    head resolves the block's decay e^{-delta u^2}. Each row stops at the
+    cut knot s_M 2^c, the first knot at or past sqrt(C / delta) with
+    C = _LEFT_CUT + 2 m_k (or u_max). What that drops lies where delta y
+    is at least C, and is below 2^-82 of hhat_k(z_i), whatever the other
+    blocks:
 
     Block 1 has delta_1 = 0, so hhat_{k-1} = p * R with p(x) = c x^{q},
     q = m_1/2 - 1, and R >= 0 the scaled law of blocks 2..k-1 (a point
@@ -369,9 +496,37 @@ def _left_chain(grid: _LogGrid, delta: float, mk: int) -> KronrodChain:
     (2C)^a e^{-C}] / gamma(a, C), which also bounds the first case. With
     C = 60 + 2 m_k its largest value over every m_k is 1.3e-25, at m_k = 8.
     """
-    first = 0.25 * min(1.0 / math.sqrt(delta), grid.u_max)
+    u_max = grid.u_max
+    first = 0.25 * min(1.0 / math.sqrt(delta), u_max)
+    m = max(2, math.ceil(math.log2(u_max / first)))
+    while math.ldexp(u_max, -m) > first:  # log2 rounded down
+        m += 1
     cut = math.sqrt((_LEFT_CUT + 2.0 * mk) / delta)
-    return KronrodChain(first, np.minimum(grid.u_hi, cut))
+    if cut >= u_max:
+        return m, m
+    c = math.ceil(math.log2(cut / math.ldexp(u_max, -m)))
+    while math.ldexp(u_max, c - m) < cut:
+        c += 1
+    return m, c
+
+
+def _left_half(prev: _LogLevel, pieces: list[_LeftPiece], delta: float, mk: int, log_2g: float):
+    """Each node's left half of level k and its Kronrod estimate: the
+    integral of 2 g_k u^{m_k - 1} e^{-delta u^2} hhat_{k-1}(z_i - u^2) over
+    the pieces of its chain, with log_2g = log 2 g_k. Its factors in u
+    alone are taken once per abscissa row and gathered to the pairs."""
+    size = prev.grid.z.size
+    vals, err = np.zeros(size), np.zeros(size)
+    for p in pieces:
+        s = prev.at(p)
+        factor = log_2g - delta * p.y
+        if mk != 1:
+            factor += (mk - 1) * p.log_u
+        s += factor.take(p.which, axis=0)
+        value, estimate = kronrod_reduce(p.rows, np.exp(s, out=s), p.width, size)
+        vals += value
+        err += estimate
+    return vals, err
 
 
 class _DensityEngine:
@@ -403,7 +558,7 @@ class _DensityEngine:
         self.grid = _log_grid(max(min(_GRID_LO, 1e-3 * min(wnorm)), _GRID_FLOOR))
         self.zs = self.grid.z
         self._log_k = log_zolotarev(np.asarray(wnorm[self.d1 :]))
-        self._leading = _log_leading(self._log_k, self.d1)
+        self._leading = log_leading(self._log_k, self.d1)
         if self.block_w.size == 1:
             self._level = _LogLevel.power_law(self.grid, *self._leading)
         else:
@@ -450,45 +605,36 @@ class _DensityEngine:
         is split at y = z/2. The left half takes y = u^2 and the right half
         v = z - y = u^2, which turns every power law z^{m/2 - 1} into a
         polynomial factor, and both run the fixed Gauss-Kronrod rule over
-        doubling panels in u that every node shares. Each integrand sums
-        its logs, reads L_{k-1} there, and takes one exp. The right half's
-        points are the grid's; the left half's depend on delta_k, and its
-        factors in u alone are computed once per shared panel.
+        doubling panels in u. Their points come from the grid's tables
+        (_KronrodPoints), where L_{k-1} is read without a search: the right
+        half's chain is the same for every level, and the left half's
+        (_left_chain) is a head and a slice of dyadic panels. Each half
+        reads L_{k-1} once per piece, adds its factors in log form, and
+        takes one exp; the left half's factors in u alone are computed once
+        per abscissa row and gathered to the pairs.
         """
         grid = self.grid
         zs = grid.z
-        right = grid.right
-        log_c1, power1, _ = small_z[0]
-        prev = lambda z, lz: log_c1 + power1 * lz  # noqa: E731
+        points = grid.kronrod or _KronrodPoints(grid)
+        deltas = (0.5 * (1.0 / self.block_w - 1.0)).tolist()
+        chains = points.left([_left_chain(grid, d, int(m)) for d, m in zip(deltas[1:], self.block_m[1:])])
+        right = points.right
+        prev = _LogLevel.power_law(grid, *small_z[0][:2])
         for k in range(1, self.block_w.size):
             mk = int(self.block_m[k])
-            delta = 0.5 * (1.0 / float(self.block_w[k]) - 1.0)
+            delta = deltas[k]
             log_2g = math.log(2.0) + float(self._log_scale[k]) - math.lgamma(0.5 * mk)
 
-            # 2 g_k u^{m_k - 1} e^{-delta u^2} hhat_{k-1}(z_i - u^2)
-            def left(rows, u):
-                y = u * u
-                v = zs[rows, None] - y
-                s = prev(v, np.log(v))
-                factor = log_2g - delta * y
-                if mk != 1:
-                    factor += (mk - 1) * np.log(u)
-                s += factor
-                return np.exp(s, out=s)
-
-            vals, err = _left_chain(grid, delta, mk).integrate(left)
+            vals, err = _left_half(prev, chains[k - 1], delta, mk, log_2g)
 
             # 2 g_k u hhat_{k-1}(u^2) v^{m_k/2 - 1} e^{-delta v}, v = z_i - u^2
-            if k == 1:
-                s = log_c1 + power1 * (2.0 * right.log_u)
-            else:
-                s = prev.at(right)
+            s = prev.at(right)
             s += right.log_u
             if mk != 2:
                 s += (0.5 * mk - 1.0) * right.log_v
             s -= delta * right.v
             s += log_2g
-            v_right, e_right = right.chain.reduce(right.rows, np.exp(s, out=s), right.width)
+            v_right, e_right = kronrod_reduce(right.rows, np.exp(s, out=s), right.width, zs.size)
             vals += v_right
             err += e_right
             bad = ~((err <= _KRONROD_RTOL * vals) & (vals > 0.0))  # also catches NaN
@@ -700,7 +846,7 @@ def _zolotarev_term(s: Spectrum, z: float) -> float:
     if x == 0.0 and s.d1 == 1:
         raise ValidationError("f_1 is singular at z = 0")
     lz = math.log(x) if x > 0.0 else -math.inf
-    log_h = _log_power(*_log_leading(s.log_zolotarev_constant, s.d1), lz)
+    log_h = _log_power(*s.log_leading, lz)
     return math.exp(log_h - 0.5 * x) / s.lambda1_sq
 
 

@@ -2,9 +2,10 @@
 
 ``kronrod_sums`` applies the rule to panels and reports |K21 - G10| as
 its error estimate; every integral in the library goes through it.
-``KronrodChain`` runs it over the doubling chain [0, s], [s, 2s],
-[2s, 4s], ... that every row shares up to its own end, for the density
-engine's levels. ``kronrod_halving`` runs it over each row's own
+``kronrod_panel`` lays one panel out over rows that share it up to their
+own ends, ``KronrodChain`` lists the points of the doubling chain
+[0, s], [s, 2s], [2s, 4s], ... of such panels, and ``kronrod_reduce``
+sums a list of panels into their rows, for the density engine's levels. ``kronrod_halving`` runs it over each row's own
 interval and halves every panel whose estimate is too large, for the
 integral-test block sums. ``gauss_legendre`` gives the n-point rule for
 callers that need no estimate.
@@ -93,14 +94,39 @@ def kronrod_sums(values: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
     return sums[..., 0], np.abs(sums[..., 1])
 
 
+def kronrod_reduce(rows: np.ndarray, values: np.ndarray, width: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """Each of ``size`` rows' Kronrod integral and summed |K21 - G10| over
+    the panels listed by their row, values (panels, 21) and width."""
+    value, estimate = kronrod_sums(values, width)
+    return np.bincount(rows, value, size), np.bincount(rows, estimate, size)
+
+
+def kronrod_panel(lo: float, hi: float, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Panel [lo, hi] of every row whose interval [0, ends_i] passes lo.
+
+    A row with ends_i >= hi takes the panel whole, and those rows share
+    one row of 21 abscissas; a row that ends inside takes [lo, ends_i], on
+    abscissas of its own. ``ends`` must not decrease along the rows.
+    Returns each pair's row and abscissa row (an index into the rest),
+    then the abscissa rows (k, 21) and their widths (k,): the whole
+    panel's first, shared by the leading pairs, then one per clipped row.
+    """
+    start = int(np.searchsorted(ends, hi, side="left"))
+    clipped = np.arange(np.searchsorted(ends, lo, side="right"), start)
+    width = np.concatenate([[hi - lo], ends[clipped] - lo])
+    rows = np.concatenate([np.arange(start, ends.size), clipped])
+    which = np.concatenate([np.zeros(ends.size - start, dtype=np.intp), np.arange(1, clipped.size + 1)])
+    return rows, which, lo + width[:, None] * _GK_NODES, width
+
+
 class KronrodChain:
     """The (10, 21) rule over [0, ends_i] on panels that the rows share.
 
     Every row's chain is [0, s], [s, 2s], [2s, 4s], ..., clipped at the
-    row's end, and ``ends`` must not decrease along the rows. A panel that
-    ends at or before a row's end is then whole for that row and for every
-    row after it, so its 21 abscissas are one array for all of them; only
-    each row's last, clipped panel has abscissas of its own.
+    row's end, and ``ends`` must not decrease along the rows. Each panel
+    is a ``kronrod_panel``: whole for a row and every row after it once
+    it ends at or before the row's end, so only each row's last, clipped
+    panel has abscissas of its own.
     """
 
     def __init__(self, first: float, ends: np.ndarray):
@@ -110,57 +136,13 @@ class KronrodChain:
         knots = [0.0, first]
         while knots[-1] < ends[-1]:
             knots.append(2.0 * knots[-1])
-        knots = np.array(knots)
         self.size = ends.size
-        # whole panel [knots[j], knots[j + 1]]: the rows from starts[j] on
-        starts = np.searchsorted(ends, knots[1:], side="left")
-        self.whole = [
-            (int(k), float(lo), float(hi))
-            for k, lo, hi in zip(starts, knots[:-1], knots[1:])
-            if k < self.size
-        ]
-        last = knots[np.searchsorted(knots, ends, side="right") - 1]
-        self.rows = np.flatnonzero(ends > last)
-        self.lo = last[self.rows]
-        self.width = ends[self.rows] - self.lo
-
-    def integrate(self, f: Callable) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's Kronrod integral of f and its summed |K21 - G10|.
-
-        ``f(rows, x)`` gets either a slice of rows and the (21,) abscissas
-        of a whole panel, to broadcast against, or an index array of rows
-        and their (rows, 21) abscissas, and returns values of shape
-        (rows, 21).
-        """
-        total = np.zeros(self.size)
-        err = np.zeros(self.size)
-        for start, lo, hi in self.whole:
-            value, estimate = kronrod_sums(f(slice(start, None), lo + (hi - lo) * _GK_NODES), hi - lo)
-            total[start:] += value
-            err[start:] += estimate
-        if self.rows.size:
-            x = self.lo[:, None] + self.width[:, None] * _GK_NODES
-            value, estimate = kronrod_sums(f(self.rows, x), self.width)
-            total[self.rows] += value
-            err[self.rows] += estimate
-        return total, err
+        self.panels = [kronrod_panel(lo, hi, ends) for lo, hi in zip(knots[:-1], knots[1:])]
 
     def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every (row, panel) pair: rows, abscissas (pairs, 21) and widths.
-
-        For integrands whose abscissa-only factors are kept between calls;
-        ``reduce`` turns their values into the sums ``integrate`` gives.
-        """
-        rows = [np.arange(start, self.size) for start, _, _ in self.whole] + [self.rows]
-        lo = [np.full(self.size - start, lo) for start, lo, _ in self.whole] + [self.lo]
-        width = [np.full(self.size - start, hi - lo) for start, lo, hi in self.whole] + [self.width]
-        lo, width = np.concatenate(lo), np.concatenate(width)
-        return np.concatenate(rows), lo[:, None] + width[:, None] * _GK_NODES, width
-
-    def reduce(self, rows: np.ndarray, values: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-row sums of the panels that ``points`` listed, as ``integrate`` gives them."""
-        value, estimate = kronrod_sums(values, width)
-        return np.bincount(rows, value, self.size), np.bincount(rows, estimate, self.size)
+        """Every (row, panel) pair, panel by panel: rows, abscissas (pairs, 21) and widths."""
+        rows, x, width = zip(*((rows, u[which], w[which]) for rows, which, u, w in self.panels))
+        return np.concatenate(rows), np.concatenate(x), np.concatenate(width)
 
 
 # kronrod_halving accepts a panel once |K21 - G10| <= _HALVING_RTOL |K21|,

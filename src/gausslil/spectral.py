@@ -102,6 +102,11 @@ class Spectrum:
         return log_zolotarev(self.weights()[self.d1 :] / self.lambda1**2)
 
     @cached_property
+    def log_leading(self) -> tuple[float, float]:
+        """(log c, p) of the density's leading term (see ``log_leading``); needs lambda_1 > 0."""
+        return log_leading(self.log_zolotarev_constant, self.d1)
+
+    @cached_property
     def zolotarev_constant(self) -> float:
         """K(Gamma^2) = exp(log K); needs lambda_1 > 0."""
         return math.exp(self.log_zolotarev_constant)
@@ -143,6 +148,13 @@ def log_zolotarev(rho2) -> float:
     rho_i^2 = lambda_i^2/lambda_1^2 over the indices past the caller's top group.
     """
     return -0.5 * float(np.sum(np.log1p(-np.asarray(rho2, dtype=float))))
+
+
+def log_leading(log_k: float, d1: int) -> tuple[float, float]:
+    """(log c, p) of the leading term K f_{d1}(x) e^{x/2} = c x^p of the
+    scaled density of |Y|^2 / lambda_1^2: c = K C0(d1), C0(d1) = 2^{-d1/2} /
+    Gamma(d1/2), as its log, p = d1/2 - 1."""
+    return log_k + (-0.5 * d1 * math.log(2.0) - math.lgamma(0.5 * d1)), 0.5 * d1 - 1.0
 
 
 def check_symmetric(a: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+import tracemalloc
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,7 +26,7 @@ from gausslil.chidensity import (
     zolotarev_constant,
 )
 from gausslil.errors import NumericError, ValidationError
-from gausslil.quadrature import KronrodChain
+from gausslil.quadrature import KronrodChain, kronrod_reduce
 from gausslil.special import chisq_density, chisq_norm_tail, log_chisq_norm_tail
 from gausslil.spectral import log_zolotarev
 
@@ -504,12 +505,11 @@ def test_engine_built_once_under_threads(monkeypatch):
 
 
 def test_unresolved_level_raises(monkeypatch):
-    # one panel per node cannot resolve the block decay e^{-delta u^2}, delta ~ 5000;
-    # the Kronrod estimate must stop the build rather than return a wrong density
-    monkeypatch.setattr(
-        chidensity, "_left_chain", lambda grid, delta, mk: KronrodChain(grid.u_max, grid.u_hi)
-    )
-    with pytest.raises(NumericError, match="unresolved"):
+    # one panel per node, the head [0, u_max] of M = 0 with no dyadic panel,
+    # cannot resolve the block decay e^{-delta u^2}, delta ~ 5000; the
+    # Kronrod estimate must stop the build rather than return a wrong density
+    monkeypatch.setattr(chidensity, "_left_chain", lambda grid, delta, mk: (0, 0))
+    with pytest.raises(NumericError, match="unresolved at normalized z"):
         chidensity._DensityEngine((1.0, 1e-4))
 
 
@@ -639,6 +639,9 @@ def test_truncated_left_chain_matches_full_chain(weights, monkeypatch):
     cut = chidensity._DensityEngine(wnorm)
     monkeypatch.setattr(chidensity, "_LEFT_CUT", math.inf)
     full = chidensity._DensityEngine(wnorm)
+    for delta, m in zip(0.5 * (1.0 / full.block_w[1:] - 1.0), full.block_m[1:]):
+        top, c = chidensity._left_chain(full.grid, delta, m)
+        assert c == top  # the cut knot s_M 2^c is u_max: every row runs to its end
     z = np.geomspace(1e-12, 1e3, 200)
     nodes = cut.grid.z, cut.grid.log_z  # the level at every node, the top one read from its last row
     for got, want in (
@@ -648,6 +651,106 @@ def test_truncated_left_chain_matches_full_chain(weights, monkeypatch):
     ):
         assert np.all(want > 0)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def _held_bytes(*objs) -> int:
+    """Bytes of the arrays reachable from objs through the engine's own
+    objects, each array counted once however many views of it there are."""
+    seen, arrays = set(), {}
+
+    def walk(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            base = obj if obj.base is None else obj.base
+            arrays[id(base)] = base
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+        elif isinstance(obj, dict):
+            for item in obj.values():
+                walk(item)
+        elif type(obj).__module__ == chidensity.__name__:
+            for item in vars(obj).values() if hasattr(obj, "__dict__") else obj:
+                walk(item)
+
+    for obj in objs:
+        walk(obj)
+    return sum(a.nbytes for a in arrays.values())
+
+
+@pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
+def test_quantized_chain_is_as_fine_and_as_long(z_lo):
+    # the head's knot s_M never passes the first panel of the unquantized
+    # chain, 0.25 min(delta^-1/2, u_max), and the cut knot s_M 2^c never
+    # falls short of sqrt((60 + 2 m) / delta); each is the nearest knot
+    grid = chidensity._log_grid(z_lo)
+    u_max = grid.u_max
+    for delta in np.geomspace(1e-13, 1.0 / (2 * z_lo), 97):
+        for m in (1, 2, 3, 8):
+            top, c = chidensity._left_chain(grid, delta, m)
+            s, knot = math.ldexp(u_max, -top), math.ldexp(u_max, c - top)
+            first = 0.25 * min(1.0 / math.sqrt(delta), u_max)
+            assert top >= 2 and 0.5 * first < s <= first
+            cut = math.sqrt((chidensity._LEFT_CUT + 2 * m) / delta)
+            if cut < u_max:
+                assert 1 <= c <= top and cut <= knot < 2.0 * cut
+            else:
+                assert c == top and knot == u_max
+
+
+@pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
+def test_tabled_left_half_matches_a_direct_chain(z_lo):
+    # the last block's left half from the grid's tables against a
+    # KronrodChain on the same quantized panels, each point located by
+    # search, with the integrand's logs summed in the same order
+    weights = GRID_LAWS[z_lo]
+    eng = chidensity._DensityEngine(weights)
+    grid = eng.grid
+    small_z = eng._small_z_terms()
+    lower = chidensity._DensityEngine(weights[:-1])._level  # on the shared grid
+    prev = chidensity._LogLevel.on_nodes(grid, lower(grid.z, grid.log_z), small_z[-2])
+    delta = 0.5 * (1.0 / weights[-1] - 1.0)
+    log_2g = math.log(2.0) - 0.5 * math.log(2.0 * weights[-1]) - math.lgamma(0.5)
+    top, c = chidensity._left_chain(grid, delta, 1)
+    pieces = chidensity._KronrodPoints(grid).left([(top, c)])[0]
+    got, got_err = chidensity._left_half(prev, pieces, delta, 1, log_2g)
+    chain = KronrodChain(math.ldexp(grid.u_max, -top), np.minimum(grid.u_hi, math.ldexp(grid.u_max, c - top)))
+    rows, u, width = chain.points()
+    y = u * u
+    v = grid.z[rows, None] - y
+    s = prev(v, np.log(v)) + (log_2g - delta * y)
+    want, want_err = kronrod_reduce(rows, np.exp(s), width, grid.z.size)
+    assert np.all(want > 0) and any(p.below.size for p in pieces)  # rows whose v falls under the grid
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    # each estimate |K21 - G10| sits at the rounding of its panel's values
+    assert np.all(np.abs(got_err - want_err) <= 1e-14 * want)
+
+
+def test_own_grid_engines_hold_no_kronrod_points(monkeypatch):
+    # a build on a grid of its own drops that grid's Kronrod points: after
+    # 40 own-grid builds through the cache, each of the 32 engines kept
+    # holds its grid as built and a few node-length arrays of its own
+    monkeypatch.setattr(chidensity, "_ENGINES", OrderedDict())
+    tracemalloc.start()
+    try:
+        for i in range(40):
+            weighted_norm_tail(WeightedChiSquare.from_weights([1.0, 0.5, 0.3, 1e-5 * (1.0 + i / 40)]), 1.0)
+            if i == 7:
+                start = tracemalloc.get_traced_memory()[0]
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    engines = list(chidensity._ENGINES.values())
+    assert len(engines) == chidensity._ENGINE_CACHE_SIZE
+    n = engines[0].grid.z.size
+    grid_bytes = _held_bytes(chidensity._LogGrid(engines[0].grid.z[0]))
+    held = [_held_bytes(e, e._level) for e in engines]
+    assert all(e.grid.kronrod is None for e in engines)
+    assert max(held) <= grid_bytes + 16 * n * 8
+    # 24 more engines kept, and nothing else left behind by the builds
+    assert grown <= 24 * 1.1 * max(held)
 
 
 def _searched_level(level, z, lz):

@@ -6,7 +6,13 @@ import pytest
 
 from gausslil import quadrature
 from gausslil.errors import NumericError
-from gausslil.quadrature import KronrodChain, kronrod_halving
+from gausslil.quadrature import KronrodChain, kronrod_halving, kronrod_reduce
+
+
+def _integrate(chain, f):
+    """Each row's Kronrod integral of f over its chain and the summed estimate."""
+    rows, x, width = chain.points()
+    return kronrod_reduce(rows, f(rows, x), width, chain.size)
 
 
 def test_scalar_known_integrals():
@@ -56,7 +62,7 @@ def test_kronrod_exact_on_polynomials():
     # row p integrates u^p over [0, 1]: K21 is exact to degree 31, G10 to 19,
     # so the estimate |K21 - G10| vanishes up to p = 19 and not at p = 20
     p = np.arange(33)
-    got, err = KronrodChain(1.0, np.ones(33)).integrate(lambda rows, u: u ** p[rows, None])
+    got, err = _integrate(KronrodChain(1.0, np.ones(33)), lambda rows, u: u ** p[rows, None])
     np.testing.assert_allclose(got[:32], 1.0 / (p[:32] + 1.0), rtol=1e-14, atol=0)
     assert np.all(err[:20] <= 1e-15)
     assert err[20] > 1e-12
@@ -64,7 +70,7 @@ def test_kronrod_exact_on_polynomials():
 
 def test_batched_sqrt_substitution_handles_endpoint_singularity():
     # int_0^1 y^{-1/2} dy = 2 via y = u^2
-    got, _ = KronrodChain(1.0, np.ones(1)).integrate(lambda rows, u: 2.0 * np.ones((1, 21)))
+    got, _ = _integrate(KronrodChain(1.0, np.ones(1)), lambda rows, u: np.full_like(u, 2.0))
     assert got[0] == pytest.approx(2.0, rel=1e-13)
     assert kronrod_halving(lambda rows, u: 2.0 * np.ones_like(u), np.zeros(1), np.ones(1))[0] == (
         pytest.approx(2.0, rel=1e-13)
@@ -74,9 +80,7 @@ def test_batched_sqrt_substitution_handles_endpoint_singularity():
 def test_batched_narrow_feature_with_panels():
     # e^{-200 y} over [0, 100]: a chain that starts on the 1/200 scale keeps
     # the fixed rule honest, and halving finds that scale by itself
-    got, err = KronrodChain(1 / 200.0, np.full(1, 100.0)).integrate(
-        lambda rows, y: 200.0 * np.exp(-200.0 * y) * np.ones((1, 1))
-    )
+    got, err = _integrate(KronrodChain(1 / 200.0, np.full(1, 100.0)), lambda rows, y: 200.0 * np.exp(-200.0 * y))
     assert got[0] == pytest.approx(1.0, rel=1e-11)
     assert err[0] < 1e-6
     got = kronrod_halving(lambda rows, y: 200.0 * np.exp(-200.0 * y), np.zeros(1), np.full(1, 100.0))
@@ -84,17 +88,14 @@ def test_batched_narrow_feature_with_panels():
 
 
 def test_kronrod_skips_empty_panels():
-    # rows whose chain ended early are not evaluated again
-    seen = []
-
-    def f(rows, x):
-        seen.append(rows.start if isinstance(rows, slice) else rows.tolist())
-        return np.ones((np.arange(2)[rows].size, 21))
-
-    got, _ = KronrodChain(1.0, np.array([0.5, 8.0])).integrate(f)
+    # rows whose chain ended early are not listed again
+    chain = KronrodChain(1.0, np.array([0.5, 8.0]))
+    rows, x, width = chain.points()
+    got, _ = kronrod_reduce(rows, np.ones_like(x), width, chain.size)
     np.testing.assert_allclose(got, [0.5, 8.0], rtol=1e-14)
-    # [0, 1], [1, 2], [2, 4] and [4, 8] for row 1, then row 0's [0, 0.5]
-    assert seen == [1, 1, 1, 1, [0]]
+    # [0, 1] for row 1 and row 0's [0, 0.5], then [1, 2], [2, 4] and [4, 8] for row 1
+    assert rows.tolist() == [1, 0, 1, 1, 1]
+    assert width.tolist() == [1.0, 0.5, 1.0, 2.0, 4.0]
 
 
 ROW_Z = np.geomspace(1e-3, 40.0, 57)
@@ -111,31 +112,27 @@ def test_shared_chain_matches_per_row_panels():
     chain = KronrodChain(0.05, ends)
     want = math.sqrt(math.pi / 3.0) / 2.0 * np.array([math.erf(math.sqrt(3.0) * e) for e in ends])
     want += 0.1 * ROW_Z * -np.expm1(-3.0 * ends * ends) / 6.0
-    got = chain.integrate(_decay)
+    got = _integrate(chain, _decay)
     np.testing.assert_allclose(got[0], want, rtol=1e-15, atol=0)
     # the estimate |K21 - G10| covers the error, up to rounding
     assert np.all(np.abs(got[0] - want) <= got[1] + 4e-16 * want)
     # each row's last panel is its only one with abscissas of its own
-    assert chain.rows.size <= ends.size
-    rows, x, width = chain.points()
-    np.testing.assert_array_equal(chain.reduce(rows, _decay(rows, x), width)[0], got[0])
+    assert sum(width.size - 1 for _, _, _, width in chain.panels) <= ends.size
 
 
 def test_shared_chain_hands_whole_panels_one_abscissa_row():
-    shapes = []
-
-    def f(rows, x):
-        shapes.append((rows, x.shape))
-        return np.ones((np.arange(4)[rows].size, 21))
-
     chain = KronrodChain(1.0, np.array([0.5, 1.0, 3.0, 3.0]))
-    total, _ = chain.integrate(f)
+    total, _ = _integrate(chain, lambda rows, x: np.ones_like(x))
     np.testing.assert_allclose(total, [0.5, 1.0, 3.0, 3.0], rtol=1e-14)
-    assert [(r.start if isinstance(r, slice) else r.tolist(), shape) for r, shape in shapes] == [
-        (1, (21,)),  # [0, 1] for rows 1..3
-        (2, (21,)),  # [1, 2] for rows 2..3
-        ([0, 2, 3], (3, 21)),  # [0, 0.5], [2, 3], [2, 3]
+    # each panel's pairs: their rows, and which abscissa row each reads
+    # (0 the whole panel's, shared), with the abscissa rows' widths
+    assert [(rows.tolist(), which.tolist(), width.tolist()) for rows, which, _, width in chain.panels] == [
+        ([1, 2, 3, 0], [0, 0, 0, 1], [1.0, 0.5]),  # [0, 1] for rows 1..3, row 0's [0, 0.5]
+        ([2, 3], [0, 0], [1.0]),  # [1, 2] for rows 2..3
+        ([2, 3], [1, 2], [2.0, 1.0, 1.0]),  # no row takes [2, 4] whole: [2, 3] twice
     ]
+    for (_, _, u, width), lo in zip(chain.panels, [0.0, 1.0, 2.0]):
+        np.testing.assert_array_equal(u, lo + width[:, None] * quadrature._GK_NODES)
 
 
 @pytest.mark.parametrize("first,end", [(0.0, 1.0), (float("nan"), 1.0), (1.0, float("inf"))])

@@ -21,6 +21,14 @@ Prints one JSON line:
 - ``level_us``: the median time of one level's coefficient fill on the
   shared grid (each interval's degree-7 coefficients from its eight-node
   stencil, one matrix product per interval), over LAYER_REPEATS calls;
+- ``left_us``: the median time of one level's left half on the shared
+  grid, over LAYER_REPEATS calls: the last level of linspace(1, 0.1, 8),
+  read from the level of its first seven weights, its Kronrod points
+  taken from the grid's tables (on a tree without them, the same
+  integrand over ``_left_chain(...).integrate``);
+- ``grid_bytes``: the bytes of the arrays that the shared grid holds
+  once every build above has run, its Kronrod point tables included,
+  each array counted once however many views of it there are;
 - ``engine_bytes``: the bytes of the arrays that an engine of
   linspace(1, 0.1, 8) holds of its own, outside its shared grid (the
   level's table of local forms, the node table's interval integrals and
@@ -68,6 +76,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -156,6 +165,39 @@ def own_bytes(engine) -> int:
     return sum(a.nbytes for a in own.values())
 
 
+def held_arrays(obj, seen: set):
+    """The arrays reachable from obj through the library's own objects."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj if obj.base is None else obj.base
+    elif isinstance(obj, (list, tuple, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from held_arrays(item, seen)
+    elif type(obj).__module__.startswith("gausslil") and hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from held_arrays(item, seen)
+
+
+def left_half(chidensity, prev, delta: float):
+    """The left half of a level of one chi^2(1) block on the shared grid, read from prev."""
+    grid = prev.grid
+    log_2g = math.log(2.0) - 0.5 * math.log(2.0 / (2.0 * delta + 1.0)) - math.lgamma(0.5)
+    if hasattr(chidensity, "_left_half"):
+        pieces = grid.kronrod.left([chidensity._left_chain(grid, delta, 1)])[0]
+        return lambda: chidensity._left_half(prev, pieces, delta, 1, log_2g)
+
+    def integrand(rows, u):
+        y = u * u
+        v = grid.z[rows, None] - y
+        s = prev(v, np.log(v))
+        s += log_2g - delta * y
+        return np.exp(s, out=s)
+
+    return lambda: chidensity._left_chain(grid, delta, 1).integrate(integrand)
+
+
 def cold_constants(chidensity, regularize, d: int) -> None:
     for memo in (regularize.derived_constants, chidensity.constants, chidensity._c3):
         memo.cache_clear()
@@ -182,10 +224,13 @@ def main() -> None:
             wnorm = tuple(np.linspace(1.0, 0.1, d - 1).tolist()) + (smallest,)
             own_ms[f"{smallest:g}/{d}"] = round(median_ms(engine, (wnorm,), REPEATS), 2)
     grid = chidensity._log_grid(chidensity._GRID_LO)
+    w8 = chidensity.WeightedChiSquare.from_weights(np.linspace(1.0, 0.1, 8))
+    prev = engine(w8.normalized()[:7])._level
+    left_us = 1e3 * median_ms(left_half(chidensity, prev, 0.5 * (1.0 / w8.normalized()[7] - 1.0)), (), LAYER_REPEATS)
+    grid_bytes = sum({id(a): a.nbytes for a in held_arrays(grid, set())}.values())
     grid_ms = median_ms(chidensity._LogGrid, (OWN_GRID_START,), LAYER_REPEATS)
     fill = (grid, np.log1p(grid.z), (0.0, 0.0, 0.0))
     level_us = 1e3 * median_ms(chidensity._LogLevel.on_nodes, fill, LAYER_REPEATS)
-    w8 = chidensity.WeightedChiSquare.from_weights(np.linspace(1.0, 0.1, 8))
     engine_bytes = own_bytes(engine(w8.normalized()))
     query_us = {}
     for prefix, ts in (("", QUERY_T), ("deep_", DEEP_T)):
@@ -244,6 +289,8 @@ def main() -> None:
                 "grid_nodes": int(grid.z.size),
                 "grid_ms": round(grid_ms, 3),
                 "level_us": round(level_us, 1),
+                "left_us": round(left_us, 1),
+                "grid_bytes": grid_bytes,
                 "engine_bytes": engine_bytes,
                 **query_us,
                 "lemma_us": lemma_us,
