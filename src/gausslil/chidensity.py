@@ -245,13 +245,17 @@ def _locate(grid: _LogGrid, z: np.ndarray, lz: np.ndarray) -> tuple[np.ndarray, 
 class _RightHalf:
     """The right half's Kronrod points on a grid, shared by every level.
 
-    Row i takes v = z_i - u^2 over u in [0, sqrt(z_i / 2)] on the chain
-    [0, s], [s, 2s], [2s, 4s], s = u_max / 4. Kept per point: log u, v,
-    log v, and where y = u^2 lies on the grid (read at log y = 2 log u).
+    Row i takes v = z_i - u^2 over u in [0, sqrt(z_i / 2)] as one panel.
+    The block factor e^{-delta v} varies by e^{delta z_i / 2} across it;
+    where that is large the right half, whose factor is at most
+    e^{-delta z_i / 2}, is at most about that share of the level, whose
+    left half's factor e^{-delta y} starts at 1, so one panel's error
+    stays at the level's rounding. Kept per point: log u, v, log v, and
+    where y = u^2 lies on the grid (read at log y = 2 log u).
     """
 
     def __init__(self, grid: _LogGrid):
-        self.rows, u, self.width = KronrodChain(0.25 * grid.u_max, grid.u_hi).points()
+        self.rows, u, self.width = KronrodChain(grid.u_max, grid.u_hi).points()
         self.log_u = np.log(u)
         y = u * u
         self.v = grid.z[self.rows, None] - y
@@ -281,14 +285,15 @@ class _LeftPanels:
 
     Each panel is a ``kronrod_panel`` (or a part of one): its whole rows
     first, on one abscissa row, then each clipped row on one of its own.
-    So ``which`` never falls along the pairs, and any run of pairs reads
-    as one _LeftPiece (``piece``); ``starts`` holds where each panel's
-    pairs start. Each panel is located on the grid in turn, into arrays
-    made once, so that the build never holds the whole table twice.
+    So ``which`` never falls along the pairs, and the pairs of any run of
+    abscissa rows read as one _LeftPiece (``piece``); ``shift`` holds where
+    each panel's abscissa rows start. Each panel is located on the grid in
+    turn, into arrays made once, so that the build never holds the whole
+    table twice.
     """
 
     def __init__(self, grid: _LogGrid, panels: list[tuple[np.ndarray, ...]]):
-        self.starts = np.cumsum([0] + [rows.size for rows, _, _, _ in panels])
+        starts = np.cumsum([0] + [rows.size for rows, _, _, _ in panels])
         shift = np.cumsum([0] + [width.size for _, _, _, width in panels])
         rows = np.concatenate([rows for rows, _, _, _ in panels])
         which = np.concatenate([which + k for (_, which, _, _), k in zip(panels, shift)])
@@ -297,7 +302,7 @@ class _LeftPanels:
         j = np.empty((rows.size, 21), dtype=np.int32)
         t = np.empty((rows.size, 21))
         below = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
-        for a, b in zip(self.starts[:-1], self.starts[1:]):
+        for a, b in zip(starts[:-1], starts[1:]):
             v = grid.z[rows[a:b], None] - y[which[a:b]]
             j[a:b], t[a:b], flat, v, lv = _locate(grid, v, np.log(v))
             below.append((flat + 21 * a, v, lv))
@@ -305,12 +310,16 @@ class _LeftPanels:
         self.all = _LeftPiece(
             rows, which, widths[which], y, np.log(u), j, t, *(np.concatenate(part) for part in zip(*below))
         )
+        self.shift = shift.tolist()
+        # each abscissa row's first pair, and the first of that pair's points under the grid
+        first = np.searchsorted(which, np.arange(shift[-1] + 1))
+        self._at = list(zip(first.tolist(), np.searchsorted(self.all.below, 21 * first).tolist()))
 
-    def piece(self, a: int, b: int) -> _LeftPiece:
-        """Pairs a..b-1, which index their own abscissa rows and points."""
+    def piece(self, ua: int, ub: int) -> _LeftPiece:
+        """Abscissa rows ua..ub-1 and their pairs, which index their own
+        abscissa rows and points."""
         p = self.all
-        ua, ub = p.which[a], p.which[b - 1] + 1
-        ba, bb = np.searchsorted(p.below, (21 * a, 21 * b))
+        (a, ba), (b, bb) = self._at[ua], self._at[ub]
         return _LeftPiece(
             p.rows[a:b], p.which[a:b] - ua, p.width[a:b], p.y[ua:ub], p.log_u[ua:ub], p.j[a:b], p.t[a:b],
             p.below[ba:bb] - 21 * a, p.below_z[ba:bb], p.below_lz[ba:bb],
@@ -325,52 +334,53 @@ class _KronrodPoints:
     needs it. A head [0, s_M] is whole for the rows with u_hi >= s_M, one
     table per M; every row below takes [0, u_hi] whatever M, so those rows
     are one table, row by row, whose first rows serve every head. The
-    dyadic panels [u_max 2^-(m+1), u_max 2^-m] are one table, m ascending,
-    that spans every m asked so far, so a chain's panels are one slice of
-    it. The shared grid keeps its points; any other grid's are built for
-    one build and dropped with it, so an engine in the cache holds none.
+    dyadic panels [u_max 2^-(m+1), u_max 2^-m] of every m asked so far are
+    one table, m descending: a chain's panels are one slice of it, and the
+    panels that a longer chain adds past the cut knot come last in each
+    row's sum. The shared grid keeps its points; any other grid's are
+    built for one build and dropped with it, so an engine in the cache
+    holds none.
     """
 
     def __init__(self, grid: _LogGrid):
         self.grid = grid
         self.right = _RightHalf(grid)
-        self._whole: dict[int, _LeftPanels] = {}
+        self._heads: dict[int, tuple[_LeftPiece, int]] = {}  # per M: whole rows, and how many rows end below
         self._clipped: _LeftPanels | None = None
-        self._dyadic: tuple[int, int, _LeftPanels | None] = (0, 0, None)
+        self._dyadic: tuple[dict[int, int], _LeftPanels | None] = ({}, None)  # panel index per m, table
 
     def left(self, chains: list[tuple[int, int]]) -> list[list[_LeftPiece]]:
         """The pieces of each chain (M, c): its head [0, s_M] for the rows
         that take it whole, the rows that end below s_M (if any), and its
-        dyadic panels m = M - c .. M - 1 as one slice (if c > 0)."""
+        dyadic panels m = M - 1 .. M - c as one slice (if c > 0)."""
         grid = self.grid
         u_hi, u_max = grid.u_hi, grid.u_max
-        heads = {m: kronrod_panel(0.0, math.ldexp(u_max, -m), u_hi) for m, _ in chains if m not in self._whole}
-        clipped = {m: int(np.searchsorted(u_hi, math.ldexp(u_max, -m))) for m, _ in chains}
-        for m, (rows, which, u, width) in heads.items():
-            whole = rows.size - clipped[m]
-            self._whole[m] = _LeftPanels(grid, [(rows[:whole], which[:whole], u[:1], width[:1])])
-        if self._clipped is None or clipped[min(clipped)] > self._clipped.starts[-1]:
-            rows, which, u, width = kronrod_panel(0.0, math.ldexp(u_max, -min(clipped)), u_hi)
-            whole = rows.size - clipped[min(clipped)]
-            self._clipped = _LeftPanels(grid, [(rows[whole:], which[whole:] - 1, u[1:], width[1:])])
-        lo, hi, table = self._dyadic
-        spans = [(m - c, m) for m, c in chains if c]
-        if spans:
-            need_lo, need_hi = min(a for a, _ in spans), max(b for _, b in spans)
-            if table is None or need_lo < lo or need_hi > hi:
-                if table is not None:
-                    need_lo, need_hi = min(lo, need_lo), max(hi, need_hi)
-                lo, hi = need_lo, need_hi
-                bounds = [(math.ldexp(u_max, -m - 1), math.ldexp(u_max, -m)) for m in range(lo, hi)]
-                table = _LeftPanels(grid, [kronrod_panel(a, b, u_hi) for a, b in bounds])
-                self._dyadic = lo, hi, table
+        # the largest head first: its rows that end below s_M serve every other head
+        for m in sorted({m for m, _ in chains}.difference(self._heads)):
+            rows, which, u, width = kronrod_panel(0.0, math.ldexp(u_max, -m), u_hi)
+            clipped = int(np.count_nonzero(which))
+            whole = rows.size - clipped
+            self._heads[m] = _LeftPanels(grid, [(rows[:whole], which[:whole], u[:1], width[:1])]).all, clipped
+            if self._clipped is None or clipped > self._clipped.shift[-1]:
+                self._clipped = _LeftPanels(grid, [(rows[whole:], which[whole:] - 1, u[1:], width[1:])])
+        # only the panels that some chain reads, so an own grid skips the
+        # gaps between its chains
+        index, table = self._dyadic
+        need = {i for m, c in chains for i in range(m - c, m)}
+        if not need.issubset(index):
+            order = sorted(need.union(index), reverse=True)
+            index = {m: i for i, m in enumerate(order)}
+            panels = [kronrod_panel(math.ldexp(u_max, -m - 1), math.ldexp(u_max, -m), u_hi) for m in order]
+            table = _LeftPanels(grid, panels)
+            self._dyadic = index, table
         out = []
         for m, c in chains:
-            pieces = [self._whole[m].all]  # the top row, u_hi = u_max, is whole in every head
-            if clipped[m]:
-                pieces.append(self._clipped.piece(0, clipped[m]))
+            head, clipped = self._heads[m]
+            pieces = [head]  # the top row, u_hi = u_max, is whole in every head
+            if clipped:
+                pieces.append(self._clipped.piece(0, clipped))
             if c:
-                pieces.append(table.piece(table.starts[m - c - lo], table.starts[m - lo]))
+                pieces.append(table.piece(table.shift[index[m - 1]], table.shift[index[m - c] + 1]))
             out.append(pieces)
         return out
 
@@ -475,8 +485,9 @@ def _left_chain(grid: _LogGrid, delta: float, mk: int) -> tuple[int, int]:
     The chain is the head [0, s_M], s_M = u_max 2^-M, then the dyadic
     panels [s_M 2^(i-1), s_M 2^i] for i = 1..c, each clipped at the row's
     end; its points depend on the grid alone (see _KronrodPoints). s_M is
-    the largest such knot at or below 0.25 min(delta^-1/2, u_max), so the
-    head resolves the block's decay e^{-delta u^2}. Each row stops at the
+    the largest such knot at or below min(delta^-1/2, u_max), M >= 2: the
+    head resolves e^{-delta u^2} because delta u^2 <= 1 on it, where the
+    21-point rule integrates e^{-x^2} to rounding. Each row stops at the
     cut knot s_M 2^c, the first knot at or past sqrt(C / delta) with
     C = _LEFT_CUT + 2 m_k (or u_max). What that drops lies where delta y
     is at least C, and is below 2^-82 of hhat_k(z_i), whatever the other
@@ -497,7 +508,7 @@ def _left_chain(grid: _LogGrid, delta: float, mk: int) -> tuple[int, int]:
     C = 60 + 2 m_k its largest value over every m_k is 1.3e-25, at m_k = 8.
     """
     u_max = grid.u_max
-    first = 0.25 * min(1.0 / math.sqrt(delta), u_max)
+    first = min(1.0 / math.sqrt(delta), u_max)
     m = max(2, math.ceil(math.log2(u_max / first)))
     while math.ldexp(u_max, -m) > first:  # log2 rounded down
         m += 1
@@ -605,10 +616,10 @@ class _DensityEngine:
         is split at y = z/2. The left half takes y = u^2 and the right half
         v = z - y = u^2, which turns every power law z^{m/2 - 1} into a
         polynomial factor, and both run the fixed Gauss-Kronrod rule over
-        doubling panels in u. Their points come from the grid's tables
+        panels in u. Their points come from the grid's tables
         (_KronrodPoints), where L_{k-1} is read without a search: the right
-        half's chain is the same for every level, and the left half's
-        (_left_chain) is a head and a slice of dyadic panels. Each half
+        half is one panel per row for every level, and the left half's
+        chain (_left_chain) is a head and a slice of dyadic panels. Each half
         reads L_{k-1} once per piece, adds its factors in log form, and
         takes one exp; the left half's factors in u alone are computed once
         per abscissa row and gathered to the pairs.

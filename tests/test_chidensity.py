@@ -650,7 +650,9 @@ def test_truncated_left_chain_matches_full_chain(weights, monkeypatch):
         (cut.density(z), full.density(z)),
     ):
         assert np.all(want > 0)
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        # m descending in the dyadic table puts the panels past the cut
+        # knot last in each row's sum, where they round away
+        np.testing.assert_array_equal(got, want)
 
 
 def _held_bytes(*objs) -> int:
@@ -682,17 +684,19 @@ def _held_bytes(*objs) -> int:
 
 @pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
 def test_quantized_chain_is_as_fine_and_as_long(z_lo):
-    # the head's knot s_M never passes the first panel of the unquantized
-    # chain, 0.25 min(delta^-1/2, u_max), and the cut knot s_M 2^c never
-    # falls short of sqrt((60 + 2 m) / delta); each is the nearest knot
+    # the head's knot s_M never passes min(delta^-1/2, u_max), so that
+    # delta u^2 <= 1 on the head, and the cut knot s_M 2^c never falls
+    # short of sqrt((60 + 2 m) / delta); each is the nearest knot, the head
+    # at most u_max / 4
     grid = chidensity._log_grid(z_lo)
     u_max = grid.u_max
     for delta in np.geomspace(1e-13, 1.0 / (2 * z_lo), 97):
         for m in (1, 2, 3, 8):
             top, c = chidensity._left_chain(grid, delta, m)
             s, knot = math.ldexp(u_max, -top), math.ldexp(u_max, c - top)
-            first = 0.25 * min(1.0 / math.sqrt(delta), u_max)
-            assert top >= 2 and 0.5 * first < s <= first
+            first = min(1.0 / math.sqrt(delta), u_max)
+            assert top >= 2 and s <= first and delta * s * s <= 1.0
+            assert top == 2 or first < 2.0 * s
             cut = math.sqrt((chidensity._LEFT_CUT + 2 * m) / delta)
             if cut < u_max:
                 assert 1 <= c <= top and cut <= knot < 2.0 * cut
@@ -726,6 +730,22 @@ def test_tabled_left_half_matches_a_direct_chain(z_lo):
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
     # each estimate |K21 - G10| sits at the rounding of its panel's values
     assert np.all(np.abs(got_err - want_err) <= 1e-14 * want)
+
+
+def test_chains_read_their_own_panels_from_a_shared_table():
+    # two chains far apart on a grid of their own: the dyadic table holds
+    # only the panels they read, and each chain's pieces are those of a
+    # table built for it alone
+    grid = chidensity._log_grid(1e-11)
+    chains = [chidensity._left_chain(grid, 0.5 * (1.0 / w - 1.0), m) for w, m in ((0.5, 2), (1e-8, 1))]
+    both = chidensity._KronrodPoints(grid)
+    got = both.left(chains)
+    read = [m for top, c in chains for m in range(top - c, top)]
+    assert sorted(both._dyadic[0]) == sorted(read) and max(read) - min(read) + 1 > len(read)
+    for chain, pieces in zip(chains, got):
+        for p, q in zip(pieces, chidensity._KronrodPoints(grid).left([chain])[0], strict=True):
+            for a, b in zip(p, q):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_own_grid_engines_hold_no_kronrod_points(monkeypatch):

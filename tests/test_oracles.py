@@ -22,12 +22,14 @@ import pytest
 from oracles import hypoexp_density, hypoexp_log_shell, hypoexp_log_tail, ruben_density
 from test_chidensity import two_weight_density_exact
 
+from gausslil import chidensity
 from gausslil.chidensity import (
     WeightedChiSquare,
     log_weighted_norm_tail,
     log_weighted_shell_probability,
     weighted_density,
 )
+from gausslil.quadrature import KronrodChain
 from gausslil.spectral import eigh
 
 STATED_RTOL_PER_LEVEL = 5e-10  # README, "Numerical notes": densities, tails and shells
@@ -141,3 +143,26 @@ def test_small_z_density_at_odd_multiplicities_against_ruben_series(weights):
     beta = min(weights)
     for z in np.geomspace(1e-6 * w1, min(5.0 * w1, 30.0 * beta), 25):
         assert rel_err(weighted_density(w, z), ruben_density(weights, z)) <= stated_rtol(weights)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [doubled(v) for v in SWEEP + OWN_GRID] + [[1.0, 0.5, 1e-7, 1e-8]],
+    ids=[*("-".join(f"{x:g}" for x in v) for v in SWEEP + OWN_GRID), "tiny"],
+)
+def test_one_right_panel_per_row_matches_three(weights, monkeypatch):
+    # the right half's one panel [0, u_hi] per row against the chain
+    # [0, u_max/4], [u_max/4, u_max/2], [u_max/2, u_max], each clipped at
+    # the row's end: where e^{-delta v} varies most across the panel, the
+    # right half is at most about e^{-delta z_i / 2} of the level
+    wnorm = WeightedChiSquare.from_weights(weights).normalized()
+    one = chidensity._DensityEngine(wnorm)
+    grid = chidensity._LogGrid(one.grid.z[0])
+    with monkeypatch.context() as m:
+        m.setattr(chidensity, "KronrodChain", lambda first, ends: KronrodChain(0.25 * first, ends))
+        grid.kronrod = chidensity._KronrodPoints(grid)
+    assert grid.kronrod.right.rows.size > chidensity._RightHalf(grid).rows.size
+    monkeypatch.setattr(chidensity, "_log_grid", lambda z_lo: grid)
+    three = chidensity._DensityEngine(wnorm)
+    nodes = grid.z, grid.log_z
+    np.testing.assert_allclose(one._level(*nodes), three._level(*nodes), rtol=0, atol=1e-13)

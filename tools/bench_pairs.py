@@ -23,7 +23,8 @@ ratio to the geometric mean of the CONTROL rows in the same run (times
 divided by it, ``*_per_s`` rows multiplied by it), summarized the same
 way: a switch of the host's speed between runs moves a row and the
 control alike, and so cancels in the ratio, and a mean of several rows
-spreads less than any one of them.
+spreads less than any one of them. Counts, such as
+``points_per_build``, are host-independent and are summarized only raw.
 ``machine`` records the host, and the load average before and after.
 Needs only the standard library and the checkouts' own requirements.
 """

@@ -10,6 +10,9 @@ Prints one JSON line:
   vectors shaped like the density-cold benchmark's (one ratio per stratum
   of [0.05, 0.999], with tied and near-tied tops), ROUNDS rounds of
   MIX_DIMS, each vector built once;
+- ``points_per_build``: the Kronrod points at which one build evaluates
+  its levels' integrands, a count that the host's speed cannot move: the
+  mean over the mix (``mix``), and for linspace(1, 0.1, 8) (``8``);
 - ``own_grid_build_ms``: the median build time, over REPEATS builds, of
   linspace(1, 0.1, d - 1) + [w] for d in OWN_GRID_DIMS and w in
   OWN_GRID_SMALLEST, keyed ``w/d``; a smallest weight below 1e-3 gives the
@@ -198,6 +201,24 @@ def left_half(chidensity, prev, delta: float):
     return lambda: chidensity._left_chain(grid, delta, 1).integrate(integrand)
 
 
+def build_points(chidensity, engine, vectors) -> float:
+    """Mean Kronrod points per build of vectors, counted at kronrod_reduce."""
+    count = [0]
+    reduce = chidensity.kronrod_reduce
+
+    def counted(rows, values, width, size):
+        count[0] += values.size
+        return reduce(rows, values, width, size)
+
+    chidensity.kronrod_reduce = counted
+    try:
+        for w in vectors:
+            engine(w)
+    finally:
+        chidensity.kronrod_reduce = reduce
+    return count[0] / len(vectors)
+
+
 def cold_constants(chidensity, regularize, d: int) -> None:
     for memo in (regularize.derived_constants, chidensity.constants, chidensity._c3):
         memo.cache_clear()
@@ -218,13 +239,17 @@ def main() -> None:
         build_ms[str(d)] = round(median_ms(engine, (wnorm,), REPEATS), 2)
     vectors = mix_vectors()
     total = sum(call_seconds(engine, w) for w in vectors)
+    w8 = chidensity.WeightedChiSquare.from_weights(np.linspace(1.0, 0.1, 8))
+    points = {
+        "mix": round(build_points(chidensity, engine, vectors), 1),
+        "8": round(build_points(chidensity, engine, [w8.normalized()]), 1),
+    }
     own_ms = {}
     for smallest in OWN_GRID_SMALLEST:
         for d in OWN_GRID_DIMS:
             wnorm = tuple(np.linspace(1.0, 0.1, d - 1).tolist()) + (smallest,)
             own_ms[f"{smallest:g}/{d}"] = round(median_ms(engine, (wnorm,), REPEATS), 2)
     grid = chidensity._log_grid(chidensity._GRID_LO)
-    w8 = chidensity.WeightedChiSquare.from_weights(np.linspace(1.0, 0.1, 8))
     prev = engine(w8.normalized()[:7])._level
     left_us = 1e3 * median_ms(left_half(chidensity, prev, 0.5 * (1.0 / w8.normalized()[7] - 1.0)), (), LAYER_REPEATS)
     grid_bytes = sum({id(a): a.nbytes for a in held_arrays(grid, set())}.values())
@@ -285,6 +310,7 @@ def main() -> None:
                 "build_ms": build_ms,
                 "mix_builds": len(vectors),
                 "mix_builds_per_s": round(len(vectors) / total, 1),
+                "points_per_build": points,
                 "own_grid_build_ms": own_ms,
                 "grid_nodes": int(grid.z.size),
                 "grid_ms": round(grid_ms, 3),
