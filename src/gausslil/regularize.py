@@ -98,7 +98,7 @@ def d_tilde(s: Spectrum, t: float) -> int:
     """max{1 <= i <= d : lambda_1^2 - lambda_i^2 <= 4 d^2 lambda_1^4 / t^2}."""
     lam1 = s.top()
     d = s.dim
-    if t < 3 * d * lam1:
+    if not t >= 3 * d * lam1:
         raise ValidationError(
             f"regularization assumes t >= 3 d lambda_1 = {3 * d * lam1:.6g}, got {t}"
         )
@@ -127,15 +127,22 @@ def log_product_factor(s: Spectrum, t: float) -> float:
     theorem; equal-eigenvalue factors take the t/lambda_1 branch (a/0 is
     read as +infinity).
     """
-    lam1 = s.top()
+    lam1 = _top_for(s, t)
     return s.log_gap_product(t) + math.log(lam1 / t) - t * t / (2.0 * lam1 * lam1)
+
+
+def _top_for(s: Spectrum, t: float) -> float:
+    """lambda_1, for a threshold t > 0 (NaN fails) and lambda_1 > 0."""
+    if not t > 0:
+        raise ValidationError(f"threshold must be > 0, got {t}")
+    return s.top()
 
 
 def _check_valid_t(s: Spectrum, t: float) -> DerivedConstants:
     """The validity gate t >= C1t lambda_1 (C1t = C5) of the bounds and lemmas."""
     dc = derived_constants(s.dim)
     lam1 = s.top()
-    if t < dc.C1t * lam1:
+    if not t >= dc.C1t * lam1:
         raise ValidationError(
             f"bound valid for t >= C1t*lambda_1 = {dc.C1t * lam1:.6g}, got {t}"
         )
@@ -187,8 +194,7 @@ def shell_lower_bound(s: Spectrum, t: float) -> float:
 
 def shell_width(s: Spectrum, t: float) -> float:
     """C5t * lambda_1^2 / t, the shell width used by the bounds."""
-    dc = derived_constants(s.dim)
-    return dc.C5t * s.lambda1**2 / t
+    return derived_constants(s.dim).C5t * _top_for(s, t) ** 2 / t
 
 
 def shifted_tail_vs_shell_log(

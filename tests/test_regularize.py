@@ -129,6 +129,23 @@ def test_bound_validity_gate():
     assert tail_upper_bound(s, c1t) > 0  # boundary accepted
 
 
+@pytest.mark.parametrize(
+    "evaluator, t",
+    [
+        (regularized, math.nan),
+        (tail_upper_bound, math.nan),
+        (shell_width, 0.0),
+        (shell_width, -1.0),
+        (log_product_factor, 0.0),
+    ],
+    ids=["regularized-nan", "tail_upper_bound-nan", "shell_width-0", "shell_width-neg", "log_product_factor-0"],
+)
+def test_threshold_gates_reject_nan_and_nonpositive_t(evaluator, t):
+    s = spectrum_from_weights([1.0, 0.5])
+    with pytest.raises(ValidationError):
+        evaluator(s, t)
+
+
 def test_sandwich_random_spectra(rng):
     # lower <= quadrature tail <= upper (log scale; lower is astronomically
     # small for d >= 3 but must still sit below)
