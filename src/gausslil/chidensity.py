@@ -15,7 +15,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .quadrature import KronrodChain, gauss_legendre, kronrod_panel, kronrod_reduce
 from .special import chisq_density, chisq_norm_tail, log_chisq_norm_tail
-from .spectral import Spectrum, group_descending, log_leading, log_zolotarev
+from .spectral import Spectrum, WeightedChiSquare, group_descending, log_leading, log_zolotarev
 
 __all__ = [
     "WeightedChiSquare",
@@ -77,42 +77,6 @@ _ENGINE_CACHE_SIZE = 32  # engines kept, least recently used dropped first
 # The left half of level k stops at the first knot of its chain where
 # delta_k u^2 reaches _LEFT_CUT + 2 m_k (see _left_chain).
 _LEFT_CUT = 60.0
-
-
-@dataclass(frozen=True)
-class WeightedChiSquare:
-    """Weights lambda_i^2 of the quadratic form, descending, zeros dropped."""
-
-    weights: tuple[float, ...]
-
-    @classmethod
-    def from_weights(cls, weights) -> "WeightedChiSquare":
-        w = sorted((float(x) for x in weights), reverse=True)
-        if not w:
-            raise ValidationError("weight list is empty")
-        if any(x < 0 or not math.isfinite(x) for x in w):
-            raise ValidationError(f"weights must be finite and >= 0: {w}")
-        pos = tuple(x for x in w if x > 0)
-        if not pos:
-            raise ValidationError("all weights are zero")
-        return cls(weights=pos)
-
-    @classmethod
-    def from_spectrum(cls, s: Spectrum) -> "WeightedChiSquare":
-        return cls.from_weights(s.weights())
-
-    @property
-    def lambda1_sq(self) -> float:
-        return self.weights[0]
-
-    def normalized(self) -> tuple[float, ...]:
-        """w_i / lambda_1^2, computed once per instance: the engine cache's key."""
-        return self._normalized
-
-    @cached_property
-    def _normalized(self) -> tuple[float, ...]:
-        w1 = self.weights[0]
-        return tuple(x / w1 for x in self.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .chidensity import (
-    WeightedChiSquare,
     log_weighted_norm_tail,
     log_weighted_shell_probability,
     weighted_density,
@@ -113,7 +112,7 @@ def _cmd_tail(cfg: dict, out: Path, args: argparse.Namespace) -> dict:
 
 def _cmd_bounds_verify(cfg: dict, out: Path, args: argparse.Namespace) -> dict:
     s = parse_spectrum(cfg)
-    w = WeightedChiSquare.from_spectrum(s)
+    w = s.law
     lam1 = s.lambda1
     dc = derived_constants(s.dim)
     zs = parse_grid(

@@ -11,21 +11,21 @@ and its linear form is the exponential of that (0.0 once it underflows).
 """
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .chidensity import (
-    WeightedChiSquare,
     constants,
     log_weighted_norm_tail,
     log_weighted_shell_probability,
     weighted_density,
 )
 from .errors import ValidationError
-from .spectral import Spectrum, log_zolotarev
+from .spectral import Spectrum, WeightedChiSquare
 
 __all__ = [
     "RegularizedSpectrum",
@@ -45,15 +45,19 @@ _REL_SLACK = 1e-7  # numerical slack when checking strict inequalities
 
 @dataclass(frozen=True)
 class RegularizedSpectrum:
-    """Merged spectrum: lambda_1 repeated d_tilde times, then the rest."""
+    """Merged spectrum: lambda_1 repeated d_tilde times, then the rest.
+
+    ``law`` is the merged law that the spectrum holds for d_tilde.
+    """
 
     t: float
     d_tilde: int
     eigenvalues: tuple[float, ...]
     K_t: float
+    law: WeightedChiSquare = field(compare=False, repr=False)
 
     def weights(self) -> WeightedChiSquare:
-        return WeightedChiSquare.from_weights(x * x for x in self.eigenvalues)
+        return self.law
 
 
 @dataclass(frozen=True)
@@ -102,22 +106,15 @@ def d_tilde(s: Spectrum, t: float) -> int:
         raise ValidationError(
             f"regularization assumes t >= 3 d lambda_1 = {3 * d * lam1:.6g}, got {t}"
         )
-    thresh = 4.0 * d * d * lam1**4 / (t * t)
-    w = s.weights()
-    out = 1
-    for i in range(d):
-        if w[0] - w[i] <= thresh:
-            out = i + 1
-    return out
+    # the gaps are non-decreasing, so this counts those at or below thresh
+    return bisect.bisect_right(s.top_gaps, 4.0 * d * d * lam1**4 / (t * t))
 
 
 def regularized(s: Spectrum, t: float) -> RegularizedSpectrum:
     """Merged spectrum at threshold t with its Zolotarev constant K_t."""
     dt = d_tilde(s, t)
-    lam1 = s.lambda1
-    merged = tuple([lam1] * dt) + tuple(float(x) for x in s.eigenvalues[dt:])
-    k_t = math.exp(log_zolotarev((np.asarray(merged[dt:]) / lam1) ** 2))
-    return RegularizedSpectrum(t=t, d_tilde=dt, eigenvalues=merged, K_t=k_t)
+    eigenvalues, k_t, law = s.merged(dt)
+    return RegularizedSpectrum(t=t, d_tilde=dt, eigenvalues=eigenvalues, K_t=k_t, law=law)
 
 
 def log_product_factor(s: Spectrum, t: float) -> float:
@@ -203,9 +200,8 @@ def shifted_tail_vs_shell_log(
     """(log lhs, log rhs) of P{|Y| >= t - g l1^2/t} <= C4t e^g P{t <= |Y| <= t + C5t l1^2/t}."""
     dc = _check_valid_t(s, t)
     _check_gamma(s, t, gamma)
-    w = WeightedChiSquare.from_spectrum(s)
-    lhs = log_weighted_norm_tail(w, t - gamma * s.lambda1**2 / t)
-    shell = log_weighted_shell_probability(w, t, t + shell_width(s, t))
+    lhs = log_weighted_norm_tail(s.law, t - gamma * s.lambda1**2 / t)
+    shell = log_weighted_shell_probability(s.law, t, t + shell_width(s, t))
     return lhs, dc.log_C4t + gamma + shell
 
 
@@ -249,9 +245,7 @@ def orig_shift_sides(s: Spectrum, t: float, gamma: float) -> tuple[float, float]
     """(log lhs, log rhs) of P{|Y| >= t - g l1^2/t} <= 6 C3 e^g P{|Y_t| >= t}."""
     _check_valid_t(s, t)
     _check_gamma(s, t, gamma)
-    lhs = log_weighted_norm_tail(
-        WeightedChiSquare.from_spectrum(s), t - gamma * s.lambda1**2 / t
-    )
+    lhs = log_weighted_norm_tail(s.law, t - gamma * s.lambda1**2 / t)
     merged = log_weighted_norm_tail(regularized(s, t).weights(), t)
     return lhs, math.log(6.0 * constants(s.dim).C3) + gamma + merged
 
@@ -260,9 +254,7 @@ def merged_vs_orig_shell_sides(s: Spectrum, t: float) -> tuple[float, float]:
     """(log lhs, log rhs) of P{|Y_t| >= t} <= 2 e^{16 d^3} P{t <= |Y| <= t + beta/t}."""
     _check_valid_t(s, t)
     lhs = log_weighted_norm_tail(regularized(s, t).weights(), t)
-    shell = log_weighted_shell_probability(
-        WeightedChiSquare.from_spectrum(s), t, t + shell_width(s, t)
-    )
+    shell = log_weighted_shell_probability(s.law, t, t + shell_width(s, t))
     return lhs, math.log(2.0) + 16.0 * s.dim**3 + shell
 
 
@@ -305,8 +297,8 @@ def density_comparison_check(s: Spectrum, t: float, zgrid) -> ComparisonReport:
     """
     d = s.dim
     reg = regularized(s, t)
-    w = WeightedChiSquare.from_spectrum(s)
-    wt = reg.weights()
+    w = s.law
+    wt = reg.law
     rows = []
     for z in np.asarray(zgrid, dtype=float):
         h = float(weighted_density(w, z))

@@ -9,11 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .chidensity import WeightedChiSquare
 from .errors import ValidationError
 from .integraltest import PhiFamily
 from .sequences import CovarianceSequence, CutoffFamily, DiscreteDistribution
-from .spectral import Spectrum, eigh
+from .spectral import Spectrum, WeightedChiSquare, eigh
 
 
 def parse_matrix(obj) -> np.ndarray:

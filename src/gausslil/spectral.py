@@ -87,6 +87,33 @@ class Spectrum:
         return self.eigenvalues**2
 
     @cached_property
+    def law(self) -> WeightedChiSquare:
+        """The weighted chi-square law of |Y|^2, weights lambda_i^2."""
+        return WeightedChiSquare.from_weights(self.weights())
+
+    @cached_property
+    def top_gaps(self) -> tuple[float, ...]:
+        """lambda_1^2 - lambda_i^2, i = 1..d, non-decreasing."""
+        w = self.weights()
+        return tuple((w[0] - w).tolist())
+
+    def merged(self, count: int) -> tuple[tuple[float, ...], float, WeightedChiSquare]:
+        """(eigenvalues, K, law) of lambda_1 repeated count times, then
+        lambda_{count+1..d}, with its Zolotarev constant K; built once per count."""
+        held = self._merged.get(count)
+        if held is None:
+            lam1 = self.lambda1
+            eig = tuple([lam1] * count) + tuple(float(x) for x in self.eigenvalues[count:])
+            k = math.exp(log_zolotarev((np.asarray(eig[count:]) / lam1) ** 2))
+            law = WeightedChiSquare.from_weights(x * x for x in eig)
+            held = self._merged.setdefault(count, (eig, k, law))
+        return held
+
+    @cached_property
+    def _merged(self) -> dict[int, tuple]:
+        return {}
+
+    @cached_property
     def _log_gap_factors(self) -> tuple[float, ...]:
         """log(lambda_1/(lambda_1^2 - lambda_i^2)^{1/2}), i = 2..d; +inf on ties."""
         w = self.weights()
@@ -140,6 +167,43 @@ class Spectrum:
             for g in factors:
                 total += min(g, log_x)
         return total
+
+
+@dataclass(frozen=True)
+class WeightedChiSquare:
+    """Weights lambda_i^2 of the quadratic form, descending, zeros dropped."""
+
+    weights: tuple[float, ...]
+
+    @classmethod
+    def from_weights(cls, weights) -> "WeightedChiSquare":
+        w = sorted((float(x) for x in weights), reverse=True)
+        if not w:
+            raise ValidationError("weight list is empty")
+        if any(x < 0 or not math.isfinite(x) for x in w):
+            raise ValidationError(f"weights must be finite and >= 0: {w}")
+        pos = tuple(x for x in w if x > 0)
+        if not pos:
+            raise ValidationError("all weights are zero")
+        return cls(weights=pos)
+
+    @classmethod
+    def from_spectrum(cls, s: Spectrum) -> "WeightedChiSquare":
+        """The spectrum's own law, ``s.law``."""
+        return s.law
+
+    @property
+    def lambda1_sq(self) -> float:
+        return self.weights[0]
+
+    def normalized(self) -> tuple[float, ...]:
+        """w_i / lambda_1^2, computed once per instance: the engine cache's key."""
+        return self._normalized
+
+    @cached_property
+    def _normalized(self) -> tuple[float, ...]:
+        w1 = self.weights[0]
+        return tuple(x / w1 for x in self.weights)
 
 
 def log_zolotarev(rho2) -> float:
