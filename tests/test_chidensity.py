@@ -1,7 +1,9 @@
+import gc
 import math
 import sys
 import time
 import tracemalloc
+import weakref
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
@@ -1036,3 +1038,22 @@ def test_tail_ratio_monotone_beyond_grid():
         assert np.all(diffs <= 1e-12) or np.all(diffs >= -1e-12)
         c = constants(d)
         assert c.log_C1 <= r[-1] <= c.log_C2
+
+
+def test_held_laws_do_not_pin_engines(monkeypatch):
+    # each spectrum keeps its law, but the engines stay in the one LRU cache:
+    # an evicted law's engine is freed and rebuilt on its next query
+    builds = _count_builds(monkeypatch, chidensity._ENGINE_CACHE_SIZE)
+    spectra = [spectrum_from_weights([1.0, 0.2 + 0.01 * i]) for i in range(40)]
+    first = weighted_norm_tail(spectra[0].law, 1.5)
+    engine = weakref.ref(chidensity._ENGINES[spectra[0].law.normalized()])
+    for s in spectra[1:]:
+        weighted_norm_tail(s.law, 1.5)
+        assert len(chidensity._ENGINES) <= chidensity._ENGINE_CACHE_SIZE
+    assert len(builds) == 40
+    assert spectra[0].law.normalized() not in chidensity._ENGINES
+    gc.collect()
+    assert engine() is None
+    assert weighted_norm_tail(WeightedChiSquare.from_spectrum(spectra[0]), 1.5) == first
+    assert len(builds) == 41
+    assert spectra[0].law.normalized() in chidensity._ENGINES

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_weights, spectrum_from_weights
+from test_oracles import SWEEP
 
 from gausslil.chidensity import (
     WeightedChiSquare,
@@ -13,11 +15,13 @@ from gausslil.chidensity import (
     weighted_shell_probability,
 )
 from gausslil.errors import ValidationError
+from gausslil.spectral import log_zolotarev
 from gausslil.regularize import (
     d_tilde,
     density_comparison_check,
     derived_constants,
     log_product_factor,
+    log_shell_lower_bound,
     log_tail_lower_bound,
     log_tail_upper_bound,
     lower_shift_sides,
@@ -327,3 +331,113 @@ def test_tightness_diagnostic_d2(rng):
                 - log_product_factor(s, float(t))
             )
             assert 0.05 <= ratio <= 20.0
+
+# ---- held laws ---------------------------------------------------------------
+
+
+def _loop_d_tilde(s, t):
+    """d_tilde as a loop over the squared gaps, each compared with the threshold."""
+    w = s.weights()
+    thresh = 4.0 * s.dim**2 * s.lambda1**4 / (t * t)
+    out = 1
+    for i in range(s.dim):
+        if w[0] - w[i] <= thresh:
+            out = i + 1
+    return out
+
+
+def _fresh_merged_law(s, t):
+    """The merged law built from scratch: (d_tilde, eigenvalues, K_t, law)."""
+    dt = _loop_d_tilde(s, t)
+    lam1 = s.lambda1
+    eig = tuple([lam1] * dt) + tuple(float(x) for x in s.eigenvalues[dt:])
+    k_t = math.exp(log_zolotarev((np.asarray(eig[dt:]) / lam1) ** 2))
+    return dt, eig, k_t, WeightedChiSquare.from_weights(x * x for x in eig)
+
+
+HELD_EVALUATORS = [
+    (log_product_factor, ()),
+    (log_tail_upper_bound, ()),
+    (log_tail_lower_bound, ()),
+    (log_shell_lower_bound, ()),
+    (tail_upper_bound, ()),
+    (tail_lower_bound, ()),
+    (shell_lower_bound, ()),
+    (shell_width, ()),
+    (shifted_tail_vs_shell_log, (1.0,)),
+    (upper_shift_sides, (0.0625,)),
+    (lower_shift_sides, (0.25,)),
+    (merged_shell_sides, ()),
+    (merged_vs_orig_shell_sides, ()),
+    (orig_shift_sides, (1.0,)),
+]
+
+
+@pytest.mark.parametrize("v", SWEEP, ids=lambda v: "-".join(f"{x:g}" for x in v))
+def test_held_laws_give_the_fresh_values(v):
+    # every evaluator on a spectrum that holds its laws, against the same
+    # evaluator on a fresh copy that builds them anew, compared with ==;
+    # the held laws are the ones built from scratch
+    s = spectrum_from_weights([2.5 * x for x in v])
+    lam1 = s.lambda1
+    assert s.law == WeightedChiSquare.from_weights(s.weights())
+    assert WeightedChiSquare.from_spectrum(s) is WeightedChiSquare.from_spectrum(s) is s.law
+    laws = {}
+    for t in np.linspace(derived_constants(s.dim).C1t, 50.0, 9) * lam1:
+        t = float(t)
+        for fn, args in HELD_EVALUATORS:
+            args = tuple(a * t if fn in (upper_shift_sides, lower_shift_sides) else a for a in args)
+            held = (fn(s, t, *args), fn(s, t, *args))
+            assert held[0] == held[1] == fn(dataclasses.replace(s), t, *args), fn.__name__
+        reg = regularized(s, t)
+        dt, eig, k_t, law = _fresh_merged_law(s, t)
+        assert (reg.d_tilde, reg.eigenvalues, reg.K_t) == (dt, eig, k_t)
+        assert reg.weights() == law and reg.weights().normalized() == law.normalized()
+        assert laws.setdefault(reg.d_tilde, reg.weights()) is reg.weights()
+        zs = np.geomspace(0.1, 40.0, 4) * lam1**2
+        assert density_comparison_check(s, t, zs) == density_comparison_check(dataclasses.replace(s), t, zs)
+    assert len({id(law) for law in laws.values()}) == len(laws)
+
+
+def test_merged_laws_one_per_d_tilde():
+    s = spectrum_from_weights([1.0, 0.995, 0.9, 0.6])
+    laws = {}
+    for t in np.geomspace(12.0, 3000.0, 30):
+        reg = regularized(s, float(t))
+        assert laws.setdefault(reg.d_tilde, reg.weights()) is reg.weights()
+    assert sorted(laws) == [1, 2, 3, 4]
+    assert len({id(law) for law in laws.values()}) == 4
+    assert len({law.weights for law in laws.values()}) == 4
+
+
+def _threshold_at_gap(s, i):
+    """A threshold t, within a few ulps of the formula's, whose merge
+    threshold 4 d^2 l1^4 / t^2 equals gap i exactly."""
+    gap = float(s.weights()[0] - s.weights()[i])
+    t0 = math.sqrt(4.0 * s.dim**2 * s.lambda1**4 / gap)
+    for direction in (math.inf, 0.0):
+        t = t0
+        for _ in range(4):
+            if 4.0 * s.dim**2 * s.lambda1**4 / (t * t) == gap:
+                return t
+            t = math.nextafter(t, direction)
+    pytest.fail("no threshold lands on the gap")
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[1.0, 1.0, 1.0], [1.0, 1.0, 0.5, 0.5], [1.0, 1.0 - 1e-15, 0.99, 0.3], [2.0, 2.0 * (1 - 2e-16), 1.3, 1.0]],
+    ids=["ties", "paired-ties", "near-ties", "near-ties-scaled"],
+)
+def test_held_d_tilde_matches_the_loop(weights):
+    s = spectrum_from_weights(weights)
+    for t in np.geomspace(3 * s.dim * s.lambda1, 1e4 * s.lambda1, 60):
+        assert d_tilde(s, float(t)) == _loop_d_tilde(s, float(t))
+
+
+def test_held_d_tilde_at_a_gap_exactly_on_the_threshold():
+    s = spectrum_from_weights([1.0, 0.8, 0.8, 0.25])
+    t = _threshold_at_gap(s, 1)
+    assert d_tilde(s, t) == _loop_d_tilde(s, t) == 3  # gap <= thresh takes the tie along
+    above = math.nextafter(t, math.inf)
+    assert d_tilde(s, above) == _loop_d_tilde(s, above) == 1
