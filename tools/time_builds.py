@@ -50,6 +50,17 @@ Prints one JSON line:
   t = C5 lambda_1 on diag(linspace(1, 0.1, LEMMA_DIM)^2), over
   LAYER_REPEATS calls; with the rows' tail and shell queries, these are
   the bounds-sweep benchmark's median jobs;
+- ``regularized_us``: the median time of one warm
+  ``regularized(s, t).weights()``, the merged law at the same s and t,
+  over LAYER_REPEATS calls;
+- ``row_us``: the time of one bounds-sweep row on the same s, kept from
+  row to row: its law ``WeightedChiSquare.from_spectrum(s)`` (a lookup
+  where the spectrum holds its law, a build where it does not),
+  ``weighted_norm_tail`` at t, the four product bounds
+  (``tail_lower_bound``, ``tail_upper_bound``, ``shell_lower_bound``,
+  ``shell_width``) and ``weighted_shell_probability`` on that shell,
+  averaged over ROW_COUNT thresholds t / lambda_1 spread over [C5, 50];
+  the median over LAYER_REPEATS sweeps;
 - ``eigh_us``: the median time of ``eigh`` on a fixed seeded positive
   definite matrix for each d in EIGH_DIMS, over LAYER_REPEATS calls;
 - ``report_ms``: the median time of one ``equivalence_report`` (a = 4,
@@ -97,6 +108,7 @@ OWN_GRID_SMALLEST = (1e-4, 1e-8, 1e-300)
 OWN_GRID_START = 1e-9
 EIGH_DIMS = (2, 4, 6, 8, 16)
 LEMMA_DIM = 6
+ROW_COUNT = 17  # the bounds-sweep rows per spectrum, t / lambda_1 in [C5, 50]
 LAYER_REPEATS = 51
 REPORT_KS = (200, 2000)
 QUERY_T = tuple(np.linspace(0.5, 30.0, 40).tolist())
@@ -219,6 +231,16 @@ def build_points(chidensity, engine, vectors) -> float:
     return count[0] / len(vectors)
 
 
+def bounds_rows(chidensity, regularize, s, ts) -> None:
+    for t in ts:
+        w = chidensity.WeightedChiSquare.from_spectrum(s)
+        regularize.tail_lower_bound(s, t)
+        regularize.tail_upper_bound(s, t)
+        regularize.shell_lower_bound(s, t)
+        chidensity.weighted_norm_tail(w, t)
+        chidensity.weighted_shell_probability(w, t, t + regularize.shell_width(s, t))
+
+
 def cold_constants(chidensity, regularize, d: int) -> None:
     for memo in (regularize.derived_constants, chidensity.constants, chidensity._c3):
         memo.cache_clear()
@@ -274,6 +296,9 @@ def main() -> None:
             ("merged_shell_sides", regularize.merged_shell_sides, ()),
         )
     }
+    regularized_us = 1e3 * median_ms(lambda: regularize.regularized(lemma_s, lemma_t).weights(), (), LAYER_REPEATS)
+    row_t = np.linspace(lemma_t, 50.0 * lemma_s.lambda1, ROW_COUNT).tolist()
+    row_us = 1e3 * median_ms(bounds_rows, (chidensity, regularize, lemma_s, row_t), LAYER_REPEATS) / ROW_COUNT
     eigh_us = {
         str(d): round(1e3 * median_ms(spectral.eigh, (eigh_matrix(d),), LAYER_REPEATS), 1)
         for d in EIGH_DIMS
@@ -320,6 +345,8 @@ def main() -> None:
                 "engine_bytes": engine_bytes,
                 **query_us,
                 "lemma_us": lemma_us,
+                "regularized_us": round(regularized_us, 2),
+                "row_us": round(row_us, 1),
                 "eigh_us": eigh_us,
                 "report_ms": report_ms,
                 "classify_ms": classify_ms,
