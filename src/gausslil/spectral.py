@@ -8,7 +8,7 @@ give bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,6 +58,8 @@ class Spectrum:
     basis: np.ndarray  # columns are the eigenvectors
     groups: tuple[tuple[float, int], ...]
     d1: int
+    # merge count -> (eigenvalues, K, law), filled by merged()
+    _merged: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -110,18 +112,10 @@ class Spectrum:
         return held
 
     @cached_property
-    def _merged(self) -> dict[int, tuple]:
-        return {}
-
-    @cached_property
     def _log_gap_factors(self) -> tuple[float, ...]:
         """log(lambda_1/(lambda_1^2 - lambda_i^2)^{1/2}), i = 2..d; +inf on ties."""
-        w = self.weights()
         lam1 = self.lambda1
-        return tuple(
-            math.log(lam1 / math.sqrt(w[0] - w[i])) if w[0] - w[i] > 0 else math.inf
-            for i in range(1, self.dim)
-        )
+        return tuple(math.log(lam1 / math.sqrt(g)) if g > 0 else math.inf for g in self.top_gaps[1:])
 
     @cached_property
     def log_zolotarev_constant(self) -> float:

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -400,13 +402,22 @@ def test_held_laws_give_the_fresh_values(v):
 
 
 def test_merged_laws_one_per_d_tilde():
-    s = spectrum_from_weights([1.0, 0.995, 0.9, 0.6])
-    laws = {}
-    for t in np.geomspace(12.0, 3000.0, 30):
-        reg = regularized(s, float(t))
-        assert laws.setdefault(reg.d_tilde, reg.weights()) is reg.weights()
+    # threads that merge one fresh spectrum at once still get one law per d_tilde
+    ts = np.geomspace(12.0, 3000.0, 30).tolist() * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(100):
+                s = spectrum_from_weights([1.0, 0.995, 0.9, 0.6])
+                futures = [pool.submit(regularized, s, t) for t in ts]
+                laws = {}
+                for f in futures:
+                    reg = f.result(timeout=60)
+                    assert laws.setdefault(reg.d_tilde, reg.weights()) is reg.weights()
+    finally:
+        sys.setswitchinterval(interval)
     assert sorted(laws) == [1, 2, 3, 4]
-    assert len({id(law) for law in laws.values()}) == 4
     assert len({law.weights for law in laws.values()}) == 4
 
 
