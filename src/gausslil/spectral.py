@@ -1,4 +1,5 @@
-"""Small dense symmetric-matrix linear algebra.
+"""Small dense symmetric-matrix linear algebra, and the weighted chi-square
+law that a spectrum defines.
 
 The eigensolver is a cyclic Jacobi sweep, chosen for unconditional
 robustness on the tiny symmetric matrices this package works with

@@ -357,21 +357,21 @@ def _fresh_merged_law(s, t):
     return dt, eig, k_t, WeightedChiSquare.from_weights(x * x for x in eig)
 
 
-HELD_EVALUATORS = [
-    (log_product_factor, ()),
-    (log_tail_upper_bound, ()),
-    (log_tail_lower_bound, ()),
-    (log_shell_lower_bound, ()),
-    (tail_upper_bound, ()),
-    (tail_lower_bound, ()),
-    (shell_lower_bound, ()),
-    (shell_width, ()),
-    (shifted_tail_vs_shell_log, (1.0,)),
-    (upper_shift_sides, (0.0625,)),
-    (lower_shift_sides, (0.25,)),
-    (merged_shell_sides, ()),
-    (merged_vs_orig_shell_sides, ()),
-    (orig_shift_sides, (1.0,)),
+HELD_EVALUATORS = [  # (evaluator, its arguments past (s, t) at threshold t)
+    (log_product_factor, lambda t: ()),
+    (log_tail_upper_bound, lambda t: ()),
+    (log_tail_lower_bound, lambda t: ()),
+    (log_shell_lower_bound, lambda t: ()),
+    (tail_upper_bound, lambda t: ()),
+    (tail_lower_bound, lambda t: ()),
+    (shell_lower_bound, lambda t: ()),
+    (shell_width, lambda t: ()),
+    (shifted_tail_vs_shell_log, lambda t: (1.0,)),
+    (upper_shift_sides, lambda t: (t / 16,)),
+    (lower_shift_sides, lambda t: (t / 4,)),
+    (merged_shell_sides, lambda t: ()),
+    (merged_vs_orig_shell_sides, lambda t: ()),
+    (orig_shift_sides, lambda t: (1.0,)),
 ]
 
 
@@ -387,8 +387,8 @@ def test_held_laws_give_the_fresh_values(v):
     laws = {}
     for t in np.linspace(derived_constants(s.dim).C1t, 50.0, 9) * lam1:
         t = float(t)
-        for fn, args in HELD_EVALUATORS:
-            args = tuple(a * t if fn in (upper_shift_sides, lower_shift_sides) else a for a in args)
+        for fn, args_at in HELD_EVALUATORS:
+            args = args_at(t)
             held = (fn(s, t, *args), fn(s, t, *args))
             assert held[0] == held[1] == fn(dataclasses.replace(s), t, *args), fn.__name__
         reg = regularized(s, t)
