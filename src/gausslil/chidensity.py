@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .quadrature import KronrodChain, gauss_legendre, kronrod_panel, kronrod_reduce
+from .quadrature import gauss_legendre, kronrod_panel, kronrod_reduce
 from .special import chisq_density, chisq_norm_tail, log_chisq_norm_tail
 from .spectral import Spectrum, WeightedChiSquare, group_descending, log_leading, log_zolotarev
 
@@ -98,7 +98,8 @@ class _LogGrid:
     _LogLevel); the node table's nodes, also as a list for a scalar
     query's bisection, with the decay tables of its suffix tails; and, on
     the shared grid only, the Kronrod points of both halves of a level,
-    which depend on the nodes alone (``kronrod``, see _KronrodPoints).
+    pieces of one type that depend on the nodes alone (``kronrod``, see
+    _KronrodPoints).
     Engines on the _GRID_LO grid share one (_log_grid).
     """
 
@@ -206,37 +207,18 @@ def _locate(grid: _LogGrid, z: np.ndarray, lz: np.ndarray) -> tuple[np.ndarray, 
     return j.astype(np.int32), lz - grid.log_z[j], below, z.flat[below], lz.flat[below]
 
 
-class _RightHalf:
-    """The right half's Kronrod points on a grid, shared by every level.
-
-    Row i takes v = z_i - u^2 over u in [0, sqrt(z_i / 2)] as one panel.
-    The block factor e^{-delta v} varies by e^{delta z_i / 2} across it;
-    where that is large the right half, whose factor is at most
-    e^{-delta z_i / 2}, is at most about that share of the level, whose
-    left half's factor e^{-delta y} starts at 1, so one panel's error
-    stays at the level's rounding. Kept per point: log u, v, log v, and
-    where y = u^2 lies on the grid (read at log y = 2 log u).
-    """
-
-    def __init__(self, grid: _LogGrid):
-        self.rows, u, self.width = KronrodChain(grid.u_max, grid.u_hi).points()
-        self.log_u = np.log(u)
-        y = u * u
-        self.v = grid.z[self.rows, None] - y
-        self.log_v = np.log(self.v)
-        self.j, self.t, self.below, self.below_z, self.below_lz = _locate(grid, y, 2.0 * self.log_u)
-
-
-class _LeftPiece(NamedTuple):
-    """Left-half Kronrod points: per (row, panel) pair its row, abscissa
-    row ``which`` and width; per abscissa row y = u^2 and log u; per point
-    where v = z_i - u^2 lies on the grid (see _locate)."""
+class _Piece(NamedTuple):
+    """Kronrod points of one half of a level: per (row, panel) pair its
+    row, abscissa row ``which`` and width; per abscissa row b, log b and
+    the rest log u - (log b)/2 of the factor u (see _convolve); per point
+    where the previous level is read (see _locate)."""
 
     rows: np.ndarray
     which: np.ndarray
     width: np.ndarray
-    y: np.ndarray
-    log_u: np.ndarray
+    b: np.ndarray
+    log_b: np.ndarray
+    rest: np.ndarray
     j: np.ndarray
     t: np.ndarray
     below: np.ndarray
@@ -244,62 +226,82 @@ class _LeftPiece(NamedTuple):
     below_lz: np.ndarray
 
 
-class _LeftPanels:
-    """Panels of the left half in u, laid out in one table, panel by panel.
+class _PanelTable:
+    """Panels in u of one half of a level, laid out in one table, panel by panel.
 
     Each panel is a ``kronrod_panel`` (or a part of one): its whole rows
     first, on one abscissa row, then each clipped row on one of its own.
     So ``which`` never falls along the pairs, and the pairs of any run of
-    abscissa rows read as one _LeftPiece (``piece``); ``shift`` holds where
+    abscissa rows read as one _Piece (``piece``); ``shift`` holds where
     each panel's abscissa rows start. Each panel is located on the grid in
     turn, into arrays made once, so that the build never holds the whole
     table twice.
+
+    The halves differ here alone. On the left, b = u^2 on each abscissa
+    row, shared by its rows, the rest is 0, and the previous level is read
+    at z_i - u^2. On the right (``right``), each abscissa row has one pair,
+    so b = z_i - u^2 is exact per abscissa row, and the level is read at
+    u^2, located from 2 log u: as z_i - b it would cancel to 0 for
+    u^2 << z_i.
     """
 
-    def __init__(self, grid: _LogGrid, panels: list[tuple[np.ndarray, ...]]):
+    def __init__(self, grid: _LogGrid, panels: list[tuple[np.ndarray, ...]], right: bool = False):
         starts = np.cumsum([0] + [rows.size for rows, _, _, _ in panels])
         shift = np.cumsum([0] + [width.size for _, _, _, width in panels])
         rows = np.concatenate([rows for rows, _, _, _ in panels])
         which = np.concatenate([which + k for (_, which, _, _), k in zip(panels, shift)])
         u = np.concatenate([u for _, _, u, _ in panels])
+        log_u = np.log(u)
         y = u * u
         j = np.empty((rows.size, 21), dtype=np.int32)
         t = np.empty((rows.size, 21))
         below = [(np.empty(0, dtype=np.intp), np.empty(0), np.empty(0))]
-        for a, b in zip(starts[:-1], starts[1:]):
-            v = grid.z[rows[a:b], None] - y[which[a:b]]
-            j[a:b], t[a:b], flat, v, lv = _locate(grid, v, np.log(v))
-            below.append((flat + 21 * a, v, lv))
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            if right:
+                x, lx = y[which[lo:hi]], 2.0 * log_u[which[lo:hi]]
+            else:
+                x = grid.z[rows[lo:hi], None] - y[which[lo:hi]]
+                lx = np.log(x)
+            j[lo:hi], t[lo:hi], flat, x, lx = _locate(grid, x, lx)
+            below.append((flat + 21 * lo, x, lx))
+        if right:
+            b = np.empty_like(y)
+            b[which] = grid.z[rows, None] - y[which]
+            log_b = np.log(b)
+            rest = log_u - 0.5 * log_b
+        else:
+            b, log_b, rest = y, 2.0 * log_u, np.broadcast_to(0.0, y.shape)
         widths = np.concatenate([width for _, _, _, width in panels])
-        self.all = _LeftPiece(
-            rows, which, widths[which], y, np.log(u), j, t, *(np.concatenate(part) for part in zip(*below))
+        self.all = _Piece(
+            rows, which, widths[which], b, log_b, rest, j, t, *(np.concatenate(part) for part in zip(*below))
         )
         self.shift = shift.tolist()
         # each abscissa row's first pair, and the first of that pair's points under the grid
         first = np.searchsorted(which, np.arange(shift[-1] + 1))
         self._at = list(zip(first.tolist(), np.searchsorted(self.all.below, 21 * first).tolist()))
 
-    def piece(self, ua: int, ub: int) -> _LeftPiece:
+    def piece(self, ua: int, ub: int) -> _Piece:
         """Abscissa rows ua..ub-1 and their pairs, which index their own
         abscissa rows and points."""
         p = self.all
         (a, ba), (b, bb) = self._at[ua], self._at[ub]
-        return _LeftPiece(
-            p.rows[a:b], p.which[a:b] - ua, p.width[a:b], p.y[ua:ub], p.log_u[ua:ub], p.j[a:b], p.t[a:b],
-            p.below[ba:bb] - 21 * a, p.below_z[ba:bb], p.below_lz[ba:bb],
+        return _Piece(
+            p.rows[a:b], p.which[a:b] - ua, p.width[a:b], p.b[ua:ub], p.log_b[ua:ub], p.rest[ua:ub],
+            p.j[a:b], p.t[a:b], p.below[ba:bb] - 21 * a, p.below_z[ba:bb], p.below_lz[ba:bb],
         )
 
 
 class _KronrodPoints:
-    """Both halves' Kronrod points on one grid.
+    """Both halves' Kronrod points on one grid, as _PanelTable pieces.
 
-    The right half's (_RightHalf), and the left half's chains (see
-    _left_chain) in three kinds of table, each built when a chain first
-    needs it. A head [0, s_M] is whole for the rows with u_hi >= s_M, one
-    table per M; every row below takes [0, u_hi] whatever M, so those rows
-    are one table, row by row, whose first rows serve every head. The
-    dyadic panels [u_max 2^-(m+1), u_max 2^-m] of every m asked so far are
-    one table, m descending: a chain's panels are one slice of it, and the
+    The right half is one panel [0, u_hi] per row for every level, one
+    table (``right``). The left half's chains (see _left_chain) read three
+    kinds of table, each built when a chain first needs it. A head
+    [0, s_M] is whole for the rows with u_hi >= s_M, one table per M;
+    every row below takes [0, u_hi] whatever M, so those rows are one
+    table, row by row, whose first rows serve every head. The dyadic
+    panels [u_max 2^-(m+1), u_max 2^-m] of every m asked so far are one
+    table, m descending: a chain's panels are one slice of it, and the
     panels that a longer chain adds past the cut knot come last in each
     row's sum. The shared grid keeps its points; any other grid's are
     built for one build and dropped with it, so an engine in the cache
@@ -308,12 +310,12 @@ class _KronrodPoints:
 
     def __init__(self, grid: _LogGrid):
         self.grid = grid
-        self.right = _RightHalf(grid)
-        self._heads: dict[int, tuple[_LeftPiece, int]] = {}  # per M: whole rows, and how many rows end below
-        self._clipped: _LeftPanels | None = None
-        self._dyadic: tuple[dict[int, int], _LeftPanels | None] = ({}, None)  # panel index per m, table
+        self.right = _PanelTable(grid, [kronrod_panel(0.0, grid.u_max, grid.u_hi)], right=True).all
+        self._heads: dict[int, tuple[_Piece, int]] = {}  # per M: whole rows, and how many rows end below
+        self._clipped: _PanelTable | None = None
+        self._dyadic: tuple[dict[int, int], _PanelTable | None] = ({}, None)  # panel index per m, table
 
-    def left(self, chains: list[tuple[int, int]]) -> list[list[_LeftPiece]]:
+    def left(self, chains: list[tuple[int, int]]) -> list[list[_Piece]]:
         """The pieces of each chain (M, c): its head [0, s_M] for the rows
         that take it whole, the rows that end below s_M (if any), and its
         dyadic panels m = M - 1 .. M - c as one slice (if c > 0)."""
@@ -324,9 +326,9 @@ class _KronrodPoints:
             rows, which, u, width = kronrod_panel(0.0, math.ldexp(u_max, -m), u_hi)
             clipped = int(np.count_nonzero(which))
             whole = rows.size - clipped
-            self._heads[m] = _LeftPanels(grid, [(rows[:whole], which[:whole], u[:1], width[:1])]).all, clipped
+            self._heads[m] = _PanelTable(grid, [(rows[:whole], which[:whole], u[:1], width[:1])]).all, clipped
             if self._clipped is None or clipped > self._clipped.shift[-1]:
-                self._clipped = _LeftPanels(grid, [(rows[whole:], which[whole:] - 1, u[1:], width[1:])])
+                self._clipped = _PanelTable(grid, [(rows[whole:], which[whole:] - 1, u[1:], width[1:])])
         # only the panels that some chain reads, so an own grid skips the
         # gaps between its chains
         index, table = self._dyadic
@@ -335,7 +337,7 @@ class _KronrodPoints:
             order = sorted(need.union(index), reverse=True)
             index = {m: i for i, m in enumerate(order)}
             panels = [kronrod_panel(math.ldexp(u_max, -m - 1), math.ldexp(u_max, -m), u_hi) for m in order]
-            table = _LeftPanels(grid, panels)
+            table = _PanelTable(grid, panels)
             self._dyadic = index, table
         out = []
         for m, c in chains:
@@ -386,8 +388,9 @@ class _LogLevel:
     row. The table is held once: a_m of every row is ``coefs[m]``, x_r is
     the grid's ``x[r]``, and s is ``slope`` on row 0 and 0 after it. A read
     takes rows 1.. by Horner's rule, gathering each a_m from one array, and
-    row 0 only under the grid; ``at`` reads at Kronrod points that the
-    grid located once (see _locate). A power law reads a_1 and a_0 alone.
+    row 0 only under the grid; ``at`` reads a _Piece of either half of
+    the next level, at the points its table located once (see _locate).
+    A power law reads a_1 and a_0 alone.
     """
 
     def __init__(self, grid: _LogGrid, coefs: np.ndarray, slope: float = 0.0, degree: int = 7):
@@ -434,7 +437,7 @@ class _LogLevel:
             out[below] = self._small(z[below], lz[below])
         return out
 
-    def at(self, p: _RightHalf | _LeftPiece) -> np.ndarray:
+    def at(self, p: _Piece) -> np.ndarray:
         out = self._read(p.j.astype(np.intp), p.t)
         out.flat[p.below] = self._small(p.below_z, p.below_lz)
         return out
@@ -485,18 +488,20 @@ def _left_chain(grid: _LogGrid, delta: float, mk: int) -> tuple[int, int]:
     return m, c
 
 
-def _left_half(prev: _LogLevel, pieces: list[_LeftPiece], delta: float, mk: int, log_2g: float):
-    """Each node's left half of level k and its Kronrod estimate: the
-    integral of 2 g_k u^{m_k - 1} e^{-delta u^2} hhat_{k-1}(z_i - u^2) over
-    the pieces of its chain, with log_2g = log 2 g_k. Its factors in u
-    alone are taken once per abscissa row and gathered to the pairs."""
+def _convolve(prev: _LogLevel, pieces: list[_Piece], delta: float, mk: int, log_2g: float):
+    """Each node's level k and its Kronrod estimate: the integral of
+    2 g_k u b^{m_k/2 - 1} e^{-delta b} hhat_{k-1}(z_i - b) over the pieces,
+    with log_2g = log 2 g_k. In logs the factor is log_2g - delta b +
+    ((m_k - 1)/2) log b + rest, rest = log u - (log b)/2, taken once per
+    abscissa row and gathered to the pairs."""
     size = prev.grid.z.size
     vals, err = np.zeros(size), np.zeros(size)
     for p in pieces:
         s = prev.at(p)
-        factor = log_2g - delta * p.y
+        factor = log_2g - delta * p.b
         if mk != 1:
-            factor += (mk - 1) * p.log_u
+            factor += 0.5 * (mk - 1) * p.log_b
+        factor += p.rest
         s += factor.take(p.which, axis=0)
         value, estimate = kronrod_reduce(p.rows, np.exp(s, out=s), p.width, size)
         vals += value
@@ -579,39 +584,26 @@ class _DensityEngine:
         hhat_k(z) = int_0^z g_k y^{m_k/2 - 1} e^{-delta_k y} hhat_{k-1}(z - y) dy
         is split at y = z/2. The left half takes y = u^2 and the right half
         v = z - y = u^2, which turns every power law z^{m/2 - 1} into a
-        polynomial factor, and both run the fixed Gauss-Kronrod rule over
-        panels in u. Their points come from the grid's tables
-        (_KronrodPoints), where L_{k-1} is read without a search: the right
-        half is one panel per row for every level, and the left half's
-        chain (_left_chain) is a head and a slice of dyadic panels. Each half
-        reads L_{k-1} once per piece, adds its factors in log form, and
-        takes one exp; the left half's factors in u alone are computed once
-        per abscissa row and gathered to the pairs.
+        polynomial factor; in u both are one integrand (_convolve) in
+        b = y, which is u^2 on the left and z - u^2 on the right. Their
+        points come from the grid's tables (_KronrodPoints) as pieces of one
+        type, where L_{k-1} is read without a search: the left half's chain
+        (_left_chain) is a head and a slice of dyadic panels, and the right
+        half is one panel per row for every level. Each piece reads L_{k-1}
+        once, adds its factors in log form, computed once per abscissa row
+        and gathered to the pairs, and takes one exp.
         """
         grid = self.grid
         zs = grid.z
         points = grid.kronrod or _KronrodPoints(grid)
         deltas = (0.5 * (1.0 / self.block_w - 1.0)).tolist()
         chains = points.left([_left_chain(grid, d, int(m)) for d, m in zip(deltas[1:], self.block_m[1:])])
-        right = points.right
         prev = _LogLevel.power_law(grid, *small_z[0][:2])
         for k in range(1, self.block_w.size):
             mk = int(self.block_m[k])
-            delta = deltas[k]
             log_2g = math.log(2.0) + float(self._log_scale[k]) - math.lgamma(0.5 * mk)
-
-            vals, err = _left_half(prev, chains[k - 1], delta, mk, log_2g)
-
-            # 2 g_k u hhat_{k-1}(u^2) v^{m_k/2 - 1} e^{-delta v}, v = z_i - u^2
-            s = prev.at(right)
-            s += right.log_u
-            if mk != 2:
-                s += (0.5 * mk - 1.0) * right.log_v
-            s -= delta * right.v
-            s += log_2g
-            v_right, e_right = kronrod_reduce(right.rows, np.exp(s, out=s), right.width, zs.size)
-            vals += v_right
-            err += e_right
+            # the right half last in each node's sum
+            vals, err = _convolve(prev, chains[k - 1] + [points.right], deltas[k], mk, log_2g)
             bad = ~((err <= _KRONROD_RTOL * vals) & (vals > 0.0))  # also catches NaN
             if np.any(bad):
                 j = int(np.nonzero(bad)[0][0])

@@ -3,12 +3,11 @@
 ``kronrod_sums`` applies the rule to panels and reports |K21 - G10| as
 its error estimate; every integral in the library goes through it.
 ``kronrod_panel`` lays one panel out over rows that share it up to their
-own ends, ``KronrodChain`` lists the points of the doubling chain
-[0, s], [s, 2s], [2s, 4s], ... of such panels, and ``kronrod_reduce``
-sums a list of panels into their rows, for the density engine's levels. ``kronrod_halving`` runs it over each row's own
-interval and halves every panel whose estimate is too large, for the
-integral-test block sums. ``gauss_legendre`` gives the n-point rule for
-callers that need no estimate.
+own ends, and ``kronrod_reduce`` sums a list of panels into their rows,
+for the density engine's levels. ``kronrod_halving`` runs the rule over
+each row's own interval and halves every panel whose estimate is too
+large, for the integral-test block sums. ``gauss_legendre`` gives the
+n-point rule for callers that need no estimate.
 """
 from __future__ import annotations
 
@@ -117,32 +116,6 @@ def kronrod_panel(lo: float, hi: float, ends: np.ndarray) -> tuple[np.ndarray, .
     rows = np.concatenate([np.arange(start, ends.size), clipped])
     which = np.concatenate([np.zeros(ends.size - start, dtype=np.intp), np.arange(1, clipped.size + 1)])
     return rows, which, lo + width[:, None] * _GK_NODES, width
-
-
-class KronrodChain:
-    """The (10, 21) rule over [0, ends_i] on panels that the rows share.
-
-    Every row's chain is [0, s], [s, 2s], [2s, 4s], ..., clipped at the
-    row's end, and ``ends`` must not decrease along the rows. Each panel
-    is a ``kronrod_panel``: whole for a row and every row after it once
-    it ends at or before the row's end, so only each row's last, clipped
-    panel has abscissas of its own.
-    """
-
-    def __init__(self, first: float, ends: np.ndarray):
-        ends = np.asarray(ends, dtype=float)
-        if not (first > 0 and np.all(np.isfinite(ends))):
-            raise NumericError("Gauss-Kronrod needs finite limits at every node")
-        knots = [0.0, first]
-        while knots[-1] < ends[-1]:
-            knots.append(2.0 * knots[-1])
-        self.size = ends.size
-        self.panels = [kronrod_panel(lo, hi, ends) for lo, hi in zip(knots[:-1], knots[1:])]
-
-    def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every (row, panel) pair, panel by panel: rows, abscissas (pairs, 21) and widths."""
-        rows, x, width = zip(*((rows, u[which], w[which]) for rows, which, u, w in self.panels))
-        return np.concatenate(rows), np.concatenate(x), np.concatenate(width)
 
 
 # kronrod_halving accepts a panel once |K21 - G10| <= _HALVING_RTOL |K21|,

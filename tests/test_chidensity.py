@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_weights, spectrum_from_weights
+from kronrod_chain import KronrodChain
 
 from gausslil import chidensity
 from gausslil.chidensity import (
@@ -28,7 +29,7 @@ from gausslil.chidensity import (
     zolotarev_constant,
 )
 from gausslil.errors import NumericError, ValidationError
-from gausslil.quadrature import KronrodChain, kronrod_reduce
+from gausslil.quadrature import kronrod_panel, kronrod_reduce
 from gausslil.special import chisq_density, chisq_norm_tail, log_chisq_norm_tail
 from gausslil.spectral import log_zolotarev
 
@@ -721,7 +722,7 @@ def test_tabled_left_half_matches_a_direct_chain(z_lo):
     log_2g = math.log(2.0) - 0.5 * math.log(2.0 * weights[-1]) - math.lgamma(0.5)
     top, c = chidensity._left_chain(grid, delta, 1)
     pieces = chidensity._KronrodPoints(grid).left([(top, c)])[0]
-    got, got_err = chidensity._left_half(prev, pieces, delta, 1, log_2g)
+    got, got_err = chidensity._convolve(prev, pieces, delta, 1, log_2g)
     chain = KronrodChain(math.ldexp(grid.u_max, -top), np.minimum(grid.u_hi, math.ldexp(grid.u_max, c - top)))
     rows, u, width = chain.points()
     y = u * u
@@ -732,6 +733,43 @@ def test_tabled_left_half_matches_a_direct_chain(z_lo):
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
     # each estimate |K21 - G10| sits at the rounding of its panel's values
     assert np.all(np.abs(got_err - want_err) <= 1e-14 * want)
+
+
+@pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
+def test_both_halves_are_pieces_of_one_type(z_lo):
+    # the right half: one pair per abscissa row, b = z_i - u^2 on each,
+    # and the previous level read at u^2, located from 2 log u; the left
+    # half: b = u^2, rest 0, and the level read at z_i - u^2
+    grid = chidensity._log_grid(z_lo)
+    points = chidensity._KronrodPoints(grid)
+    right = points.right
+    rows, _, u, _ = kronrod_panel(0.0, grid.u_max, grid.u_hi)
+    y, log_u = u * u, np.log(u)
+    np.testing.assert_array_equal(right.rows, rows)
+    np.testing.assert_array_equal(np.sort(right.which), np.arange(u.shape[0]))
+    np.testing.assert_array_equal(right.b[right.which], grid.z[rows, None] - y[right.which])
+    np.testing.assert_array_equal(right.log_b, np.log(right.b))
+    np.testing.assert_array_equal(right.rest, log_u - 0.5 * right.log_b)
+    read = chidensity._locate(grid, y[right.which], 2.0 * log_u[right.which])
+    for got, want in zip(right[-5:], read, strict=True):
+        np.testing.assert_array_equal(got, want)
+    assert right.below.size  # the lowest rows read under the grid
+    weights = GRID_LAWS[z_lo]
+    top, c = chidensity._left_chain(grid, 0.5 * (1.0 / weights[-1] - 1.0), 1)
+    head = kronrod_panel(0.0, math.ldexp(grid.u_max, -top), grid.u_hi)[2]
+    dyadic = [
+        kronrod_panel(math.ldexp(grid.u_max, -m - 1), math.ldexp(grid.u_max, -m), grid.u_hi)[2]
+        for m in range(top - 1, top - c - 1, -1)
+    ]
+    # the head's whole rows, its clipped rows and the dyadic slice, as tabled
+    abscissas = [x for x in (head[:1], head[1:], np.concatenate(dyadic or [head[:0]])) if x.size]
+    for p, u in zip(points.left([(top, c)])[0], abscissas, strict=True):
+        np.testing.assert_array_equal(p.b, u * u)
+        np.testing.assert_array_equal(p.log_b, 2.0 * np.log(u))
+        assert not p.rest.any()
+        v = grid.z[p.rows, None] - p.b[p.which]
+        for got, want in zip(p[-5:], chidensity._locate(grid, v, np.log(v)), strict=True):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_chains_read_their_own_panels_from_a_shared_table():

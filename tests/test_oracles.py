@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from kronrod_chain import KronrodChain
 from oracles import hypoexp_density, hypoexp_log_shell, hypoexp_log_tail, ruben_density
 from test_chidensity import two_weight_density_exact
 
@@ -29,7 +30,7 @@ from gausslil.chidensity import (
     log_weighted_shell_probability,
     weighted_density,
 )
-from gausslil.quadrature import KronrodChain
+from gausslil.quadrature import kronrod_reduce
 from gausslil.spectral import eigh
 
 STATED_RTOL_PER_LEVEL = 5e-10  # README, "Numerical notes": densities, tails and shells
@@ -151,18 +152,28 @@ def test_small_z_density_at_odd_multiplicities_against_ruben_series(weights):
     ids=[*("-".join(f"{x:g}" for x in v) for v in SWEEP + OWN_GRID), "tiny"],
 )
 def test_one_right_panel_per_row_matches_three(weights, monkeypatch):
-    # the right half's one panel [0, u_hi] per row against the chain
-    # [0, u_max/4], [u_max/4, u_max/2], [u_max/2, u_max], each clipped at
-    # the row's end: where e^{-delta v} varies most across the panel, the
-    # right half is at most about e^{-delta z_i / 2} of the level
-    wnorm = WeightedChiSquare.from_weights(weights).normalized()
-    one = chidensity._DensityEngine(wnorm)
-    grid = chidensity._LogGrid(one.grid.z[0])
-    with monkeypatch.context() as m:
-        m.setattr(chidensity, "KronrodChain", lambda first, ends: KronrodChain(0.25 * first, ends))
-        grid.kronrod = chidensity._KronrodPoints(grid)
-    assert grid.kronrod.right.rows.size > chidensity._RightHalf(grid).rows.size
-    monkeypatch.setattr(chidensity, "_log_grid", lambda z_lo: grid)
-    three = chidensity._DensityEngine(wnorm)
-    nodes = grid.z, grid.log_z
-    np.testing.assert_allclose(one._level(*nodes), three._level(*nodes), rtol=0, atol=1e-13)
+    # each level's right half, one panel [0, u_hi] per row, against the
+    # chain [0, u_max/4], [u_max/4, u_max/2], [u_max/2, u_max], each clipped
+    # at the row's end, integrated directly from the same previous level:
+    # where e^{-delta v} varies most across the panel, the right half is at
+    # most about e^{-delta z_i / 2} of the level
+    convolve, levels = chidensity._convolve, []
+
+    def recorded(*args):
+        levels.append(args)
+        return convolve(*args)
+
+    monkeypatch.setattr(chidensity, "_convolve", recorded)
+    eng = chidensity._DensityEngine(WeightedChiSquare.from_weights(weights).normalized())
+    grid = eng.grid
+    assert len(levels) == eng.block_w.size - 1
+    rows, u, width = KronrodChain(0.25 * grid.u_max, grid.u_hi).points()
+    v = grid.z[rows, None] - u * u
+    for prev, pieces, delta, mk, log_2g in levels:
+        *left, right = pieces
+        assert right.rows.size == grid.z.size < rows.size  # one panel per row, against three
+        s = prev(u * u, 2.0 * np.log(u)) + np.log(u) + (0.5 * mk - 1.0) * np.log(v) - delta * v + log_2g
+        three, _ = kronrod_reduce(rows, np.exp(s), width, grid.z.size)
+        left_vals, _ = convolve(prev, left, delta, mk, log_2g)
+        one, _ = convolve(prev, [right], delta, mk, log_2g)
+        np.testing.assert_allclose(np.log(left_vals + one), np.log(left_vals + three), rtol=0, atol=1e-13)

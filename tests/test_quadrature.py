@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kronrod_chain import KronrodChain
+
 from gausslil import quadrature
 from gausslil.errors import NumericError
-from gausslil.quadrature import KronrodChain, kronrod_halving, kronrod_reduce
+from gausslil.quadrature import kronrod_halving, kronrod_reduce
 
 
 def _integrate(chain, f):
