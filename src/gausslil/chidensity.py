@@ -15,7 +15,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -265,8 +265,9 @@ class _PanelTable:
             j[lo:hi], t[lo:hi], flat, x, lx = _locate(grid, x, lx)
             below.append((flat + 21 * lo, x, lx))
         if right:
-            b = np.empty_like(y)
-            b[which] = grid.z[rows, None] - y[which]
+            row = np.empty_like(which)
+            row[which] = rows  # each abscissa row's one pair
+            b = grid.z[row, None] - y
             log_b = np.log(b)
             rest = log_u - 0.5 * log_b
         else:
@@ -276,9 +277,13 @@ class _PanelTable:
             rows, which, widths[which], b, log_b, rest, j, t, *(np.concatenate(part) for part in zip(*below))
         )
         self.shift = shift.tolist()
-        # each abscissa row's first pair, and the first of that pair's points under the grid
-        first = np.searchsorted(which, np.arange(shift[-1] + 1))
-        self._at = list(zip(first.tolist(), np.searchsorted(self.all.below, 21 * first).tolist()))
+
+    @cached_property
+    def _at(self) -> list[tuple[int, int]]:
+        """Each abscissa row's first pair, and the first of that pair's
+        points under the grid; made on the first ``piece``."""
+        first = np.searchsorted(self.all.which, np.arange(self.shift[-1] + 1))
+        return list(zip(first.tolist(), np.searchsorted(self.all.below, 21 * first).tolist()))
 
     def piece(self, ua: int, ub: int) -> _Piece:
         """Abscissa rows ua..ub-1 and their pairs, which index their own
