@@ -300,7 +300,9 @@ class _KronrodPoints:
     """Both halves' Kronrod points on one grid, as _PanelTable pieces.
 
     The right half is one panel [0, u_hi] per row for every level, one
-    table (``right``). The left half's chains (see _left_chain) read three
+    table (``right``): where its block factor e^{-delta v} varies much
+    across the panel, it is at most e^{-delta z_i / 2}, so the right half
+    is at most about that share of the level. The left half's chains (see _left_chain) read three
     kinds of table, each built when a chain first needs it. A head
     [0, s_M] is whole for the rows with u_hi >= s_M, one table per M;
     every row below takes [0, u_hi] whatever M, so those rows are one
