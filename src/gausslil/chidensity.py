@@ -98,9 +98,10 @@ class _LogGrid:
     _LogLevel); the node table's nodes, also as a list for a scalar
     query's bisection, with the decay tables of its suffix tails; and, on
     the shared grid only, the Kronrod points of both halves of a level,
-    pieces of one type that depend on the nodes alone (``kronrod``, see
-    _KronrodPoints).
-    Engines on the _GRID_LO grid share one (_log_grid).
+    pieces of one type that depend on the nodes alone, made once with the
+    grid for every chain that its builds read (``kronrod``, see
+    _KronrodPoints and _shared_grid). Engines on the _GRID_LO grid share
+    one (_log_grid).
     """
 
     def __init__(self, z_lo: float):
@@ -302,66 +303,66 @@ class _KronrodPoints:
     The right half is one panel [0, u_hi] per row for every level, one
     table (``right``): where its block factor e^{-delta v} varies much
     across the panel, it is at most e^{-delta z_i / 2}, so the right half
-    is at most about that share of the level. The left half's chains (see _left_chain) read three
-    kinds of table, each built when a chain first needs it. A head
-    [0, s_M] is whole for the rows with u_hi >= s_M, one table per M;
-    every row below takes [0, u_hi] whatever M, so those rows are one
-    table, row by row, whose first rows serve every head. The dyadic
-    panels [u_max 2^-(m+1), u_max 2^-m] of every m asked so far are one
-    table, m descending: a chain's panels are one slice of it, and the
-    panels that a longer chain adds past the cut knot come last in each
-    row's sum. The shared grid keeps its points; any other grid's are
-    built for one build and dropped with it, so an engine in the cache
-    holds none.
+    is at most about that share of the level. The left half is one table
+    made once from the chains (M, c) that the grid serves (see _left_chain
+    and _shared_grid): first each head [0, s_M], one abscissa row for the
+    rows that take it whole; then the largest head's rows that end below
+    s_M, row by row, whose first rows serve every head, as each takes
+    [0, u_hi] whatever M; then the dyadic panels [u_max 2^-(m+1),
+    u_max 2^-m], m descending, so that a chain's panels are one slice and
+    those that a longer chain adds past the cut knot come last in each
+    row's sum. Each head's pieces are made here; ``left`` only slices.
+    The shared grid keeps its points; a grid of its own makes them for
+    its one build's chains, so the panels between them stay unbuilt, and
+    drops them with it, so an engine in the cache holds none.
     """
 
-    def __init__(self, grid: _LogGrid):
-        self.grid = grid
-        self.right = _PanelTable(grid, [kronrod_panel(0.0, grid.u_max, grid.u_hi)], right=True).all
-        self._heads: dict[int, tuple[_Piece, int]] = {}  # per M: whole rows, and how many rows end below
-        self._clipped: _PanelTable | None = None
-        self._dyadic: tuple[dict[int, int], _PanelTable | None] = ({}, None)  # panel index per m, table
+    def __init__(self, grid: _LogGrid, chains: list[tuple[int, int]]):
+        u_hi, u_max = grid.u_hi, grid.u_max
+        self.right = _PanelTable(grid, [kronrod_panel(0.0, u_max, u_hi)], right=True).all
+        heads = sorted({m for m, _ in chains})
+        dyadic = sorted({i for m, c in chains for i in range(m - c, m)}, reverse=True)
+        panels, clipped = [], []
+        for m in heads:
+            rows, which, u, width = kronrod_panel(0.0, math.ldexp(u_max, -m), u_hi)
+            whole = rows.size - width.size + 1
+            panels.append((rows[:whole], which[:whole], u[:1], width[:1]))
+            clipped.append((rows[whole:], which[whole:] - 1, u[1:], width[1:]))
+        panels.append(clipped[0])  # the largest head's rows that end below s_M serve every head
+        panels += [kronrod_panel(math.ldexp(u_max, -m - 1), math.ldexp(u_max, -m), u_hi) for m in dyadic]
+        self.table = table = _PanelTable(grid, panels)
+        n = len(heads)
+        self.heads = {}  # per M its head's piece, and the abscissa rows of its rows that end below s_M
+        for i, (m, (rows, *_)) in enumerate(zip(heads, clipped)):
+            self.heads[m] = table.piece(i, i + 1), (n, n + rows.size)
+        shift = table.shift[n + 1 :]
+        self.spans = {m: (shift[i], shift[i + 1]) for i, m in enumerate(dyadic)}
 
     def left(self, chains: list[tuple[int, int]]) -> list[list[_Piece]]:
         """The pieces of each chain (M, c): its head [0, s_M] for the rows
         that take it whole, the rows that end below s_M (if any), and its
         dyadic panels m = M - 1 .. M - c as one slice (if c > 0)."""
-        grid = self.grid
-        u_hi, u_max = grid.u_hi, grid.u_max
-        # the largest head first: its rows that end below s_M serve every other head
-        for m in sorted({m for m, _ in chains}.difference(self._heads)):
-            rows, which, u, width = kronrod_panel(0.0, math.ldexp(u_max, -m), u_hi)
-            clipped = int(np.count_nonzero(which))
-            whole = rows.size - clipped
-            self._heads[m] = _PanelTable(grid, [(rows[:whole], which[:whole], u[:1], width[:1])]).all, clipped
-            if self._clipped is None or clipped > self._clipped.shift[-1]:
-                self._clipped = _PanelTable(grid, [(rows[whole:], which[whole:] - 1, u[1:], width[1:])])
-        # only the panels that some chain reads, so an own grid skips the
-        # gaps between its chains
-        index, table = self._dyadic
-        need = {i for m, c in chains for i in range(m - c, m)}
-        if not need.issubset(index):
-            order = sorted(need.union(index), reverse=True)
-            index = {m: i for i, m in enumerate(order)}
-            panels = [kronrod_panel(math.ldexp(u_max, -m - 1), math.ldexp(u_max, -m), u_hi) for m in order]
-            table = _PanelTable(grid, panels)
-            self._dyadic = index, table
         out = []
         for m, c in chains:
-            head, clipped = self._heads[m]
+            head, (a, b) = self.heads[m]
             pieces = [head]  # the top row, u_hi = u_max, is whole in every head
-            if clipped:
-                pieces.append(self._clipped.piece(0, clipped))
+            if b > a:
+                pieces.append(self.table.piece(a, b))
             if c:
-                pieces.append(table.piece(table.shift[index[m - 1]], table.shift[index[m - c] + 1]))
+                pieces.append(self.table.piece(self.spans[m - 1][0], self.spans[m - c][1]))
             out.append(pieces)
         return out
 
 
 @lru_cache(maxsize=1)
 def _shared_grid() -> _LogGrid:
+    """The grid that starts at _GRID_LO, with Kronrod points for the chains
+    (M, M), M = 2..M_top: every head and dyadic panel that a build on it
+    reads, as its smallest weight, _GRID_LO / 1e-3 (see _DensityEngine),
+    asks for the longest head, M_top."""
     grid = _LogGrid(_GRID_LO)
-    grid.kronrod = _KronrodPoints(grid)
+    top, _ = _left_chain(grid, 0.5 * (1.0 / (_GRID_LO / 1e-3) - 1.0), 1)
+    grid.kronrod = _KronrodPoints(grid, [(m, m) for m in range(2, top + 1)])
     return grid
 
 
@@ -395,8 +396,9 @@ class _LogLevel:
     row. The table is held once: a_m of every row is ``coefs[m]``, x_r is
     the grid's ``x[r]``, and s is ``slope`` on row 0 and 0 after it. A read
     takes rows 1.. by Horner's rule, gathering each a_m from one array, and
-    row 0 only under the grid; ``at`` reads a _Piece of either half of
-    the next level, at the points its table located once (see _locate).
+    row 0 only under the grid, where _locate placed the points: ``at``
+    takes a _Piece's (``p[-5:]``) of either half of the next level, which
+    its table located once, and a call any z.
     A power law reads a_1 and a_0 alone.
     """
 
@@ -437,16 +439,11 @@ class _LogLevel:
         return _log_power(self.coefs[0, 0], self.coefs[1, 0], lz) - self.slope * z
 
     def __call__(self, z: np.ndarray, lz: np.ndarray) -> np.ndarray:
-        j = self.grid.interval(lz)
-        out = self._read(j, lz - self.grid.log_z.take(j))
-        below = lz < self.grid.log_lo
-        if below.any():
-            out[below] = self._small(z[below], lz[below])
-        return out
+        return self.at(*_locate(self.grid, z, lz))
 
-    def at(self, p: _Piece) -> np.ndarray:
-        out = self._read(p.j.astype(np.intp), p.t)
-        out.flat[p.below] = self._small(p.below_z, p.below_lz)
+    def at(self, j, t, below, below_z, below_lz) -> np.ndarray:
+        out = self._read(j.astype(np.intp), t)
+        out.flat[below] = self._small(below_z, below_lz)
         return out
 
 
@@ -504,7 +501,7 @@ def _convolve(prev: _LogLevel, pieces: list[_Piece], delta: float, mk: int, log_
     size = prev.grid.z.size
     vals, err = np.zeros(size), np.zeros(size)
     for p in pieces:
-        s = prev.at(p)
+        s = prev.at(*p[-5:])
         factor = log_2g - delta * p.b
         if mk != 1:
             factor += 0.5 * (mk - 1) * p.log_b
@@ -602,15 +599,16 @@ class _DensityEngine:
         """
         grid = self.grid
         zs = grid.z
-        points = grid.kronrod or _KronrodPoints(grid)
         deltas = (0.5 * (1.0 / self.block_w - 1.0)).tolist()
-        chains = points.left([_left_chain(grid, d, int(m)) for d, m in zip(deltas[1:], self.block_m[1:])])
+        chains = [_left_chain(grid, d, int(m)) for d, m in zip(deltas[1:], self.block_m[1:])]
+        points = grid.kronrod or _KronrodPoints(grid, chains)
+        left = points.left(chains)
         prev = _LogLevel.power_law(grid, *small_z[0][:2])
         for k in range(1, self.block_w.size):
             mk = int(self.block_m[k])
             log_2g = math.log(2.0) + float(self._log_scale[k]) - math.lgamma(0.5 * mk)
             # the right half last in each node's sum
-            vals, err = _convolve(prev, chains[k - 1] + [points.right], deltas[k], mk, log_2g)
+            vals, err = _convolve(prev, left[k - 1] + [points.right], deltas[k], mk, log_2g)
             bad = ~((err <= _KRONROD_RTOL * vals) & (vals > 0.0))  # also catches NaN
             if np.any(bad):
                 j = int(np.nonzero(bad)[0][0])
@@ -811,9 +809,9 @@ def _zolotarev_term(s: Spectrum, z: float) -> float:
 
     The engine's leading term in logs, log K held by the spectrum, minus
     x/2 at x = z/l1^2, and its exp. At x = 0 (z / l1^2 underflowed) it reads
-    the limit, which is singular for d1 = 1.
+    the limit, which is singular for d1 = 1, and at x = inf the limit 0.
     """
-    if z <= 0:
+    if not z > 0:
         raise ValidationError("bound requires z > 0")
     s.top()
     x = z / s.lambda1_sq
@@ -821,7 +819,7 @@ def _zolotarev_term(s: Spectrum, z: float) -> float:
         raise ValidationError("f_1 is singular at z = 0")
     lz = math.log(x) if x > 0.0 else -math.inf
     log_h = _log_power(*s.log_leading, lz)
-    return math.exp(log_h - 0.5 * x) / s.lambda1_sq
+    return math.exp(log_h - 0.5 * x) / s.lambda1_sq if x < math.inf else 0.0  # d1 >= 3 reads inf - inf
 
 
 def density_upper_bound(s: Spectrum, z: float) -> float:

@@ -709,9 +709,10 @@ def test_quantized_chain_is_as_fine_and_as_long(z_lo):
 
 @pytest.mark.parametrize("z_lo", list(GRID_LAWS), ids=GRID_IDS)
 def test_tabled_left_half_matches_a_direct_chain(z_lo):
-    # the last block's left half from the grid's tables against a
-    # KronrodChain on the same quantized panels, each point located by
-    # search, with the integrand's logs summed in the same order
+    # the last block's left half from the table that its build reads (the
+    # shared grid's, or one made for the chain on a grid of its own)
+    # against a KronrodChain on the same quantized panels, each point
+    # located by search, with the integrand's logs summed in the same order
     weights = GRID_LAWS[z_lo]
     eng = chidensity._DensityEngine(weights)
     grid = eng.grid
@@ -721,7 +722,7 @@ def test_tabled_left_half_matches_a_direct_chain(z_lo):
     delta = 0.5 * (1.0 / weights[-1] - 1.0)
     log_2g = math.log(2.0) - 0.5 * math.log(2.0 * weights[-1]) - math.lgamma(0.5)
     top, c = chidensity._left_chain(grid, delta, 1)
-    pieces = chidensity._KronrodPoints(grid).left([(top, c)])[0]
+    pieces = (grid.kronrod or chidensity._KronrodPoints(grid, [(top, c)])).left([(top, c)])[0]
     got, got_err = chidensity._convolve(prev, pieces, delta, 1, log_2g)
     chain = KronrodChain(math.ldexp(grid.u_max, -top), np.minimum(grid.u_hi, math.ldexp(grid.u_max, c - top)))
     rows, u, width = chain.points()
@@ -741,7 +742,9 @@ def test_both_halves_are_pieces_of_one_type(z_lo):
     # and the previous level read at u^2, located from 2 log u; the left
     # half: b = u^2, rest 0, and the level read at z_i - u^2
     grid = chidensity._log_grid(z_lo)
-    points = chidensity._KronrodPoints(grid)
+    weights = GRID_LAWS[z_lo]
+    top, c = chidensity._left_chain(grid, 0.5 * (1.0 / weights[-1] - 1.0), 1)
+    points = grid.kronrod or chidensity._KronrodPoints(grid, [(top, c)])
     right = points.right
     rows, _, u, _ = kronrod_panel(0.0, grid.u_max, grid.u_hi)
     y, log_u = u * u, np.log(u)
@@ -754,8 +757,6 @@ def test_both_halves_are_pieces_of_one_type(z_lo):
     for got, want in zip(right[-5:], read, strict=True):
         np.testing.assert_array_equal(got, want)
     assert right.below.size  # the lowest rows read under the grid
-    weights = GRID_LAWS[z_lo]
-    top, c = chidensity._left_chain(grid, 0.5 * (1.0 / weights[-1] - 1.0), 1)
     head = kronrod_panel(0.0, math.ldexp(grid.u_max, -top), grid.u_hi)[2]
     dyadic = [
         kronrod_panel(math.ldexp(grid.u_max, -m - 1), math.ldexp(grid.u_max, -m), grid.u_hi)[2]
@@ -772,20 +773,71 @@ def test_both_halves_are_pieces_of_one_type(z_lo):
             np.testing.assert_array_equal(got, want)
 
 
+def _assert_same_pieces(got, want):
+    for p, q in zip(got, want, strict=True):
+        for a, b in zip(p, q, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
 def test_chains_read_their_own_panels_from_a_shared_table():
-    # two chains far apart on a grid of their own: the dyadic table holds
-    # only the panels they read, and each chain's pieces are those of a
-    # table built for it alone
+    # two chains far apart on a grid of their own: its one table holds
+    # exactly their heads, the larger head's clipped rows and the dyadic
+    # panels they read, the gap between them unbuilt, and each chain's
+    # pieces are those of a table made for it alone
     grid = chidensity._log_grid(1e-11)
     chains = [chidensity._left_chain(grid, 0.5 * (1.0 / w - 1.0), m) for w, m in ((0.5, 2), (1e-8, 1))]
-    both = chidensity._KronrodPoints(grid)
-    got = both.left(chains)
+    both = chidensity._KronrodPoints(grid, chains)
     read = [m for top, c in chains for m in range(top - c, top)]
-    assert sorted(both._dyadic[0]) == sorted(read) and max(read) - min(read) + 1 > len(read)
-    for chain, pieces in zip(chains, got):
-        for p, q in zip(pieces, chidensity._KronrodPoints(grid).left([chain])[0], strict=True):
-            for a, b in zip(p, q):
-                np.testing.assert_array_equal(a, b)
+    assert sorted(both.heads) == sorted(top for top, _ in chains)
+    assert sorted(both.spans) == sorted(read) and max(read) - min(read) + 1 > len(read)
+    u_max, u_hi = grid.u_max, grid.u_hi
+    clipped = kronrod_panel(0.0, math.ldexp(u_max, -min(both.heads)), u_hi)[3].size - 1
+    dyadic = [kronrod_panel(math.ldexp(u_max, -m - 1), math.ldexp(u_max, -m), u_hi)[3].size for m in read]
+    assert both.table.shift[-1] == len(chains) + clipped + sum(dyadic)
+    for chain, pieces in zip(chains, both.left(chains), strict=True):
+        _assert_same_pieces(pieces, chidensity._KronrodPoints(grid, [chain]).left([chain])[0])
+
+
+def test_shared_table_holds_every_chain_of_the_shared_grid():
+    # 1e-3 is the smallest weight that starts the grid at 1e-6, and the
+    # longest head, M = 10, is its chain's: the table holds the heads
+    # M = 2..10 and the dyadic panels m = 0..9, no more, and every chain
+    # up to that delta reads the pieces of a table made for it alone
+    grid = chidensity._log_grid(1e-6)
+    points = grid.kronrod
+    assert chidensity._DensityEngine((1.0, 1e-3)).grid is grid
+    assert chidensity._DensityEngine((1.0, np.nextafter(1e-3, 0.0))).grid is not grid
+    last = 0.5 * (1.0 / 1e-3 - 1.0)
+    chains = {
+        chidensity._left_chain(grid, delta, m) for delta in [*np.geomspace(1e-13, last, 97), last] for m in (1, 2, 3, 8)
+    }
+    assert sorted(points.heads) == sorted({top for top, _ in chains}) == list(range(2, 11))
+    assert sorted(points.spans) == list(range(10))
+    for chain in sorted(chains):
+        _assert_same_pieces(points.left([chain])[0], chidensity._KronrodPoints(grid, [chain]).left([chain])[0])
+
+
+def test_builds_on_the_shared_grid_make_no_table(monkeypatch):
+    # the shared grid's points are made with it: builds on it, the
+    # smallest weight's included, make no _PanelTable and leave every
+    # array of its table, its heads' pieces and its right half the same
+    grid = chidensity._log_grid(1e-6)
+    points = grid.kronrod
+
+    def held():
+        pieces = [points.right, points.table.all, *(head for head, _ in points.heads.values())]
+        return [a for p in pieces for a in p]
+
+    before, at = held(), points.table._at
+
+    def made(*args, **kwargs):
+        raise AssertionError("a build on the shared grid made a table")
+
+    monkeypatch.setattr(chidensity, "_PanelTable", made)
+    for w in ((1.0, 0.5), (1.0, 0.9, 0.3, 1e-3), (1.0, 1.0, 0.5, 0.5), tuple(np.linspace(1.0, 0.1, 32))):
+        assert chidensity._DensityEngine(w).grid is grid
+    assert grid.kronrod is points and points.table._at is at
+    assert all(a is b for a, b in zip(held(), before, strict=True))
 
 
 def test_own_grid_engines_hold_no_kronrod_points(monkeypatch):
@@ -919,6 +971,20 @@ def test_density_bounds_at_an_underflowed_z_read_the_limit():
     assert density_upper_bound(spectrum_from_weights([4.0, 4.0, 4.0]), z) == 0.0
     with pytest.raises(ValidationError, match="singular"):
         density_upper_bound(spectrum_from_weights([4.0, 1.0]), z)
+
+
+@pytest.mark.parametrize(
+    "weights", [[1.0, 0.25], [1.0, 1.0, 0.25], [1.0, 1.0, 1.0, 0.25]], ids=["d1=1", "d1=2", "d1=3"]
+)
+def test_density_bounds_refuse_nan_and_read_0_at_inf(weights):
+    # NaN z is refused, as weighted_density refuses it; z = inf reads the
+    # limit 0.0 for every top multiplicity
+    s = spectrum_from_weights(weights)
+    for bound in (density_upper_bound, density_lower_bound):
+        with pytest.raises(ValidationError, match="z > 0"):
+            bound(s, math.nan)
+    assert density_upper_bound(s, math.inf) == 0.0
+    assert density_lower_bound(s, math.inf) == (0.0, s.density_lower_threshold)
 
 
 def test_density_upper_bound_equality_case():

@@ -27,9 +27,8 @@ Prints one JSON line:
 - ``left_us``: the median time of one level's left half on the shared
   grid, over LAYER_REPEATS calls: the last level of linspace(1, 0.1, 8),
   read from the level of its first seven weights, its Kronrod points
-  taken from the grid's tables and summed by ``_convolve`` (by
-  ``_left_half`` on a tree that names it so; on a tree without the
-  tables, the same integrand over ``_left_chain(...).integrate``);
+  taken from the grid's table (``grid.kronrod.left``) and summed by
+  ``_convolve``;
 - ``grid_bytes``: the bytes of the arrays that the shared grid holds
   once every build above has run, its Kronrod point tables included,
   each array counted once however many views of it there are;
@@ -200,20 +199,9 @@ def left_half(chidensity, prev, delta: float):
     """The left half of a level of one chi^2(1) block on the shared grid, read from prev."""
     grid = prev.grid
     log_2g = math.log(2.0) - 0.5 * math.log(2.0 / (2.0 * delta + 1.0)) - math.lgamma(0.5)
-    # the level's one sum over the left half's pieces alone; _left_half on older trees
-    convolve = getattr(chidensity, "_convolve", None) or getattr(chidensity, "_left_half", None)
-    if convolve:
-        pieces = grid.kronrod.left([chidensity._left_chain(grid, delta, 1)])[0]
-        return lambda: convolve(prev, pieces, delta, 1, log_2g)
-
-    def integrand(rows, u):
-        y = u * u
-        v = grid.z[rows, None] - y
-        s = prev(v, np.log(v))
-        s += log_2g - delta * y
-        return np.exp(s, out=s)
-
-    return lambda: chidensity._left_chain(grid, delta, 1).integrate(integrand)
+    pieces = grid.kronrod.left([chidensity._left_chain(grid, delta, 1)])[0]
+    # the level's one sum over the left half's pieces alone
+    return lambda: chidensity._convolve(prev, pieces, delta, 1, log_2g)
 
 
 def build_points(chidensity, engine, vectors) -> float:
